@@ -49,16 +49,17 @@ def falling_factorial(m: int, k: int) -> int:
 
 
 def sqrt_norm(m: int, n: int) -> float:
-    """√(π·m!·n!) = ‖H_{m,n}‖ as a float; log-space beyond f64 factorial range."""
+    """√(π·m!·n!) = ‖H_{m,n}‖ as a float; log-space once π·m!·n! leaves f64 range."""
     try:
-        return math.sqrt(math.pi * math.factorial(m) * math.factorial(n))
+        value = math.sqrt(math.pi * math.factorial(m) * math.factorial(n))
     except OverflowError:
-        try:
-            return math.exp(
-                0.5 * (math.log(math.pi) + math.lgamma(m + 1) + math.lgamma(n + 1))
-            )
-        except OverflowError:
-            return math.inf
+        value = math.inf
+    if value < math.inf:
+        return value
+    try:
+        return math.exp(0.5 * (math.log(math.pi) + math.lgamma(m + 1) + math.lgamma(n + 1)))
+    except OverflowError:
+        return math.inf
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import identities
@@ -53,11 +54,24 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
 
 
+# the process umask, read once: mkstemp creates files private to the owner
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write through a unique, synced temp file beside ``path``, then rename it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(payload: dict, output: str | None) -> None:

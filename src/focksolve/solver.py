@@ -12,7 +12,9 @@ Each chain is solved for its minimum weighted-norm solution: in exact
 arithmetic by projecting the forward particular solution against the
 one-dimensional homogeneous family, in floating point by an orthogonal
 (Givens) factorization in orthonormal coordinates, where the couplings
-become √A_j and every stored quantity stays O(1).
+become √A_j and every stored quantity stays O(1).  Past the box the data
+vanish, so each chain's infinite tail is fixed by its edge entry and the
+infinite minimum-norm problem closes exactly into a finite one.
 
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
@@ -48,9 +50,6 @@ from .ring import ExactScalar, PolyZZbar
 
 BOUND_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-TAIL_CUTOFF = 1e-18
-_MAX_EXTENSION = 65536
-_MAX_STORED_INDEX = 160
 
 #: Shift values used by the certification sweep: zero, units, a mixed value,
 #: and well-separated magnitudes up to 1e6.
@@ -69,6 +68,12 @@ CERTIFICATION_C_GRID = (
 ExactLike = Union[int, Fraction, ExactScalar]
 
 
+def _finite(value) -> bool:
+    """|value| is a finite float: rejects NaN, ±inf and magnitudes that overflow."""
+    value = complex(value)
+    return math.isfinite(math.hypot(value.real, value.imag))
+
+
 @dataclass
 class ProblemSpec:
     """One certified solve: operator order k, shift c, truncation box, data f.
@@ -84,6 +89,12 @@ class ProblemSpec:
     f: HermiteCoeffs
 
     def validate(self) -> None:
+        if not _finite(self.c):
+            raise ValueError(f"shift c = {self.c} is not finite")
+        if not self.f.exact:
+            for key, amp in self.f.entries.items():
+                if not _finite(amp):
+                    raise ValueError(f"f has a non-finite amplitude {amp} at index {key}")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.truncation < self.k:
@@ -119,24 +130,6 @@ class ChainSystem:
     def index_at(self, j: int) -> BasisIndex:
         return (self.origin[0] + j * self.k, self.origin[1] + j * self.k)
 
-    def extended(self, extra: int) -> "ChainSystem":
-        """Same chain with ``extra`` more positions and zero-padded data."""
-        if extra <= 0:
-            return self
-        length = self.length + extra
-        couplings = list(self.couplings)
-        weights = list(self.weights)
-        for j in range(self.length - 1, length - 1):
-            m = self.origin[0] + j * self.k
-            n = self.origin[1] + j * self.k
-            couplings.append(
-                falling_factorial(m + self.k, self.k) * falling_factorial(n + self.k, self.k)
-            )
-            weights.append(math.factorial(m + self.k) * math.factorial(n + self.k))
-        zero = ExactScalar(0) if self.rhs and isinstance(self.rhs[0], ExactScalar) else 0j
-        rhs = list(self.rhs) + [zero] * extra
-        return ChainSystem(self.origin, self.k, length, couplings, weights, rhs, self.normalization)
-
 
 @dataclass
 class SolveReport:
@@ -144,9 +137,10 @@ class SolveReport:
 
     ``bound_ratio`` is u_norm·k!/f_norm; ``bound_holds`` iff it is at most
     1 + 1e−10.  ``residual_norm`` is the weighted norm, over the retained
-    index box, of (∂^k∂̄^k + c)u − f.  ``tail_estimate`` is the weighted norm
-    of the solution mass cut beyond the stored decaying tail by the
-    truncation policy.
+    index box, of (∂^k∂̄^k + c)u − f.  ``u_norm`` is the weighted norm of the
+    whole infinite-chain solution: the stored box and edge entries plus the
+    tail past them.  ``tail_estimate`` is the exact weighted norm of that
+    tail, which the coefficients do not store.
     """
 
     residual_norm: float
@@ -339,106 +333,88 @@ def homogeneous_direction(chain: ChainSystem, c: complex) -> List[complex]:
 # Certified solve
 
 
-def _solve_chain_adaptive(
-    origin: BasisIndex,
-    k: int,
-    box_len: int,
-    sa_box: List[float],
-    rhs: List[complex],
-    c: complex,
-    f_scale: float,
-) -> Tuple[List[complex], List[float], float]:
-    """Solve one chain with tail extension; return values, couplings, cut mass.
+def _tail_weight(origin: BasisIndex, k: int, L: int, c: complex) -> float:
+    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l}: the chain's mass past u_L over |u_L|².
 
-    For c ≠ 0 the minimum-norm solution of the infinite chain has an
-    infinite, super-factorially decaying tail, so the chain is extended past
-    the box edge until the trailing amplitudes (and their coupling-scaled
-    equation defects) drop below 1e−18 relative to the data scale.  The
-    converged solution keeps its decaying out-of-box tail down to the point
-    where a retained entry could still move some equation by more than
-    1e−13 relative; what is cut beyond that is returned as the cut mass.
+    Past the box the right-hand side is zero, so the infinite chain continues
+    from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only on the chain
+    and |c|² and converges super-factorially; inf once τ passes 1e300.
     """
-    if c == 0:
-        sol = _min_norm_bidiagonal(0j, sa_box, rhs)
-        return sol, list(sa_box), 0.0
-    scale = max(f_scale, 1e-300)
-    extra = 16
-    sa = list(sa_box)
+    m0, n0 = origin
+    c2 = abs(c) * abs(c)  # not abs(c) ** 2, which raises on overflow
+    tau = 0.0
+    term = 1.0
+    j = L
     while True:
-        target = box_len + extra
-        while len(sa) < target - 1:
-            j = len(sa)
-            mm = origin[0] + j * k
-            nn = origin[1] + j * k
-            sa.append(
-                math.sqrt(
-                    falling_factorial(mm + k, k) * falling_factorial(nn + k, k)
-                )
-            )
-        padded = rhs + [0j] * (target - box_len)
-        sol = _min_norm_bidiagonal(c, sa[: target - 1], padded)
-        tail_edge = max(abs(v) for v in sol[-3:])
-        defect_edge = sa[target - 2] * abs(sol[-1])
-        if tail_edge <= TAIL_CUTOFF * scale and defect_edge <= TAIL_CUTOFF * scale * 10:
-            break
-        if extra >= _MAX_EXTENSION:
-            raise RuntimeError(
-                f"chain at origin {origin} did not reach the tail cutoff "
-                f"within {_MAX_EXTENSION} extension steps"
-            )
-        extra *= 2
-    # Cut the stored tail where dropped entries stop mattering: an entry at
-    # position j only enters equations through the coupling sa_{j−1}.
-    keep = box_len
-    for j in range(len(sol) - 1, box_len - 1, -1):
-        if sa[j - 1] * abs(sol[j]) >= 1e-13 * scale:
-            keep = j + 1
-            break
-    # Stored indices stay below the f64 factorial range (index ≲ 170), so
-    # every downstream raw conversion and pointwise synthesis stays finite.
-    index_cap = (_MAX_STORED_INDEX - max(origin)) // k + 1
-    keep = max(box_len, min(keep, index_cap))
-    cut_sq = sum(abs(v) ** 2 for v in sol[keep:])
-    return sol[:keep], sa[: max(keep - 1, 0)], cut_sq
+        a = falling_factorial(m0 + (j + 1) * k, k) * falling_factorial(n0 + (j + 1) * k, k)
+        term *= c2 / a
+        tau += term
+        if tau > 1e300:
+            return math.inf
+        if a > c2 and term <= 1e-17 * tau:
+            return tau
+        j += 1
+
+
+def _solve_chain_closed(
+    origin: BasisIndex, k: int, sa: List[float], rhs: List[complex], c: complex
+) -> Tuple[List[complex], complex, float]:
+    """Minimum-norm solution of one infinite chain, closed exactly at the box edge.
+
+    ``sa`` holds the L box couplings, the last one reaching the edge entry
+    u_L.  The tail past u_L has mass |u_L|²·τ, so the infinite problem is the
+    finite one in u_0..u_{L−1} and v = √(1+τ)·u_L, with the edge coupling
+    divided by √(1+τ).  Returns u_0..u_L, v (whose square is the mass of u_L
+    and its tail) and the norm of the tail past u_L.
+    """
+    tau = _tail_weight(origin, k, len(rhs), c)
+    damp = math.sqrt(1.0 + tau)
+    sol = _min_norm_bidiagonal(c, sa[:-1] + [sa[-1] / damp], rhs + [0j])
+    v = sol[-1]
+    sol[-1] = v / damp
+    share = 1.0 if tau == math.inf else tau / (1.0 + tau)
+    return sol, v, abs(v) * math.sqrt(share)
+
+
+def _norm(values) -> float:
+    """Euclidean norm: the plain sum of squares, or math.hypot where it over- or underflows."""
+    try:
+        sq = sum(abs(v) ** 2 for v in values)
+    except OverflowError:
+        sq = math.inf
+    if 1e-290 < sq < math.inf or not any(values):
+        return math.sqrt(sq)
+    return math.hypot(*(abs(v) for v in values))
 
 
 def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     """Minimum-norm solution of (∂^k∂̄^k + c) u = f on the truncation box.
 
     Returns orthonormal-normalized float coefficients together with the
-    certification report.  For c ≠ 0 the coefficients carry the minimum-norm
-    solution's decaying tail a short way past the box edge (see the
-    truncation policy in :func:`_solve_chain_adaptive`); the residual is
-    reported over the box equations and the mass cut beyond the stored tail
-    goes into ``tail_estimate``.  The construction solves each chain
-    independently and assembles deterministically, so chain processing order
-    cannot affect any output bit.
+    certification report.  Each chain is the minimum-norm solution of its
+    infinite system, whose tail past the box is closed exactly (see
+    :func:`_solve_chain_closed`); the coefficients hold the box plus the one
+    edge entry per chain that the box equations see.  The residual is
+    reported over the box equations, ``u_norm`` is the norm of the whole
+    infinite-chain solution and ``tail_estimate`` the norm of its part past
+    the stored entries.  The construction solves each chain independently and
+    assembles deterministically, so chain processing order cannot affect any
+    output bit.
     """
     spec.validate()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
 
-    # Data in orthonormal coordinates with the common √π factor removed:
-    # b_{m,n} = a_{m,n}·√(m!·n!) for raw amplitudes a.
-    data = {}
-    if spec.f.normalization == RAW:
-        for (m, n), amp in spec.f.entries.items():
-            value = amp.to_complex() if spec.f.exact else complex(amp)
-            data[(m, n)] = value * math.sqrt(math.factorial(m) * math.factorial(n))
-    else:
-        for key, amp in spec.f.entries.items():
-            data[key] = complex(amp) / math.sqrt(math.pi)
-
-    f_norm_sq = sum(abs(v) ** 2 for v in data.values())
-    f_scale = math.sqrt(f_norm_sq)
+    # Data in orthonormal coordinates with the common √π factor removed.
+    sqrt_pi = math.sqrt(math.pi)
+    data = {key: amp / sqrt_pi for key, amp in spec.f.to_orthonormal().entries.items()}
 
     entries = {}
-    u_norm_sq = 0.0
-    residual_sq = 0.0
-    tail_sq = 0.0
-    chain_count = 0
-    for origin in chain_origins(k, M):
-        chain_count += 1
+    u_values = []
+    residuals = []
+    tails = []
+    origins = chain_origins(k, M)
+    for origin in origins:
         L = _chain_length(origin, k, M)
         m0, n0 = origin
         rhs = []
@@ -447,38 +423,30 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
             m = m0 + j * k
             n = n0 + j * k
             rhs.append(data.get((m, n), 0j))
-            if j < L - 1:
-                sa.append(
-                    math.sqrt(falling_factorial(m + k, k) * falling_factorial(n + k, k))
-                )
-        sol, sa_full, cut_sq = _solve_chain_adaptive(origin, k, L, sa, rhs, c, f_scale)
-        tail_sq += cut_sq
+            sa.append(math.sqrt(falling_factorial(m + k, k) * falling_factorial(n + k, k)))
+        sol, v, tail = _solve_chain_closed(origin, k, sa, rhs, c)
+        u_values += sol[:L]
+        u_values.append(v)
+        tails.append(tail)
         for j, value in enumerate(sol):
-            u_norm_sq += abs(value) ** 2
             if abs(value) >= 1e-300:
-                entries[(m0 + j * k, n0 + j * k)] = value * math.sqrt(math.pi)
-        # Residual over the retained box: equations at in-box positions, with
-        # the stored out-of-box tail participating through the edge coupling.
+                entries[(m0 + j * k, n0 + j * k)] = value * sqrt_pi
+        # Box equations; the edge entry u_L enters through the last coupling.
         for j in range(L):
-            r = c * sol[j] - rhs[j]
-            if j + 1 < len(sol):
-                r += sa_full[j] * sol[j + 1]
-            residual_sq += abs(r) ** 2
+            residuals.append(c * sol[j] - rhs[j] + sa[j] * sol[j + 1])
 
-    sqrt_pi = math.sqrt(math.pi)
-    f_norm = f_scale * sqrt_pi
-    u_norm = math.sqrt(u_norm_sq) * sqrt_pi
-    residual_norm = math.sqrt(residual_sq) * sqrt_pi
+    f_norm = _norm(data.values()) * sqrt_pi
+    u_norm = _norm(u_values) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = SolveReport(
-        residual_norm=residual_norm,
+        residual_norm=_norm(residuals) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + BOUND_TOL,
         truncation=M,
-        chain_count=chain_count,
-        tail_estimate=math.sqrt(tail_sq) * sqrt_pi,
+        chain_count=len(origins),
+        tail_estimate=_norm(tails) * sqrt_pi,
     )
     return HermiteCoeffs(entries, ORTHONORMAL), report
 

@@ -23,6 +23,7 @@ from focksolve import (
     to_hermite,
     to_monomial,
 )
+from focksolve.basis import sqrt_norm
 
 
 def oracle_hermite(m, n):
@@ -205,3 +206,13 @@ def test_zero_pruning_and_context_rules():
         HermiteCoeffs({(0, 0): 1, (1, 1): 0.5 + 0j})
     with pytest.raises(TypeError):
         HermiteCoeffs({(0, 0): 1}, "orthonormal")
+
+
+def test_sqrt_norm_past_the_float_product():
+    # π·m!·n! overflows to inf from (98, 98) on; the norm itself stays finite
+    for m, n in ((98, 98), (120, 120), (170, 170), (200, 3)):
+        want = math.exp(0.5 * (math.log(math.pi) + math.lgamma(m + 1) + math.lgamma(n + 1)))
+        assert sqrt_norm(m, n) == pytest.approx(want, rel=1e-13)
+    # inside the float range the direct product is kept bit for bit
+    assert sqrt_norm(20, 30) == math.sqrt(math.pi * math.factorial(20) * math.factorial(30))
+    assert sqrt_norm(400, 400) == math.inf

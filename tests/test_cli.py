@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -171,3 +173,59 @@ def test_disk_command(tmp_path):
     assert data["report"]["bound_holds"] is True
     assert data["report"]["bound_constant"] == pytest.approx(math.exp(4.0))
     assert data["report"]["ratio"] <= data["report"]["bound_constant"]
+
+
+def test_solve_non_finite_shift_exits_2(tmp_path, capsys):
+    problem = tmp_path / "nan.json"
+    problem.write_text(
+        '{"k": 1, "c": {"re": NaN}, "truncation": 16,'
+        ' "f": {"basis": "hermite", "coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}'
+    )
+    assert cli.run(["solve", "--input", str(problem)]) == 2
+    assert "not finite" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_solve_raw_data_at_high_index(tmp_path):
+    # √(m!·n!) at (120, 120) is far past the float product of the factorials
+    problem = write_problem(
+        tmp_path / "p.json", truncation=130, coeffs=[{"m": 120, "n": 120, "re": 1.0, "im": 0.0}]
+    )
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 0
+    data = json.loads(out.read_text())
+    report = data["report"]
+    assert all(math.isfinite(report[key]) for key in ("residual_norm", "f_norm", "u_norm"))
+    assert report["bound_holds"] is True
+    # at c = 0, u = H_{121,121}/121² exactly, stored at a finite raw amplitude
+    got = {(c["m"], c["n"]): c["re"] for c in data["u"]["coeffs"]}
+    assert list(got) == [(121, 121)]
+    assert got[(121, 121)] == pytest.approx(1 / 121**2, rel=1e-12)
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    target = str(tmp_path / "out.json")
+    payloads = ["a" * 4096 + "\n", "b" * 8192 + "\n"]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(200):
+                cli._atomic_write(target, text)
+        except Exception as exc:  # pragma: no cover - the failure being tested
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(text,)) for text in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    with open(target) as handle:
+        assert handle.read() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

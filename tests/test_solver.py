@@ -18,7 +18,14 @@ from focksolve import (
     solve,
     solve_chain,
 )
-from focksolve.solver import CERTIFICATION_C_GRID, _min_norm_bidiagonal
+from focksolve.basis import falling_factorial
+from focksolve.solver import (
+    CERTIFICATION_C_GRID,
+    _chain_length,
+    _min_norm_bidiagonal,
+    _solve_chain_closed,
+    chain_origins,
+)
 
 
 def unit_f(value=1.0 + 0j):
@@ -327,7 +334,7 @@ def test_solve_is_deterministic():
 
 
 def test_solve_chain_order_independence_c0():
-    # With c = 0 the chain systems need no extension, so assembling per-chain
+    # With c = 0 no chain has mass past its edge entry, so assembling per-chain
     # solutions in any order reproduces solve() bit for bit.
     rng = random.Random(34)
     f = HermiteCoeffs(
@@ -364,3 +371,92 @@ def test_probe_upper_bound_various_shifts():
         for c in (0j, 1j, 10 + 0j):
             value = operator_norm_probe(k, c, trials=8, M=10, seed=3)
             assert value <= 1.0 / math.factorial(k) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact tail closure
+
+
+def dense_f(k, M, seed):
+    rng = random.Random(seed)
+    return HermiteCoeffs(
+        {
+            (m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            for m in range(M - k + 1)
+            for n in range(M - k + 1)
+        },
+        "orthonormal",
+    )
+
+
+def chain_couplings(origin, k, length):
+    m0, n0 = origin
+    return [
+        math.sqrt(falling_factorial(m0 + (j + 1) * k, k) * falling_factorial(n0 + (j + 1) * k, k))
+        for j in range(length)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("c", [0.01 + 0j, 1 + 0j, 1j, 10 + 0j, 1e6 + 0j])
+def test_tail_closure_matches_padded_chain(k, c):
+    # The closed chain is the infinite chain's minimum-norm solution; the same
+    # chain zero-padded by 64 positions approximates it to rounding.
+    M, pad = 32, 64
+    rng = random.Random(101 + k)
+    for origin in chain_origins(k, M):
+        L = _chain_length(origin, k, M)
+        rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(L)]
+        sa = chain_couplings(origin, k, L + pad)
+        sol, v, tail = _solve_chain_closed(origin, k, sa[:L], rhs, c)
+        oracle = _min_norm_bidiagonal(c, sa, rhs + [0j] * (pad + 1))
+        scale = math.sqrt(sum(abs(x) ** 2 for x in oracle))
+        assert len(sol) == L + 1
+        assert max(abs(a - b) for a, b in zip(sol, oracle)) <= 1e-14 * scale
+        edge_mass = math.sqrt(sum(abs(x) ** 2 for x in oracle[L:]))
+        assert abs(abs(v) - edge_mass) <= 1e-14 * scale
+        past_edge = math.sqrt(sum(abs(x) ** 2 for x in oracle[L + 1 :]))
+        assert abs(tail - past_edge) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("c", [1e150 + 0j, 1e200 + 0j])
+def test_solve_huge_shifts(c):
+    f = dense_f(1, 16, 5)
+    u, rep = solve(ProblemSpec(k=1, c=c, truncation=16, f=f))
+    assert rep.residual_norm <= 1e-10 * rep.f_norm
+    # u ≈ f/c: its norm stays representable though its squares underflow
+    assert rep.u_norm == pytest.approx(rep.f_norm / abs(c), rel=1e-10)
+    assert rep.bound_holds and rep.tail_estimate == 0.0
+
+
+def test_solve_truncation_160():
+    f = dense_f(1, 160, 6)
+    _, rep = solve(ProblemSpec(k=1, c=10 + 0j, truncation=160, f=f))
+    assert rep.residual_norm <= 1e-10 * rep.f_norm
+    assert rep.bound_holds
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c", [0j, 1 + 1j, 10 + 0j, 1e6 + 0j])
+def test_solve_stores_box_plus_edge(k, c):
+    M = 12
+    u, rep = solve(ProblemSpec(k=k, c=c, truncation=M, f=dense_f(k, M, 7)))
+    for m, n in u.entries:
+        j = min(m, n) // k
+        origin = (m - j * k, n - j * k)
+        assert j <= _chain_length(origin, k, M)
+    # u_norm is the stored part plus the tail past it
+    stored_sq = sum(abs(v) ** 2 for v in u.entries.values())
+    assert rep.u_norm**2 == pytest.approx(stored_sq + rep.tail_estimate**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [complex("nan"), complex("inf"), complex(0, float("-inf")), 1.5e308 + 1.5e308j])
+def test_solve_rejects_non_finite_shift(c):
+    with pytest.raises(ValueError, match="not finite"):
+        solve(ProblemSpec(k=1, c=c, truncation=8, f=unit_f()))
+
+
+def test_solve_rejects_non_finite_data():
+    f = HermiteCoeffs({(0, 0): 1.0 + 0j, (2, 1): complex(float("nan"), 0.0)}, "orthonormal")
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        solve(ProblemSpec(k=1, c=1 + 0j, truncation=8, f=f))
