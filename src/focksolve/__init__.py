@@ -6,72 +6,26 @@ precision, and machine-checks the underlying operator identities in exact
 rational arithmetic.
 """
 
-from .basis import (
-    BasisIndex,
-    HermiteCoeffs,
-    PiScaled,
-    WeightedNorm,
-    apply_operator,
-    falling_factorial,
-    hermite_polynomial,
-    inner_product,
-    lower,
-    norm_squared,
-    raise_,
-    to_hermite,
-    to_monomial,
-)
+from .basis import HermiteCoeffs, to_hermite, to_monomial
 from .identities import (
-    VerificationReport,
-    commutator,
-    commutator_expansion,
-    formal_adjoint_weighted,
-    gaussian_derivative_closed_form,
-    iterated_gaussian_derivative,
-    random_polynomial,
     run_identity_suite,
     run_weight_identity_suite,
-    verify_coercivity,
     verify_adjoint_norm_split,
+    verify_coercivity,
     verify_quadratic_form,
     verify_weight_identity_k1,
 )
-from .numerics import (
-    EvalTable,
-    GridSpec,
-    QuadratureResolutionError,
-    QuadratureRule,
-    eval_table,
-    fd_residual_k1,
-    fd_residual_rows,
-    hermite_lower_walk,
-    project,
-    quadrature_norm_sq,
-    synthesize,
-)
-from .ring import (
-    ExactScalar,
-    PolyZZbar,
-    WeightedGaussianFunction,
-    gaussian_pairing,
-    weighted_derivative,
-    weighted_norm_sq,
-)
+from .numerics import QuadratureRule, project, synthesize
+from .ring import ExactScalar, PolyZZbar
 from .solver import (
     CERTIFICATION_C_GRID,
-    ChainSystem,
     DiskProblem,
-    DiskReport,
     ProblemSpec,
     ScaledProblem,
-    ScaledReport,
-    ScaledSolution,
     SolveReport,
-    decompose,
-    homogeneous_direction,
+    certify_sweep,
     operator_norm_probe,
     solve,
-    solve_chain,
     solve_disk,
     solve_scaled,
 )

@@ -101,17 +101,6 @@ class PiScaled:
             c = float(c)
         return c * math.pi**self.pi_exponent
 
-    def real_part(self):
-        """Exact rational (or float) coefficient for real-valued quantities."""
-        c = self.coeff
-        if isinstance(c, ExactScalar):
-            if c.im != 0:
-                raise ArithmeticError("value is not real")
-            return c.re
-        if isinstance(c, complex):
-            return c.real
-        return c
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiScaled):
             return NotImplemented
@@ -119,10 +108,6 @@ class PiScaled:
 
     def __repr__(self) -> str:
         return f"({self.coeff!r})*pi^{self.pi_exponent}"
-
-
-#: Real nonnegative PiScaled values double as weighted-norm carriers.
-WeightedNorm = PiScaled
 
 
 class HermiteCoeffs:
@@ -177,9 +162,6 @@ class HermiteCoeffs:
         return cls({(m, n): amplitude}, normalization)
 
     # ---- structure ----------------------------------------------------------
-
-    def support(self):
-        return sorted(self.entries)
 
     def max_index(self) -> BasisIndex:
         """Componentwise maximum of the support; (-1, -1) when empty."""
@@ -286,10 +268,7 @@ def inner_product(u: HermiteCoeffs, v: HermiteCoeffs) -> PiScaled:
                 continue
             m, n = key
             weight = math.factorial(m) * math.factorial(n)
-            if isinstance(amp, ExactScalar):
-                total = total + amp.conjugate() * other * weight
-            else:
-                total = total + amp.conjugate() * other * weight
+            total = total + amp.conjugate() * other * weight
         return PiScaled(total, 1)
     total = 0j
     for key, amp in u.entries.items():
@@ -315,12 +294,10 @@ def lower(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
     for (m, n), amp in u.entries.items():
         if m < k or n < k:
             continue
-        if u.normalization == RAW:
-            factor = falling_factorial(m, k) * falling_factorial(n, k)
-            value = amp * factor
-        else:
-            factor = math.sqrt(falling_factorial(m, k) * falling_factorial(n, k))
-            value = amp * factor
+        factor = falling_factorial(m, k) * falling_factorial(n, k)
+        if u.normalization != RAW:
+            factor = math.sqrt(factor)
+        value = amp * factor
         key = (m - k, n - k)
         out[key] = out[key] + value if key in out else value
     return HermiteCoeffs(out, u.normalization)

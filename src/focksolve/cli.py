@@ -38,12 +38,12 @@ from fractions import Fraction
 
 from . import identities
 from .basis import HermiteCoeffs, to_hermite
-from .numerics import GridSpec, QuadratureRule, fd_residual_rows
+from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
-    CERTIFICATION_C_GRID,
     DiskProblem,
     ProblemSpec,
+    certify_sweep,
     operator_norm_probe,
     solve,
     solve_disk,
@@ -75,7 +75,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output:
         _atomic_write(output, text)
     else:
@@ -87,23 +87,30 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _complex(block: dict) -> complex:
+    """A {"re", "im"} block; a missing part is zero."""
+    return complex(float(block.get("re", 0.0)), float(block.get("im", 0.0)))
+
+
+def _parse_poly(coeffs: list) -> PolyZZbar:
+    """Monomial coefficients, each float taken exactly at its binary value."""
+    terms = {}
+    for item in coeffs:
+        value = _complex(item)
+        terms[(int(item["m"]), int(item["n"]))] = ExactScalar(
+            Fraction(value.real), Fraction(value.imag)
+        )
+    return PolyZZbar(terms)
+
+
 def _parse_f(block: dict) -> HermiteCoeffs:
     basis = block.get("basis", "hermite")
     coeffs = block.get("coeffs", [])
     if basis == "hermite":
-        entries = {}
-        for item in coeffs:
-            key = (int(item["m"]), int(item["n"]))
-            entries[key] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        entries = {(int(item["m"]), int(item["n"])): _complex(item) for item in coeffs}
         return HermiteCoeffs(entries, "raw")
     if basis == "monomial":
-        terms = {}
-        for item in coeffs:
-            key = (int(item["m"]), int(item["n"]))
-            terms[key] = ExactScalar(
-                Fraction(float(item.get("re", 0.0))), Fraction(float(item.get("im", 0.0)))
-            )
-        return to_hermite(PolyZZbar(terms))
+        return to_hermite(_parse_poly(coeffs))
     raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
 
 
@@ -117,10 +124,9 @@ def _coeff_block(u: HermiteCoeffs) -> dict:
 
 
 def _problem_from_json(data: dict) -> ProblemSpec:
-    c_block = data.get("c", {})
     return ProblemSpec(
         k=int(data["k"]),
-        c=complex(float(c_block.get("re", 0.0)), float(c_block.get("im", 0.0))),
+        c=_complex(data.get("c", {})),
         truncation=int(data.get("truncation", DEFAULT_TRUNCATION)),
         f=_parse_f(data["f"]),
     )
@@ -179,39 +185,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    import random
-
-    margin_rng = random.Random(f"certify:{args.seed}")
-    results = []
-    all_hold = True
-    for k in range(args.k_min, args.k_max + 1):
-        margin = args.truncation - k
-        for c in CERTIFICATION_C_GRID:
-            worst_ratio = 0.0
-            worst_resid = 0.0
-            holds = True
-            for _ in range(args.trials):
-                entries = {
-                    (m, n): complex(margin_rng.gauss(0.0, 1.0), margin_rng.gauss(0.0, 1.0))
-                    for m in range(margin + 1)
-                    for n in range(margin + 1)
-                }
-                f = HermiteCoeffs(entries, "orthonormal")
-                _, report = solve(ProblemSpec(k=k, c=c, truncation=args.truncation, f=f))
-                worst_ratio = max(worst_ratio, report.bound_ratio)
-                rel = 0.0 if report.f_norm == 0 else report.residual_norm / report.f_norm
-                worst_resid = max(worst_resid, rel)
-                holds &= report.bound_holds and rel <= 1e-10
-            all_hold &= holds
-            results.append(
-                {
-                    "k": k,
-                    "c": {"re": c.real, "im": c.imag},
-                    "max_bound_ratio": worst_ratio,
-                    "max_relative_residual": worst_resid,
-                    "all_hold": holds,
-                }
-            )
+    results = certify_sweep(args.k_min, args.k_max, args.trials, args.truncation, args.seed)
+    all_hold = all(row["all_hold"] for row in results)
     payload = {
         "truncation": args.truncation,
         "trials": args.trials,
@@ -246,8 +221,7 @@ def cmd_probe(args) -> int:
 
 def cmd_eval(args) -> int:
     data = _load_json(args.input)
-    c_block = data.get("c", {})
-    c = complex(float(c_block.get("re", 0.0)), float(c_block.get("im", 0.0)))
+    c = _complex(data.get("c", {}))
     u = _parse_f(data["u"])
     f = _parse_f(data["f"])
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
@@ -265,31 +239,20 @@ def cmd_eval(args) -> int:
 
 def cmd_disk(args) -> int:
     data = _load_json(args.input)
-    c_block = data.get("c", {})
-    center_block = data.get("center", {})
     f_block = data["f"]
     if f_block.get("basis", "monomial") != "monomial":
         raise ValueError("disk data must be polynomial ('monomial' basis)")
-    terms = {}
-    for item in f_block.get("coeffs", []):
-        terms[(int(item["m"]), int(item["n"]))] = ExactScalar(
-            Fraction(float(item.get("re", 0.0))), Fraction(float(item.get("im", 0.0)))
-        )
-    center = complex(float(center_block.get("re", 0.0)), float(center_block.get("im", 0.0)))
+    center = _complex(data.get("center", {}))
     radius = float(data["radius"])
     problem = DiskProblem(
         center=center,
         radius=radius,
-        f_poly=PolyZZbar(terms),
+        f_poly=_parse_poly(f_block.get("coeffs", [])),
         k=int(data["k"]),
-        c=complex(float(c_block.get("re", 0.0)), float(c_block.get("im", 0.0))),
+        c=_complex(data.get("c", {})),
         truncation=int(data.get("truncation", DEFAULT_TRUNCATION)),
-        quadrature=QuadratureRule.disk(
-            center,
-            radius,
-            int(data.get("radial_nodes", 64)),
-            int(data.get("angular_nodes", 64)),
-        ),
+        radial_nodes=int(data.get("radial_nodes", 64)),
+        angular_nodes=int(data.get("angular_nodes", 64)),
     )
     u, report = solve_disk(problem)
     payload = {

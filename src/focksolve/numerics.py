@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -92,11 +93,15 @@ class QuadratureRule:
         )
 
     def points_and_weights(self):
-        """Flat arrays (z, w).
+        """Flat read-only arrays (z, w), generated once per rule.
 
         Full plane: Σ w·g(z) ≈ ∫ g(z) e^{−|z|²} dσ (Gaussian absorbed).
         Disk:       Σ w·g(z) ≈ ∫_U g(z) dσ (plain area measure).
         """
+        return self._nodes
+
+    @cached_property
+    def _nodes(self):
         theta = 2.0 * math.pi * np.arange(self.angular_nodes) / self.angular_nodes
         phase = np.exp(1j * theta)
         if self.domain == FULL_PLANE:
@@ -104,17 +109,16 @@ class QuadratureRule:
             r = np.sqrt(t)
             z = np.outer(r, phase).ravel()
             w = np.outer(wt * (math.pi / self.angular_nodes), np.ones_like(theta)).ravel()
-            return z, w
-        x, wx = np.polynomial.legendre.leggauss(self.radial_nodes)
-        r = 0.5 * self.radius * (x + 1.0)
-        wr = 0.5 * self.radius * wx * r * (2.0 * math.pi / self.angular_nodes)
-        z = self.center + np.outer(r, phase).ravel()
-        w = np.outer(wr, np.ones_like(theta)).ravel()
+        else:
+            x, wx = np.polynomial.legendre.leggauss(self.radial_nodes)
+            r = 0.5 * self.radius * (x + 1.0)
+            wr = 0.5 * self.radius * wx * r * (2.0 * math.pi / self.angular_nodes)
+            z = self.center + np.outer(r, phase).ravel()
+            w = np.outer(wr, np.ones_like(theta)).ravel()
+        # the arrays are shared by every caller of this rule
+        z.setflags(write=False)
+        w.setflags(write=False)
         return z, w
-
-    def integrate(self, values: np.ndarray) -> complex:
-        _, w = self.points_and_weights()
-        return complex(np.sum(w * values))
 
 
 @dataclass(frozen=True)
@@ -146,15 +150,6 @@ class GridSpec:
         return xx + 1j * yy
 
 
-@dataclass
-class EvalTable:
-    """Values H_{m,n}(z) for all m, n ≤ max_index at one point (or point array)."""
-
-    values: dict
-    point: object
-    max_index: int
-
-
 def hermite_lower_walk(M: int, z):
     """Yield ((m, n), H_{m,n}(z)) over the triangle 0 ≤ n ≤ m ≤ M.
 
@@ -171,18 +166,6 @@ def hermite_lower_walk(M: int, z):
         for n in range(M - alpha):
             x_prev, x = x, (t - (2 * n + alpha + 1)) * x - (n * (n + alpha)) * x_prev
             yield (n + 1 + alpha, n + 1), x
-
-
-def eval_table(M: int, z) -> EvalTable:
-    """Fill the table of H_{m,n}(z) for 0 ≤ m, n ≤ M by the diagonal walk."""
-    if M < 0:
-        raise ValueError("table size must be nonnegative")
-    values = {}
-    for (m, n), value in hermite_lower_walk(M, z):
-        values[(m, n)] = value
-        if m != n:
-            values[(n, m)] = np.conjugate(value)
-    return EvalTable(values=values, point=z, max_index=M)
 
 
 def synthesize(u: HermiteCoeffs, z) -> complex:
@@ -219,18 +202,25 @@ def project(
     M: int,
     rule: QuadratureRule,
     check_parseval: bool = True,
-) -> HermiteCoeffs:
+) -> Tuple[HermiteCoeffs, float]:
     """Quadrature projection a_{m,n} = ⟨H_{m,n}, f⟩ / (π·m!·n!) onto indices ≤ M.
 
-    For polynomial f of degree ≤ d, a full-plane rule with R ≥ d + M + 1 and
-    A ≥ 2(d + M) + 1 reproduces the exact basis change to rounding.  The
-    Parseval defect (coefficient mass vs the quadrature norm of f) above
-    1e−6 raises :class:`QuadratureResolutionError`.
+    A full-plane rule projects f in the weight e^{−|z|²}.  A disk rule
+    projects the zero extension of f off the disk in the weight centered on
+    the disk, e^{−|z−z₀|²}, onto H_{m,n}(z − z₀).  For polynomial f of degree
+    ≤ d, a full-plane rule with R ≥ d + M + 1 and A ≥ 2(d + M) + 1 reproduces
+    the exact basis change to rounding.
+
+    Returns the raw coefficients and the signed Parseval defect
+    (‖f‖² − coefficient mass)/‖f‖², both norms in the projection's weight.
+    With ``check_parseval`` a defect above 1e−6 in magnitude raises
+    :class:`QuadratureResolutionError`.
     """
-    if rule.domain != FULL_PLANE:
-        raise ValueError("project uses the full-plane rule")
     z, w = rule.points_and_weights()
     fv = np.asarray(f(z), dtype=complex)
+    if rule.domain == DISK:
+        z = z - rule.center
+        w = w * np.exp(-np.real(z * np.conjugate(z)))
     wf = w * fv
     norm_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
 
@@ -246,13 +236,13 @@ def project(
             b = complex(np.sum(h * wf)) / weight
             coeffs[(n, m)] = b
             mass += weight * abs(b) ** 2
-    defect = abs(norm_sq - mass) / max(norm_sq, 1e-300)
-    if check_parseval and defect > PARSEVAL_TOL:
+    defect = (norm_sq - mass) / max(norm_sq, 1e-300)
+    if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
-            f"Parseval defect {defect:.3e} exceeds {PARSEVAL_TOL:.0e}; "
+            f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "
             f"rule R={rule.radial_nodes}, A={rule.angular_nodes} under-resolves"
         )
-    return HermiteCoeffs(coeffs, RAW)
+    return HermiteCoeffs(coeffs, RAW), defect
 
 
 def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:

@@ -399,13 +399,6 @@ class WeightedGaussianFunction:
         return f"({self.poly}) * exp(-({self.weight_exponent}))"
 
 
-def weighted_derivative(
-    w: WeightedGaussianFunction, direction: str, order: int
-) -> WeightedGaussianFunction:
-    """Iterated exact product-rule differentiation of P·e^{−g}."""
-    return w.derivative(direction, order)
-
-
 def gaussian_pairing(p: PolyZZbar, q: PolyZZbar) -> ExactScalar:
     """Exact (1/π)·∫ p̄ q e^{−|z|²} dσ.
 

@@ -29,13 +29,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .basis import (
     ORTHONORMAL,
-    RAW,
     BasisIndex,
     HermiteCoeffs,
     falling_factorial,
@@ -43,7 +42,7 @@ from .basis import (
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
-    hermite_lower_walk,
+    project,
     synthesize,
 )
 from .ring import ExactScalar, PolyZZbar
@@ -88,13 +87,10 @@ class ProblemSpec:
     truncation: int
     f: HermiteCoeffs
 
-    def validate(self) -> None:
+    def validate(self) -> HermiteCoeffs:
+        """Check the problem; return f in orthonormal amplitudes, each one finite."""
         if not _finite(self.c):
             raise ValueError(f"shift c = {self.c} is not finite")
-        if not self.f.exact:
-            for key, amp in self.f.entries.items():
-                if not _finite(amp):
-                    raise ValueError(f"f has a non-finite amplitude {amp} at index {key}")
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.truncation < self.k:
@@ -106,29 +102,16 @@ class ProblemSpec:
                     f"f has support at index ({m},{n}) outside the certified box "
                     f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
                 )
-
-
-@dataclass
-class ChainSystem:
-    """One decoupled bidiagonal subsystem along the (k, k) direction.
-
-    ``couplings[j]`` is A_j (positive, strictly increasing); ``weights[j]``
-    is the factorial product (m₀+jk)!·(n₀+jk)! carrying the squared-norm
-    weight of position j (the common factor π is tracked separately by the
-    norm bookkeeping).  ``rhs`` holds the data amplitudes in ``normalization``
-    convention at the chain positions.
-    """
-
-    origin: BasisIndex
-    k: int
-    length: int
-    couplings: List[int]
-    weights: List[int]
-    rhs: list
-    normalization: str = RAW
-
-    def index_at(self, j: int) -> BasisIndex:
-        return (self.origin[0] + j * self.k, self.origin[1] + j * self.k)
+        # finiteness is checked on the amplitudes the solve uses: a finite raw
+        # amplitude can still overflow once scaled by √(π·m!·n!)
+        try:
+            f = self.f.to_orthonormal()
+        except OverflowError as exc:
+            raise ValueError(f"f has an amplitude that overflows a float: {exc}") from None
+        for key, amp in f.entries.items():
+            if not _finite(amp):
+                raise ValueError(f"f has a non-finite orthonormal amplitude {amp} at index {key}")
+        return f
 
 
 @dataclass
@@ -179,67 +162,38 @@ def _chain_length(origin: BasisIndex, k: int, M: int) -> int:
     return min((M - origin[0]) // k, (M - origin[1]) // k) + 1
 
 
-def decompose(k: int, M: int, f: HermiteCoeffs) -> List[ChainSystem]:
-    """Split the retained box into chains; rhs carries f's amplitudes.
-
-    The chains partition [0, M]² exactly once and are returned in
-    lexicographic origin order.  f must be supported inside the box.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    for m, n in f.entries:
-        if m > M or n > M:
-            raise ValueError(f"f has support at index ({m},{n}) outside the box [0,{M}]²")
-    exact = f.exact or not f.entries
-    zero = ExactScalar(0) if exact else 0j
-    chains = []
-    for origin in chain_origins(k, M):
-        length = _chain_length(origin, k, M)
-        couplings = []
-        weights = []
-        rhs = []
-        m0, n0 = origin
-        for j in range(length):
-            m = m0 + j * k
-            n = n0 + j * k
-            weights.append(math.factorial(m) * math.factorial(n))
-            rhs.append(f.entries.get((m, n), zero))
-            if j < length - 1:
-                couplings.append(
-                    falling_factorial(m + k, k) * falling_factorial(n + k, k)
-                )
-        chains.append(
-            ChainSystem(origin, k, length, couplings, weights, rhs, f.normalization)
-        )
-    return chains
-
-
 # ---------------------------------------------------------------------------
 # Chain solves
 
 
-def _solve_chain_exact(chain: ChainSystem, c: ExactScalar) -> List[ExactScalar]:
-    """Exact minimum-weighted-norm solution of the truncated chain.
+def _solve_chain_exact(
+    couplings: Sequence[int], weights: Sequence[int], rhs: Sequence[ExactLike], c: ExactLike
+) -> List[ExactScalar]:
+    """Exact minimum-weighted-norm solution of one truncated chain: the rational oracle.
 
-    Forward substitution from u₀ = 0 gives a particular solution p of the
-    equations c·u_j + A_j·u_{j+1} = f_j (j = 0..L−2); the homogeneous family
-    is spanned by h with h₀ = 1, h_{j+1} = −c·h_j/A_j.  The minimum-norm
-    solution is p − (⟨h, p⟩_w / ⟨h, h⟩_w)·h, exactly.
+    ``couplings[j]`` is A_j, ``weights[j]`` the factorial product
+    (m₀+jk)!·(n₀+jk)! carrying the squared-norm weight of position j, and
+    ``rhs`` the raw data amplitudes at the chain positions.  Forward
+    substitution from u₀ = 0 gives a particular solution p of the equations
+    c·u_j + A_j·u_{j+1} = f_j (j = 0..L−2); the homogeneous family is spanned
+    by h with h₀ = 1, h_{j+1} = −c·h_j/A_j.  The minimum-norm solution is
+    p − (⟨h, p⟩_w / ⟨h, h⟩_w)·h, exactly.
     """
-    L = chain.length
+    c = ExactScalar.coerce(c)
+    L = len(rhs)
     if L == 1:
         # No equations inside the chain; the minimum-norm choice is zero.
         return [ExactScalar(0)]
     p = [ExactScalar(0)]
     h = [ExactScalar(1)]
     for j in range(L - 1):
-        a = chain.couplings[j]
-        p.append((chain.rhs[j] - c * p[j]) / a)
+        a = couplings[j]
+        p.append((rhs[j] - c * p[j]) / a)
         h.append(-(c * h[j]) / a)
     hp = ExactScalar(0)
     hh = Fraction(0)
     for j in range(L):
-        w = chain.weights[j]
+        w = weights[j]
         hp = hp + h[j].conjugate() * p[j] * w
         hh += h[j].abs2() * w
     t = -(hp / hh)
@@ -291,42 +245,6 @@ def _min_norm_bidiagonal(
         u[j] = gamma[j] * vj - sigma[j] * vj1
         u[j + 1] = sigma[j] * vj + gamma[j].conjugate() * vj1
     return u
-
-
-def solve_chain(chain: ChainSystem, c) -> list:
-    """Minimum-weighted-norm amplitudes for one chain, in its normalization.
-
-    Exact data with an exact shift uses rational arithmetic and satisfies the
-    chain equations exactly; floating data is solved in orthonormal
-    coordinates and converted back.  With c = 0 the solution has u₀ = 0
-    (the kernel direction carries no mass); with c ≠ 0 it is w-orthogonal to
-    the homogeneous chain solution.
-    """
-    exact_rhs = all(isinstance(v, ExactScalar) for v in chain.rhs)
-    if exact_rhs and isinstance(c, (int, Fraction, ExactScalar)):
-        if chain.normalization != RAW:
-            raise TypeError("exact chains use raw normalization")
-        return _solve_chain_exact(chain, ExactScalar.coerce(c))
-    c = complex(c)
-    sqw = [math.sqrt(w) for w in chain.weights]
-    if chain.normalization == RAW:
-        rhs = [complex(v) * sqw[j] for j, v in enumerate(chain.rhs)]
-    else:
-        rhs = [complex(v) for v in chain.rhs]
-    sa = [math.sqrt(a) for a in chain.couplings]
-    sol = _min_norm_bidiagonal(c, sa, rhs)
-    if chain.normalization == RAW:
-        return [sol[j] / sqw[j] for j in range(chain.length)]
-    return sol
-
-
-def homogeneous_direction(chain: ChainSystem, c: complex) -> List[complex]:
-    """Orthonormal-coordinate homogeneous solution h̃ (h̃₀ = 1) of the chain."""
-    h = [1.0 + 0j]
-    c = complex(c)
-    for j in range(chain.length - 1):
-        h.append(-c * h[j] / math.sqrt(chain.couplings[j]))
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +319,13 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     assembles deterministically, so chain processing order cannot affect any
     output bit.
     """
-    spec.validate()
+    f = spec.validate()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
-    data = {key: amp / sqrt_pi for key, amp in spec.f.to_orthonormal().entries.items()}
+    data = {key: amp / sqrt_pi for key, amp in f.entries.items()}
 
     entries = {}
     u_values = []
@@ -451,6 +369,16 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     return HermiteCoeffs(entries, ORTHONORMAL), report
 
 
+def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
+    """Dense complex Gaussian orthonormal data on the certified box [0, margin]²."""
+    entries = {
+        (m, n): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        for m in range(margin + 1)
+        for n in range(margin + 1)
+    }
+    return HermiteCoeffs(entries, ORTHONORMAL)
+
+
 def operator_norm_probe(
     k: int, c, trials: int, M: int = 32, seed: int = 42
 ) -> float:
@@ -463,22 +391,49 @@ def operator_norm_probe(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    margin = M - k
     best = 0.0
     for trial in range(trials):
         if trial == 0:
             f = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j, ORTHONORMAL)
         else:
-            entries = {
-                (m, n): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                for m in range(margin + 1)
-                for n in range(margin + 1)
-            }
-            f = HermiteCoeffs(entries, ORTHONORMAL)
+            f = dense_data(rng, M - k)
         _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
         if report.f_norm > 0:
             best = max(best, report.u_norm / report.f_norm)
     return best
+
+
+def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> List[dict]:
+    """Worst bound ratio and relative residual per (k, c) over dense random data.
+
+    Sweeps k = k_min..k_max and every shift of :data:`CERTIFICATION_C_GRID`,
+    drawing ``trials`` data sets per cell from one stream seeded by ``seed``.
+    Each row holds the cell, its worst ratio and residual, and whether every
+    trial kept the bound and a relative residual ≤ 1e−10.
+    """
+    rng = random.Random(f"certify:{seed}")
+    rows = []
+    for k in range(k_min, k_max + 1):
+        for c in CERTIFICATION_C_GRID:
+            worst_ratio = 0.0
+            worst_resid = 0.0
+            holds = True
+            for _ in range(trials):
+                _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=dense_data(rng, M - k)))
+                worst_ratio = max(worst_ratio, report.bound_ratio)
+                rel = 0.0 if report.f_norm == 0 else report.residual_norm / report.f_norm
+                worst_resid = max(worst_resid, rel)
+                holds &= report.bound_holds and rel <= RESIDUAL_TOL
+            rows.append(
+                {
+                    "k": k,
+                    "c": {"re": c.real, "im": c.imag},
+                    "max_bound_ratio": worst_ratio,
+                    "max_relative_residual": worst_resid,
+                    "all_hold": holds,
+                }
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +539,7 @@ class DiskProblem:
 
     ``f_poly`` is exact polynomial data in the global variable z.  The
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
+    The disk quadrature rule on U has the given radial and angular node counts.
     """
 
     center: complex
@@ -592,16 +548,15 @@ class DiskProblem:
     k: int
     c: complex
     truncation: int = 32
-    quadrature: Optional[QuadratureRule] = None
+    radial_nodes: int = 64
+    angular_nodes: int = 64
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
     def rule(self) -> QuadratureRule:
-        if self.quadrature is not None:
-            return self.quadrature
-        return QuadratureRule.disk(self.center, self.radius, 64, 64)
+        return QuadratureRule.disk(self.center, self.radius, self.radial_nodes, self.angular_nodes)
 
 
 @dataclass
@@ -642,35 +597,16 @@ class DiskReport:
 def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     """Project the zero-extended data, solve, and integrate over the disk."""
     z, w = rule.points_and_weights()
-    zeta = z - complex(p.center)
-    fv = p.f_poly.evaluate(z)
-    gauss = np.exp(-np.real(zeta * np.conjugate(zeta)))
-
-    margin = p.truncation - p.k
-    wf = w * gauss * fv
-    f_gauss_sq = float(np.real(np.sum(w * gauss * fv * np.conjugate(fv))))
-
-    # Hermite projection of the zero-extended data by disk quadrature,
-    # restricted to the certified support box [0, M−k]².
-    coeffs = {}
-    mass = 0.0
-    for (m, n), h in hermite_lower_walk(margin, zeta):
-        weight = math.pi * math.factorial(m) * math.factorial(n)
-        a = complex(np.sum(np.conjugate(h) * wf)) / weight
-        coeffs[(m, n)] = a
-        mass += weight * abs(a) ** 2
-        if m != n:
-            b = complex(np.sum(h * wf)) / weight
-            coeffs[(n, m)] = b
-            mass += weight * abs(b) ** 2
-    f_hat = HermiteCoeffs(coeffs, RAW)
-
+    # Hermite projection of the zero-extended data in the centered weight,
+    # restricted to the certified support box [0, M−k]²; the Parseval defect
+    # is the weighted mass the box misses.
+    f_hat, defect = project(p.f_poly.evaluate, p.truncation - p.k, rule, check_parseval=False)
     u, base_report = solve(ProblemSpec(k=p.k, c=p.c, truncation=p.truncation, f=f_hat))
-    uv = synthesize(u, zeta)
+    uv = synthesize(u, z - rule.center)
+    fv = p.f_poly.evaluate(z)
     u_sq = float(np.real(np.sum(w * uv * np.conjugate(uv))))
     f_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
-    defect = 0.0 if f_gauss_sq == 0 else max(0.0, (f_gauss_sq - mass) / f_gauss_sq)
-    return u, base_report, u_sq, f_sq, defect
+    return u, base_report, u_sq, f_sq, max(0.0, defect)
 
 
 def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:

@@ -12,20 +12,15 @@ import time
 import pytest
 
 from focksolve import (
+    CERTIFICATION_C_GRID,
     DiskProblem,
-    GridSpec,
     HermiteCoeffs,
     PolyZZbar,
     ProblemSpec,
     QuadratureRule,
     ScaledProblem,
-    fd_residual_k1,
-    gaussian_derivative_closed_form,
-    iterated_gaussian_derivative,
-    norm_squared,
     operator_norm_probe,
     project,
-    quadrature_norm_sq,
     run_identity_suite,
     run_weight_identity_suite,
     solve,
@@ -33,7 +28,10 @@ from focksolve import (
     solve_scaled,
     synthesize,
 )
-from focksolve.solver import CERTIFICATION_C_GRID
+from focksolve.basis import norm_squared
+from focksolve.identities import gaussian_derivative_closed_form, iterated_gaussian_derivative
+from focksolve.numerics import GridSpec, fd_residual_k1, quadrature_norm_sq
+from focksolve.solver import dense_data
 
 SEED = 42
 
@@ -43,15 +41,6 @@ def report(number, description, passed, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number:02d} [{status}] {description}{suffix}")
     assert passed, f"criterion {number}: {description}{suffix}"
-
-
-def dense_random_f(rng, margin):
-    entries = {
-        (m, n): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        for m in range(margin + 1)
-        for n in range(margin + 1)
-    }
-    return HermiteCoeffs(entries, "orthonormal")
 
 
 def test_criterion_1_exact_lemma_suite():
@@ -105,7 +94,7 @@ def test_criterion_4_bound_certification():
     for k in (1, 2, 3, 4):
         rng = random.Random(f"certify:{SEED}:{k}")
         margin = 32 - k
-        datasets = [dense_random_f(rng, margin) for _ in range(100)]
+        datasets = [dense_data(rng, margin) for _ in range(100)]
         for c in CERTIFICATION_C_GRID:
             for f in datasets:
                 _, rep = solve(ProblemSpec(k=k, c=c, truncation=32, f=f))
@@ -218,20 +207,14 @@ def test_criterion_9_finite_difference_cross_check():
 
 
 def test_criterion_10_basis_numerics_coherence():
-    rng = random.Random(f"parseval:{SEED}")
-    entries = {
-        (m, n): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        for m in range(21)
-        for n in range(21)
-    }
-    u = HermiteCoeffs(entries, "orthonormal")
+    u = dense_data(random.Random(f"parseval:{SEED}"), 20)
     rule = QuadratureRule.full_plane(61, 121)
     quad = quadrature_norm_sq(u, rule)
     coeff = norm_squared(u).value()
     parseval_rel = abs(quad - coeff) / coeff
 
     raw = u.to_raw()
-    got = project(lambda z: synthesize(raw, z), 20, rule)
+    got, _ = project(lambda z: synthesize(raw, z), 20, rule)
     num = 0.0
     den = 0.0
     for key in set(got.entries) | set(raw.entries):

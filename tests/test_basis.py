@@ -6,24 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from focksolve import (
-    ExactScalar,
-    HermiteCoeffs,
-    PolyZZbar,
-    WeightedGaussianFunction,
+from focksolve import ExactScalar, HermiteCoeffs, PolyZZbar, to_hermite, to_monomial
+from focksolve.basis import (
     apply_operator,
     falling_factorial,
-    formal_adjoint_weighted,
-    gaussian_pairing,
     hermite_polynomial,
     inner_product,
     lower,
     norm_squared,
     raise_,
-    to_hermite,
-    to_monomial,
+    sqrt_norm,
 )
-from focksolve.basis import sqrt_norm
+from focksolve.identities import formal_adjoint_weighted
+from focksolve.ring import WeightedGaussianFunction, gaussian_pairing
 
 
 def oracle_hermite(m, n):

@@ -229,3 +229,28 @@ def test_atomic_write_concurrent_writers(tmp_path):
     with open(target) as handle:
         assert handle.read() in payloads
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize(
+    "basis, coeffs",
+    [
+        # √(π·50!·50!) ≈ 5e64: the orthonormal amplitude overflows to inf
+        ("hermite", [{"m": 50, "n": 50, "re": 1e300, "im": 0.0}]),
+        # the Hermite expansion of 1e300·z²⁰z̄²⁰ has raw amplitudes past the f64 range
+        ("monomial", [{"m": 20, "n": 20, "re": 1e300, "im": 0.0}]),
+    ],
+    ids=["raw", "monomial"],
+)
+def test_solve_overflowing_data_exits_2(tmp_path, capsys, basis, coeffs):
+    problem = write_problem(tmp_path / "p.json", c=(1.0, 0.0), truncation=60, coeffs=coeffs, basis=basis)
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_emit_rejects_non_finite_values(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli._emit({"report": {"u_norm": float("nan")}}, str(out))
+    assert list(tmp_path.iterdir()) == []

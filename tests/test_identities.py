@@ -5,14 +5,6 @@ import random
 from focksolve import (
     ExactScalar,
     PolyZZbar,
-    commutator,
-    commutator_expansion,
-    formal_adjoint_weighted,
-    gaussian_derivative_closed_form,
-    gaussian_pairing,
-    hermite_polynomial,
-    iterated_gaussian_derivative,
-    random_polynomial,
     run_identity_suite,
     run_weight_identity_suite,
     verify_coercivity,
@@ -20,6 +12,16 @@ from focksolve import (
     verify_quadratic_form,
     verify_weight_identity_k1,
 )
+from focksolve.basis import hermite_polynomial
+from focksolve.identities import (
+    commutator,
+    commutator_expansion,
+    formal_adjoint_weighted,
+    gaussian_derivative_closed_form,
+    iterated_gaussian_derivative,
+    random_polynomial,
+)
+from focksolve.ring import gaussian_pairing
 
 GAUSS = PolyZZbar.gaussian_exponent()
 

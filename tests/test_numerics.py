@@ -6,26 +6,33 @@ import random
 import numpy as np
 import pytest
 
-from focksolve import (
+from focksolve import HermiteCoeffs, QuadratureRule, project, synthesize
+from focksolve.basis import hermite_polynomial, norm_squared
+from focksolve.numerics import (
     GridSpec,
-    HermiteCoeffs,
     QuadratureResolutionError,
-    QuadratureRule,
-    eval_table,
     fd_residual_k1,
     fd_residual_rows,
-    hermite_polynomial,
-    norm_squared,
-    project,
+    hermite_lower_walk,
     quadrature_norm_sq,
-    synthesize,
 )
+from focksolve.solver import dense_data
+
+
+def eval_table(M, z):
+    """H_{m,n}(z) for 0 ≤ m, n ≤ M: the diagonal walk plus its conjugate mirror."""
+    values = {}
+    for (m, n), value in hermite_lower_walk(M, z):
+        values[(m, n)] = value
+        if m != n:
+            values[(n, m)] = np.conjugate(value)
+    return values
 
 
 def test_eval_table_examples():
-    assert eval_table(1, 0j).values[(1, 1)] == pytest.approx(-1.0)
-    assert eval_table(1, 1 + 0j).values[(1, 1)] == pytest.approx(0.0, abs=1e-15)
-    assert eval_table(2, 1j).values[(2, 1)] == pytest.approx(-1j)
+    assert eval_table(1, 0j)[(1, 1)] == pytest.approx(-1.0)
+    assert eval_table(1, 1 + 0j)[(1, 1)] == pytest.approx(0.0, abs=1e-15)
+    assert eval_table(2, 1j)[(2, 1)] == pytest.approx(-1j)
 
 
 def test_eval_table_matches_polynomials_up_to_20():
@@ -48,7 +55,7 @@ def test_eval_table_matches_polynomials_up_to_20():
             for n in range(21):
                 poly = hermite_polynomial((m, n))
                 direct = poly.evaluate_exact(exact_z).to_complex()
-                err = abs(table.values[(m, n)] - direct)
+                err = abs(table[(m, n)] - direct)
                 if m <= 12 and n <= 12:
                     assert err <= 1e-10 * max(abs(direct), 1.0)
                 majorant = sum(
@@ -62,8 +69,8 @@ def test_eval_table_vectorized_matches_scalar():
     table = eval_table(6, z)
     for i, point in enumerate(z):
         single = eval_table(6, complex(point))
-        for key, vec in table.values.items():
-            assert vec[i] == pytest.approx(single.values[key], rel=1e-13, abs=1e-13)
+        for key, vec in table.items():
+            assert vec[i] == pytest.approx(single[key], rel=1e-13, abs=1e-13)
 
 
 def test_synthesize_examples():
@@ -77,15 +84,15 @@ def test_synthesize_examples():
 
 def test_project_examples():
     rule = QuadratureRule.full_plane(10, 21)
-    got = project(lambda z: np.ones_like(z), 3, rule)
+    got, _ = project(lambda z: np.ones_like(z), 3, rule)
     assert got.entries[(0, 0)] == pytest.approx(1.0, rel=1e-13)
     assert all(abs(v) < 1e-12 for k, v in got.entries.items() if k != (0, 0))
 
-    got = project(lambda z: (z * np.conjugate(z)), 3, rule)
+    got, _ = project(lambda z: (z * np.conjugate(z)), 3, rule)
     assert got.entries[(0, 0)] == pytest.approx(1.0, rel=1e-12)
     assert got.entries[(1, 1)] == pytest.approx(1.0, rel=1e-12)
 
-    got = project(lambda z: z**2 * np.conjugate(z), 4, rule)
+    got, _ = project(lambda z: z**2 * np.conjugate(z), 4, rule)
     assert got.entries[(1, 0)] == pytest.approx(2.0, rel=1e-12)
     assert got.entries[(2, 1)] == pytest.approx(1.0, rel=1e-12)
 
@@ -107,7 +114,8 @@ def test_project_synthesize_identity():
     u = HermiteCoeffs(entries, "raw")
     d = 14
     rule = QuadratureRule.full_plane(d + 8 + 1, 2 * (d + 8) + 1)
-    got = project(lambda z: synthesize(u, z), 8, rule)
+    got, defect = project(lambda z: synthesize(u, z), 8, rule)
+    assert abs(defect) <= 1e-10
     for key in entries:
         assert got.entries[key] == pytest.approx(entries[key], rel=1e-10, abs=1e-12)
     others = [v for k, v in got.entries.items() if k not in entries]
@@ -115,13 +123,7 @@ def test_project_synthesize_identity():
 
 
 def test_parseval_quadrature_vs_coefficients():
-    rng = random.Random(15)
-    entries = {
-        (m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
-        for m in range(10)
-        for n in range(10)
-    }
-    u = HermiteCoeffs(entries, "orthonormal")
+    u = dense_data(random.Random(15), 9)
     rule = QuadratureRule.full_plane(32, 48)
     quad = quadrature_norm_sq(u, rule)
     assert quad == pytest.approx(norm_squared(u).value(), rel=1e-10)
@@ -150,8 +152,7 @@ def test_fd_residual_validates_spectral_solve():
     # End to end: spectral solve for low-degree data, then the independent
     # five-point check.  Degree ≤ 1 data gives a cubic solution, on which the
     # stencil is exact.
-    from focksolve import ProblemSpec, solve, to_hermite
-    from focksolve.ring import PolyZZbar
+    from focksolve import PolyZZbar, ProblemSpec, solve, to_hermite
 
     f_poly = PolyZZbar({(0, 0): 2, (1, 0): -1, (0, 1): 3})
     f = to_hermite(f_poly)

@@ -9,13 +9,12 @@ from focksolve import (
     HermiteCoeffs,
     PolyZZbar,
     ProblemSpec,
-    QuadratureResolutionError,
-    QuadratureRule,
     ScaledProblem,
     solve,
     solve_disk,
     solve_scaled,
 )
+from focksolve.numerics import QuadratureResolutionError
 
 
 def base_spec(k=1, c=0j, truncation=16, f=None):
@@ -105,7 +104,8 @@ def test_disk_under_resolution_raises():
         k=1,
         c=0j,
         truncation=24,
-        quadrature=QuadratureRule.disk(0j, 1.0, 3, 4),
+        radial_nodes=3,
+        angular_nodes=4,
     )
     with pytest.raises(QuadratureResolutionError):
         solve_disk(p)

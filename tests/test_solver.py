@@ -1,4 +1,4 @@
-"""Chain decomposition, minimum-norm chain solves, and the certified solve."""
+"""Chain layout, minimum-norm chain solves, and the certified solve."""
 
 import math
 import random
@@ -7,24 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from focksolve import (
-    ExactScalar,
-    HermiteCoeffs,
-    ProblemSpec,
-    apply_operator,
-    decompose,
-    homogeneous_direction,
-    operator_norm_probe,
-    solve,
-    solve_chain,
-)
-from focksolve.basis import falling_factorial
+from focksolve import ExactScalar, HermiteCoeffs, ProblemSpec, operator_norm_probe, solve
+from focksolve.basis import apply_operator, falling_factorial
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
     _chain_length,
     _min_norm_bidiagonal,
     _solve_chain_closed,
+    _solve_chain_exact,
     chain_origins,
+    dense_data,
 )
 
 
@@ -32,60 +24,66 @@ def unit_f(value=1.0 + 0j):
     return HermiteCoeffs.basis_vector(0, 0, value, "raw")
 
 
+def chain(origin, k, M, f):
+    """Indices, couplings A_j, weights (m₀+jk)!·(n₀+jk)! and raw data of one truncated chain."""
+    m0, n0 = origin
+    idx = [(m0 + j * k, n0 + j * k) for j in range(_chain_length(origin, k, M))]
+    couplings = [falling_factorial(m + k, k) * falling_factorial(n + k, k) for m, n in idx[:-1]]
+    weights = [math.factorial(m) * math.factorial(n) for m, n in idx]
+    zero = ExactScalar(0) if f.exact or not f.entries else 0j
+    return idx, couplings, weights, [f.entries.get(key, zero) for key in idx]
+
+
+def float_chain_solve(couplings, weights, rhs, c):
+    """Raw amplitudes of the Givens solve in orthonormal coordinates."""
+    sqw = [math.sqrt(w) for w in weights]
+    sa = [math.sqrt(a) for a in couplings]
+    sol = _min_norm_bidiagonal(complex(c), sa, [complex(v) * s for v, s in zip(rhs, sqw)])
+    return [x / s for x, s in zip(sol, sqw)]
+
+
 # ---------------------------------------------------------------------------
-# decompose
+# chain layout: chain_origins and _chain_length
 
 
 def test_decompose_partitions_box():
     for k, M in [(1, 6), (2, 5), (3, 7), (4, 4)]:
-        chains = decompose(k, M, HermiteCoeffs.zero())
+        origins = chain_origins(k, M)
         seen = set()
-        for chain in chains:
-            assert chain.origin[0] < k or chain.origin[1] < k
-            for j in range(chain.length):
-                idx = chain.index_at(j)
+        for m0, n0 in origins:
+            assert m0 < k or n0 < k
+            for j in range(_chain_length((m0, n0), k, M)):
+                idx = (m0 + j * k, n0 + j * k)
                 assert idx not in seen
                 assert idx[0] <= M and idx[1] <= M
                 seen.add(idx)
         assert seen == {(m, n) for m in range(M + 1) for n in range(M + 1)}
-        assert [c.origin for c in chains] == sorted(c.origin for c in chains)
+        assert origins == sorted(origins)
 
 
 def test_decompose_examples():
-    chains = decompose(2, 5, HermiteCoeffs.zero())
-    diag = [c for c in chains if c.origin == (0, 0)][0]
-    assert [diag.index_at(j) for j in range(diag.length)] == [(0, 0), (2, 2), (4, 4)]
+    idx, *_ = chain((0, 0), 2, 5, HermiteCoeffs.zero())
+    assert idx == [(0, 0), (2, 2), (4, 4)]
 
-    chains = decompose(1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    diag = [c for c in chains if c.origin == (0, 0)][0]
-    assert diag.rhs == [ExactScalar(1), ExactScalar(0), ExactScalar(0)]
-
-    chains = decompose(3, 2, HermiteCoeffs.zero())
-    assert all(c.length == 1 for c in chains)
-    assert len(chains) == 9
+    origins = chain_origins(3, 2)
+    assert all(_chain_length(origin, 3, 2) == 1 for origin in origins)
+    assert len(origins) == 9
 
 
 def test_decompose_couplings_and_weights():
-    chains = decompose(1, 4, HermiteCoeffs.zero())
-    diag = [c for c in chains if c.origin == (0, 0)][0]
-    assert diag.couplings == [1, 4, 9, 16]
-    assert diag.weights == [1, 1, 4, 36, 576]
-    assert all(b > a for a, b in zip(diag.couplings, diag.couplings[1:]))
-
-
-def test_decompose_rejects_out_of_box_support():
-    with pytest.raises(ValueError, match=r"\(5,5\)"):
-        decompose(1, 4, HermiteCoeffs.basis_vector(5, 5, 1))
+    _, couplings, weights, _ = chain((0, 0), 1, 4, HermiteCoeffs.zero())
+    assert couplings == [1, 4, 9, 16]
+    assert weights == [1, 1, 4, 36, 576]
+    assert all(b > a for a, b in zip(couplings, couplings[1:]))
 
 
 # ---------------------------------------------------------------------------
-# solve_chain
+# chain solves: _solve_chain_exact and _min_norm_bidiagonal
 
 
 def test_solve_chain_exact_reference_case():
-    chains = decompose(1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    chain = [c for c in chains if c.origin == (0, 0)][0]
-    sol = solve_chain(chain, 1)
+    _, couplings, weights, rhs = chain((0, 0), 1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
+    sol = _solve_chain_exact(couplings, weights, rhs, 1)
     assert sol == [
         ExactScalar(Fraction(5, 9)),
         ExactScalar(Fraction(4, 9)),
@@ -96,22 +94,18 @@ def test_solve_chain_exact_reference_case():
     assert sol[0] + 1 * sol[1] == ExactScalar(1)
     assert sol[1] + 4 * sol[2] == ExactScalar(0)
     h = [ExactScalar(1), ExactScalar(-1), ExactScalar(Fraction(1, 4))]
-    pairing = sum(
-        (h[j].conjugate() * sol[j] * chain.weights[j] for j in range(3)), ExactScalar(0)
-    )
+    pairing = sum((h[j].conjugate() * sol[j] * weights[j] for j in range(3)), ExactScalar(0))
     assert pairing == ExactScalar(0)
 
 
 def test_solve_chain_zero_rhs():
-    chains = decompose(1, 3, HermiteCoeffs.zero())
-    chain = [c for c in chains if c.origin == (0, 0)][0]
-    assert solve_chain(chain, 0) == [ExactScalar(0)] * 4
+    _, couplings, weights, rhs = chain((0, 0), 1, 3, HermiteCoeffs.zero())
+    assert _solve_chain_exact(couplings, weights, rhs, 0) == [ExactScalar(0)] * 4
 
 
 def test_solve_chain_c0_forward_substitution():
-    chains = decompose(1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    chain = [c for c in chains if c.origin == (0, 0)][0]
-    sol = solve_chain(chain, 0)
+    _, couplings, weights, rhs = chain((0, 0), 1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
+    sol = _solve_chain_exact(couplings, weights, rhs, 0)
     assert sol == [ExactScalar(0), ExactScalar(1), ExactScalar(0)]
 
 
@@ -138,11 +132,12 @@ def test_solve_chain_float_matches_dense_oracle(c):
         },
         "raw",
     )
-    for chain in decompose(1, 6, f):
-        if chain.length < 2:
+    for origin in chain_origins(1, 6):
+        _, couplings, weights, rhs = chain(origin, 1, 6, f)
+        if len(rhs) < 2:
             continue
-        got = solve_chain(chain, c)
-        expect = dense_min_norm_oracle(c, chain.couplings, chain.weights, chain.rhs)
+        got = float_chain_solve(couplings, weights, rhs, c)
+        expect = dense_min_norm_oracle(c, couplings, weights, rhs)
         scale = max(np.max(np.abs(expect)), 1e-12)
         assert np.max(np.abs(np.asarray(got) - expect)) <= 1e-11 * scale
 
@@ -154,27 +149,28 @@ def test_solve_chain_float_residual_and_minimality():
         "raw",
     )
     for c in (0j, 1 + 1j, 10 + 0j, 1e6 + 0j):
-        for chain in decompose(2, 7, f):
-            sol = solve_chain(chain, c)
-            rhs_w = math.sqrt(
-                sum(chain.weights[j] * abs(complex(v)) ** 2 for j, v in enumerate(chain.rhs))
-            )
+        for origin in chain_origins(2, 7):
+            _, couplings, weights, rhs = chain(origin, 2, 7, f)
+            L = len(rhs)
+            sol = float_chain_solve(couplings, weights, rhs, c)
+            rhs_w = math.sqrt(sum(weights[j] * abs(complex(v)) ** 2 for j, v in enumerate(rhs)))
             if rhs_w == 0:
                 assert all(v == 0 for v in sol)
                 continue
             res_w_sq = 0.0
-            for j in range(chain.length - 1):
-                r = c * sol[j] + chain.couplings[j] * sol[j + 1] - complex(chain.rhs[j])
-                res_w_sq += chain.weights[j] * abs(r) ** 2
+            for j in range(L - 1):
+                r = c * sol[j] + couplings[j] * sol[j + 1] - complex(rhs[j])
+                res_w_sq += weights[j] * abs(r) ** 2
             assert math.sqrt(res_w_sq) <= 1e-12 * (1.0 + abs(c)) * rhs_w
             if c == 0:
                 assert sol[0] == 0
             else:
-                # w-orthogonality to the homogeneous family (KKT minimality)
-                h = homogeneous_direction(chain, c)
-                sqw = [math.sqrt(w) for w in chain.weights]
-                uo = [sol[j] * sqw[j] for j in range(chain.length)]
-                ho = [h[j] for j in range(chain.length)]
+                # w-orthogonality to the homogeneous family (KKT minimality),
+                # in orthonormal coordinates: h̃₀ = 1, h̃_{j+1} = −c·h̃_j/√A_j
+                ho = [1.0 + 0j]
+                for j in range(L - 1):
+                    ho.append(-c * ho[j] / math.sqrt(couplings[j]))
+                uo = [sol[j] * math.sqrt(weights[j]) for j in range(L)]
                 dot = sum(x.conjugate() * y for x, y in zip(ho, uo))
                 nu = math.sqrt(sum(abs(x) ** 2 for x in uo))
                 nh = math.sqrt(sum(abs(x) ** 2 for x in ho))
@@ -194,26 +190,28 @@ def test_solve_chain_exact_random_chains():
     }
     f = HermiteCoeffs(entries)
     for c in (0, 2, ExactScalar(1, 1), ExactScalar(Fraction(-3, 2), Fraction(1, 3))):
-        for chain in decompose(1, 6, f):
-            sol = solve_chain(chain, c)
+        for origin in chain_origins(1, 6):
+            _, couplings, weights, rhs = chain(origin, 1, 6, f)
+            L = len(rhs)
+            sol = _solve_chain_exact(couplings, weights, rhs, c)
             cc = ExactScalar.coerce(c)
-            for j in range(chain.length - 1):
-                lhs = cc * sol[j] + chain.couplings[j] * sol[j + 1]
-                assert lhs == chain.rhs[j]
+            for j in range(L - 1):
+                lhs = cc * sol[j] + couplings[j] * sol[j + 1]
+                assert lhs == rhs[j]
             # exact KKT: w-orthogonal to the homogeneous family
             h = [ExactScalar(1)]
-            for j in range(chain.length - 1):
-                h.append(-(cc * h[j]) / chain.couplings[j])
+            for j in range(L - 1):
+                h.append(-(cc * h[j]) / couplings[j])
             pairing = ExactScalar(0)
-            for j in range(chain.length):
-                pairing = pairing + h[j].conjugate() * sol[j] * chain.weights[j]
+            for j in range(L):
+                pairing = pairing + h[j].conjugate() * sol[j] * weights[j]
             assert pairing == ExactScalar(0)
 
 
 def test_solve_chain_exact_rhs_float_shift_uses_float_path():
-    chains = decompose(1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    chain = [c for c in chains if c.origin == (0, 0)][0]
-    sol = solve_chain(chain, 1.0)
+    # the exact reference case, solved in floating point
+    _, couplings, weights, rhs = chain((0, 0), 1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
+    sol = float_chain_solve(couplings, weights, rhs, 1.0)
     expect = [5 / 9, 4 / 9, -1 / 9]
     assert all(abs(got - want) <= 1e-14 for got, want in zip(sol, expect))
 
@@ -263,11 +261,7 @@ def test_solve_rejects_margin_violation():
 
 def test_solve_residual_is_true_operator_residual():
     # Cross-check the reported residual with apply_operator on the returned u.
-    rng = random.Random(14)
-    f = HermiteCoeffs(
-        {(m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for m in range(7) for n in range(7)},
-        "orthonormal",
-    )
+    f = dense_data(random.Random(14), 6)
     spec = ProblemSpec(k=1, c=1 + 1j, truncation=8, f=f)
     u, rep = solve(spec)
     out = apply_operator(1, 1 + 1j, u)
@@ -283,13 +277,7 @@ def test_solve_residual_is_true_operator_residual():
 def test_solve_bound_grid():
     rng = random.Random(8)
     for k in (1, 2, 3, 4):
-        margin = 12 - k
-        entries = {
-            (m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            for m in range(margin + 1)
-            for n in range(margin + 1)
-        }
-        f = HermiteCoeffs(entries, "orthonormal")
+        f = dense_data(rng, 12 - k)
         for c in CERTIFICATION_C_GRID:
             u, rep = solve(ProblemSpec(k=k, c=c, truncation=12, f=f))
             assert rep.bound_holds
@@ -334,8 +322,8 @@ def test_solve_is_deterministic():
 
 
 def test_solve_chain_order_independence_c0():
-    # With c = 0 no chain has mass past its edge entry, so assembling per-chain
-    # solutions in any order reproduces solve() bit for bit.
+    # With c = 0 no chain has mass past its edge entry, so solving the chains
+    # one at a time, in any order, reproduces solve() to rounding.
     rng = random.Random(34)
     f = HermiteCoeffs(
         {(m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for m in range(6) for n in range(6)},
@@ -343,13 +331,12 @@ def test_solve_chain_order_independence_c0():
     )
     spec = ProblemSpec(k=2, c=0j, truncation=7, f=f)
     u, _ = solve(spec)
-    chains = decompose(2, 7, f)
-    rng.shuffle(chains)
+    origins = chain_origins(2, 7)
+    rng.shuffle(origins)
     assembled = {}
-    for chain in chains:
-        sol = solve_chain(chain, 0j)
-        for j, value in enumerate(sol):
-            m, n = chain.index_at(j)
+    for origin in origins:
+        idx, couplings, weights, rhs = chain(origin, 2, 7, f)
+        for (m, n), value in zip(idx, float_chain_solve(couplings, weights, rhs, 0j)):
             scale = math.sqrt(math.pi * math.factorial(m) * math.factorial(n))
             if abs(value * scale) >= 1e-300:
                 assembled[(m, n)] = value * scale
@@ -378,15 +365,7 @@ def test_probe_upper_bound_various_shifts():
 
 
 def dense_f(k, M, seed):
-    rng = random.Random(seed)
-    return HermiteCoeffs(
-        {
-            (m, n): complex(rng.gauss(0, 1), rng.gauss(0, 1))
-            for m in range(M - k + 1)
-            for n in range(M - k + 1)
-        },
-        "orthonormal",
-    )
+    return dense_data(random.Random(seed), M - k)
 
 
 def chain_couplings(origin, k, length):
