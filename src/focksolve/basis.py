@@ -36,18 +36,6 @@ ORTHONORMAL = "orthonormal"
 _NUMERIC_PRUNE = 1e-300
 
 
-def falling_factorial(m: int, k: int) -> int:
-    """m·(m−1)···(m−k+1) = m!/(m−k)!, exactly; zero when k > m."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > m:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= m - i
-    return out
-
-
 def sqrt_norm(m: int, n: int) -> float:
     """√(π·m!·n!) = ‖H_{m,n}‖ as a float; log-space once π·m!·n! leaves f64 range."""
     try:
@@ -172,9 +160,6 @@ class HermiteCoeffs:
     def items(self):
         return sorted(self.entries.items())
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HermiteCoeffs):
             return NotImplemented
@@ -294,7 +279,7 @@ def lower(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
     for (m, n), amp in u.entries.items():
         if m < k or n < k:
             continue
-        factor = falling_factorial(m, k) * falling_factorial(n, k)
+        factor = math.perm(m, k) * math.perm(n, k)
         if u.normalization != RAW:
             factor = math.sqrt(factor)
         value = amp * factor
@@ -312,9 +297,7 @@ def raise_(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
         if u.normalization == RAW:
             value = amp
         else:
-            value = amp * math.sqrt(
-                falling_factorial(m + k, k) * falling_factorial(n + k, k)
-            )
+            value = amp * math.sqrt(math.perm(m + k, k) * math.perm(n + k, k))
         out[(m + k, n + k)] = value
     return HermiteCoeffs(out, u.normalization)
 

@@ -29,6 +29,8 @@ and a ``report`` object.
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
 import json
 import math
 import os
@@ -74,21 +76,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _write(text: str, output: str | None) -> None:
     if output:
         _atomic_write(output, text)
     else:
         sys.stdout.write(text)
 
 
+def _emit(payload: dict, output: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
+
+
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        return _object(json.load(handle))
+
+
+def _object(value) -> dict:
+    """A JSON object; any other JSON value where an object belongs is invalid input."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _int(block: dict, key: str, default: int | None = None) -> int:
+    """Integer field ``key``, required without a default; a non-integral number is invalid."""
+    value = block[key] if default is None else block.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} = {value!r} is not an integer")
+    return int(value)
 
 
 def _complex(block: dict) -> complex:
     """A {"re", "im"} block; a missing part is zero."""
+    block = _object(block)
     return complex(float(block.get("re", 0.0)), float(block.get("im", 0.0)))
 
 
@@ -96,18 +117,19 @@ def _parse_poly(coeffs: list) -> PolyZZbar:
     """Monomial coefficients, each float taken exactly at its binary value."""
     terms = {}
     for item in coeffs:
+        key = (_int(item, "m"), _int(item, "n"))
         value = _complex(item)
-        terms[(int(item["m"]), int(item["n"]))] = ExactScalar(
-            Fraction(value.real), Fraction(value.imag)
-        )
+        if not cmath.isfinite(value):
+            raise ValueError(f"monomial coefficient {value} at (m, n) = {key} is not finite")
+        terms[key] = ExactScalar(Fraction(value.real), Fraction(value.imag))
     return PolyZZbar(terms)
 
 
 def _parse_f(block: dict) -> HermiteCoeffs:
-    basis = block.get("basis", "hermite")
+    basis = _object(block).get("basis", "hermite")
     coeffs = block.get("coeffs", [])
     if basis == "hermite":
-        entries = {(int(item["m"]), int(item["n"])): _complex(item) for item in coeffs}
+        entries = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
         return HermiteCoeffs(entries, "raw")
     if basis == "monomial":
         return to_hermite(_parse_poly(coeffs))
@@ -115,26 +137,21 @@ def _parse_f(block: dict) -> HermiteCoeffs:
 
 
 def _coeff_block(u: HermiteCoeffs) -> dict:
-    raw = u.to_raw()
     coeffs = []
-    for (m, n), amp in raw.items():
-        value = amp.to_complex() if raw.exact else complex(amp)
+    for (m, n), amp in u.to_raw().items():
+        value = complex(amp)
         coeffs.append({"m": m, "n": n, "re": value.real, "im": value.imag})
     return {"basis": "hermite", "coeffs": coeffs}
 
 
-def _problem_from_json(data: dict) -> ProblemSpec:
-    return ProblemSpec(
-        k=int(data["k"]),
-        c=_complex(data.get("c", {})),
-        truncation=int(data.get("truncation", DEFAULT_TRUNCATION)),
-        f=_parse_f(data["f"]),
-    )
-
-
 def cmd_solve(args) -> int:
     data = _load_json(args.input)
-    spec = _problem_from_json(data)
+    spec = ProblemSpec(
+        k=_int(data, "k"),
+        c=_complex(data.get("c", {})),
+        truncation=_int(data, "truncation", DEFAULT_TRUNCATION),
+        f=_parse_f(data["f"]),
+    )
     u, report = solve(spec)
     payload = {
         "k": spec.k,
@@ -142,7 +159,7 @@ def cmd_solve(args) -> int:
         "truncation": spec.truncation,
         "f": data["f"],
         "u": _coeff_block(u),
-        "report": report.as_dict(),
+        "report": dataclasses.asdict(report),
     }
     _emit(payload, args.output)
     return 0
@@ -229,17 +246,13 @@ def cmd_eval(args) -> int:
     lines = ["x,y,re_residual,im_residual"]
     for x, y, re, im in rows:
         lines.append(f"{x!r},{y!r},{re!r},{im!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        _atomic_write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def cmd_disk(args) -> int:
     data = _load_json(args.input)
-    f_block = data["f"]
+    f_block = _object(data["f"])
     if f_block.get("basis", "monomial") != "monomial":
         raise ValueError("disk data must be polynomial ('monomial' basis)")
     center = _complex(data.get("center", {}))
@@ -248,11 +261,11 @@ def cmd_disk(args) -> int:
         center=center,
         radius=radius,
         f_poly=_parse_poly(f_block.get("coeffs", [])),
-        k=int(data["k"]),
+        k=_int(data, "k"),
         c=_complex(data.get("c", {})),
-        truncation=int(data.get("truncation", DEFAULT_TRUNCATION)),
-        radial_nodes=int(data.get("radial_nodes", 64)),
-        angular_nodes=int(data.get("angular_nodes", 64)),
+        truncation=_int(data, "truncation", DEFAULT_TRUNCATION),
+        radial_nodes=_int(data, "radial_nodes", 64),
+        angular_nodes=_int(data, "angular_nodes", 64),
     )
     u, report = solve_disk(problem)
     payload = {
@@ -262,7 +275,7 @@ def cmd_disk(args) -> int:
         "c": {"re": problem.c.real, "im": problem.c.imag},
         "truncation": problem.truncation,
         "u": _coeff_block(u),
-        "report": report.as_dict(),
+        "report": dataclasses.asdict(report),
     }
     _emit(payload, args.output)
     return 0 if report.bound_holds else 1

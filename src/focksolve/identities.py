@@ -61,19 +61,14 @@ def gaussian_derivative_closed_form(j: int, i: int) -> PolyZZbar:
 def iterated_gaussian_derivative(j: int, i: int) -> PolyZZbar:
     """Oracle for the closed form: apply ∂̄ i times then ∂ j times to e^{−|z|²}."""
     w = WeightedGaussianFunction(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent())
-    w = w.derivative("dzbar", i)
-    w = w.derivative("dz", j)
-    return w.poly
+    return w.deriv(j, i).poly
 
 
 def formal_adjoint_weighted(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     """e^{g} ∂^k ∂̄^k (φ e^{−g}), the weighted adjoint of ∂^k∂̄^k applied to φ."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    w = WeightedGaussianFunction(phi, g)
-    w = w.derivative("dzbar", k)
-    w = w.derivative("dz", k)
-    return w.poly
+    return WeightedGaussianFunction(phi, g).deriv(k, k).poly
 
 
 def commutator(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
@@ -364,14 +359,12 @@ def random_shift(rng: random.Random) -> ExactScalar:
     return rng.choice(pool)
 
 
-def run_identity_suite(
-    k: int, trials: int, seed: int, max_degree: int = 4
-) -> list[VerificationReport]:
-    """Seeded batch of the three Gaussian-weight checks for one k."""
+def run_identity_suite(k: int, trials: int, seed: int) -> list[VerificationReport]:
+    """Seeded batch of the three Gaussian-weight checks for one k, φ of degree ≤ 4."""
     rng = random.Random(f"identity-suite:{seed}:{k}")
     reports = []
     for _ in range(trials):
-        phi = random_polynomial(rng, max_degree)
+        phi = random_polynomial(rng, 4)
         c = random_shift(rng)
         reports.append(verify_adjoint_norm_split(k, c, phi))
         reports.append(verify_quadratic_form(k, phi))
@@ -379,14 +372,12 @@ def run_identity_suite(
     return reports
 
 
-def run_weight_identity_suite(
-    trials: int, seed: int, weight_degree: int = 3, phi_degree: int = 3
-) -> list[VerificationReport]:
-    """Seeded batch of k = 1 commutator expansions for random real weights."""
+def run_weight_identity_suite(trials: int, seed: int) -> list[VerificationReport]:
+    """Seeded batch of k = 1 commutator expansions; weight g and φ of degree ≤ 3."""
     rng = random.Random(f"weight-identity:{seed}")
     reports = []
     for _ in range(trials):
-        g = random_polynomial(rng, weight_degree, real=True)
-        phi = random_polynomial(rng, phi_degree)
+        g = random_polynomial(rng, 3, real=True)
+        phi = random_polynomial(rng, 3)
         reports.append(verify_weight_identity_k1(g, phi))
     return reports

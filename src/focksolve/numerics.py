@@ -83,25 +83,19 @@ class QuadratureRule:
     ) -> "QuadratureRule":
         return cls(radial_nodes, angular_nodes, DISK, complex(center), float(radius))
 
-    def refined(self, factor: int = 2) -> "QuadratureRule":
+    def refined(self) -> "QuadratureRule":
+        """The same rule with twice the radial and angular nodes."""
         return QuadratureRule(
-            self.radial_nodes * factor,
-            self.angular_nodes * factor,
-            self.domain,
-            self.center,
-            self.radius,
+            2 * self.radial_nodes, 2 * self.angular_nodes, self.domain, self.center, self.radius
         )
 
+    @cached_property
     def points_and_weights(self):
         """Flat read-only arrays (z, w), generated once per rule.
 
         Full plane: Σ w·g(z) ≈ ∫ g(z) e^{−|z|²} dσ (Gaussian absorbed).
         Disk:       Σ w·g(z) ≈ ∫_U g(z) dσ (plain area measure).
         """
-        return self._nodes
-
-    @cached_property
-    def _nodes(self):
         theta = 2.0 * math.pi * np.arange(self.angular_nodes) / self.angular_nodes
         phase = np.exp(1j * theta)
         if self.domain == FULL_PLANE:
@@ -137,15 +131,11 @@ class GridSpec:
         if self.h <= 0:
             raise ValueError("grid step must be positive")
 
-    def axes(self):
+    def mesh(self):
         nx = int(round((self.x_max - self.x_min) / self.h)) + 1
         ny = int(round((self.y_max - self.y_min) / self.h)) + 1
         xs = self.x_min + self.h * np.arange(nx)
         ys = self.y_min + self.h * np.arange(ny)
-        return xs, ys
-
-    def mesh(self):
-        xs, ys = self.axes()
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
         return xx + 1j * yy
 
@@ -216,7 +206,7 @@ def project(
     With ``check_parseval`` a defect above 1e−6 in magnitude raises
     :class:`QuadratureResolutionError`.
     """
-    z, w = rule.points_and_weights()
+    z, w = rule.points_and_weights
     fv = np.asarray(f(z), dtype=complex)
     if rule.domain == DISK:
         z = z - rule.center
@@ -247,7 +237,7 @@ def project(
 
 def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
     """Full-plane quadrature of |synthesize(u, ·)|² e^{−|z|²}."""
-    z, w = rule.points_and_weights()
+    z, w = rule.points_and_weights
     values = synthesize(u, z)
     return float(np.real(np.sum(w * values * np.conjugate(values))))
 

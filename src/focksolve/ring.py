@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 ScalarLike = Union[int, Fraction, "ExactScalar"]
-
-_DZ = "dz"
-_DZBAR = "dzbar"
 
 
 class ExactScalar:
@@ -124,8 +121,19 @@ class ExactScalar:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-_ZERO = ExactScalar(0)
 _ONE = ExactScalar(1)
+
+
+def _accumulate(out: dict, key: tuple, coeff: ExactScalar) -> None:
+    """out[key] += coeff, dropping the key when the sum is zero."""
+    if key in out:
+        total = out[key] + coeff
+        if total.is_zero():
+            del out[key]
+        else:
+            out[key] = total
+    else:
+        out[key] = coeff
 
 
 class PolyZZbar:
@@ -144,17 +152,8 @@ class PolyZZbar:
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in term ({a},{b})")
             coeff = ExactScalar.coerce(coeff)
-            if coeff.is_zero():
-                continue
-            key = (int(a), int(b))
-            if key in clean:
-                total = clean[key] + coeff
-                if total.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = total
-            else:
-                clean[key] = coeff
+            if not coeff.is_zero():
+                _accumulate(clean, (int(a), int(b)), coeff)
         self.terms = clean
 
     # ---- constructors -----------------------------------------------------
@@ -176,10 +175,6 @@ class PolyZZbar:
         return cls({(1, 0): 1})
 
     @classmethod
-    def var_zbar(cls) -> "PolyZZbar":
-        return cls({(0, 1): 1})
-
-    @classmethod
     def gaussian_exponent(cls) -> "PolyZZbar":
         """The standard weight exponent z·z̄ = |z|²."""
         return cls({(1, 1): 1})
@@ -191,14 +186,7 @@ class PolyZZbar:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            if key in out:
-                total = out[key] + coeff
-                if total.is_zero():
-                    del out[key]
-                else:
-                    out[key] = total
-            else:
-                out[key] = coeff
+            _accumulate(out, key, coeff)
         poly = PolyZZbar.__new__(PolyZZbar)
         poly.terms = out
         return poly
@@ -224,34 +212,12 @@ class PolyZZbar:
         out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                prod = c1 * c2
-                if key in out:
-                    total = out[key] + prod
-                    if total.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = total
-                else:
-                    out[key] = prod
+                _accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
         poly = PolyZZbar.__new__(PolyZZbar)
         poly.terms = out
         return poly
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PolyZZbar":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = PolyZZbar.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conjugate(self) -> "PolyZZbar":
         """Swap z ↔ z̄ and conjugate each coefficient."""
@@ -299,15 +265,6 @@ class PolyZZbar:
         """True when the polynomial equals its own conjugate."""
         return self == self.conjugate()
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(a + b for a, b in self.terms)
-
-    def coefficient(self, a: int, b: int) -> ExactScalar:
-        return self.terms.get((a, b), _ZERO)
-
     def evaluate(self, z) -> complex:
         """Float evaluation at a point (or numpy array) z."""
         zbar = z.conjugate()
@@ -333,9 +290,6 @@ class PolyZZbar:
             total = total + coeff * zpow[a] * zbpow[b]
         return total
 
-    def sorted_terms(self) -> Iterator[tuple]:
-        return iter(sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), kv[0])))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyZZbar):
             return NotImplemented
@@ -345,7 +299,7 @@ class PolyZZbar:
         if not self.terms:
             return "0"
         parts = []
-        for (a, b), coeff in self.sorted_terms():
+        for (a, b), coeff in sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
             mono = "*".join(
                 filter(None, [f"z^{a}" if a > 1 else "z" if a == 1 else "",
                               f"zb^{b}" if b > 1 else "zb" if b == 1 else ""])
@@ -380,14 +334,13 @@ class WeightedGaussianFunction:
         g = self.weight_exponent
         return WeightedGaussianFunction(self.poly.dzbar() - self.poly * g.dzbar(), g)
 
-    def derivative(self, direction: str, order: int) -> "WeightedGaussianFunction":
-        if direction not in (_DZ, _DZBAR):
-            raise ValueError(f"direction must be '{_DZ}' or '{_DZBAR}'")
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+    def deriv(self, ndz: int = 0, ndzbar: int = 0) -> "WeightedGaussianFunction":
+        """Apply ∂̄ ``ndzbar`` times, then ∂ ``ndz`` times (they commute)."""
         out = self
-        for _ in range(order):
-            out = out.dz() if direction == _DZ else out.dzbar()
+        for _ in range(ndzbar):
+            out = out.dzbar()
+        for _ in range(ndz):
+            out = out.dz()
         return out
 
     def __eq__(self, other) -> bool:

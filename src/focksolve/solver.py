@@ -33,12 +33,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .basis import (
-    ORTHONORMAL,
-    BasisIndex,
-    HermiteCoeffs,
-    falling_factorial,
-)
+from .basis import ORTHONORMAL, BasisIndex, HermiteCoeffs
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -134,18 +129,6 @@ class SolveReport:
     truncation: int
     chain_count: int
     tail_estimate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "residual_norm": self.residual_norm,
-            "f_norm": self.f_norm,
-            "u_norm": self.u_norm,
-            "bound_ratio": self.bound_ratio,
-            "bound_holds": self.bound_holds,
-            "truncation": self.truncation,
-            "chain_count": self.chain_count,
-            "tail_estimate": self.tail_estimate,
-        }
 
 
 def chain_origins(k: int, M: int):
@@ -264,7 +247,7 @@ def _tail_weight(origin: BasisIndex, k: int, L: int, c: complex) -> float:
     term = 1.0
     j = L
     while True:
-        a = falling_factorial(m0 + (j + 1) * k, k) * falling_factorial(n0 + (j + 1) * k, k)
+        a = math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k)
         term *= c2 / a
         tau += term
         if tau > 1e300:
@@ -295,14 +278,8 @@ def _solve_chain_closed(
 
 
 def _norm(values) -> float:
-    """Euclidean norm: the plain sum of squares, or math.hypot where it over- or underflows."""
-    try:
-        sq = sum(abs(v) ** 2 for v in values)
-    except OverflowError:
-        sq = math.inf
-    if 1e-290 < sq < math.inf or not any(values):
-        return math.sqrt(sq)
-    return math.hypot(*(abs(v) for v in values))
+    """Euclidean norm of complex values, free of intermediate over- and underflow."""
+    return math.hypot(*map(abs, values))
 
 
 def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
@@ -341,7 +318,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
             m = m0 + j * k
             n = n0 + j * k
             rhs.append(data.get((m, n), 0j))
-            sa.append(math.sqrt(falling_factorial(m + k, k) * falling_factorial(n + k, k)))
+            sa.append(math.sqrt(math.perm(m + k, k) * math.perm(n + k, k)))
         sol, v, tail = _solve_chain_closed(origin, k, sa, rhs, c)
         u_values += sol[:L]
         u_values.append(v)
@@ -481,19 +458,6 @@ class ScaledReport:
     bound_constant_sq: float
     bound_holds: bool
 
-    def as_dict(self) -> dict:
-        out = {
-            "lambda": self.lam,
-            "z0": {"re": self.z0.real, "im": self.z0.imag},
-            "u_sq_norm_z": self.u_sq_norm_z,
-            "f_sq_norm_z": self.f_sq_norm_z,
-            "sq_norm_ratio": self.sq_norm_ratio,
-            "bound_constant_sq": self.bound_constant_sq,
-            "bound_holds": self.bound_holds,
-            "base_report": self.base_report.as_dict(),
-        }
-        return out
-
 
 def solve_scaled(p: ScaledProblem) -> Tuple[ScaledSolution, ScaledReport]:
     """Solve against the weight e^{−λ²|z−z₀|²} by change of variables.
@@ -552,11 +516,11 @@ class DiskProblem:
     angular_nodes: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def rule(self) -> QuadratureRule:
-        return QuadratureRule.disk(self.center, self.radius, self.radial_nodes, self.angular_nodes)
+        # past radius ≈ 13.32 the certified constant e^{(2·radius)²} overflows a float
+        if not 0 < self.radius <= 13:
+            raise ValueError(f"radius {self.radius} must be positive and at most 13")
+        if not _finite(self.center):
+            raise ValueError(f"center {self.center} is not finite")
 
 
 @dataclass
@@ -580,23 +544,10 @@ class DiskReport:
     truncation_defect: float
     base_report: SolveReport
 
-    def as_dict(self) -> dict:
-        return {
-            "u_sq_on_disk": self.u_sq_on_disk,
-            "f_sq_on_disk": self.f_sq_on_disk,
-            "diameter": self.diameter,
-            "bound_constant": self.bound_constant,
-            "ratio": self.ratio,
-            "bound_holds": self.bound_holds,
-            "resolution_shift": self.resolution_shift,
-            "truncation_defect": self.truncation_defect,
-            "base_report": self.base_report.as_dict(),
-        }
-
 
 def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     """Project the zero-extended data, solve, and integrate over the disk."""
-    z, w = rule.points_and_weights()
+    z, w = rule.points_and_weights
     # Hermite projection of the zero-extended data in the centered weight,
     # restricted to the certified support box [0, M−k]²; the Parseval defect
     # is the weighted mass the box misses.
@@ -617,9 +568,9 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
     shift above 1e−6 raises :class:`QuadratureResolutionError`, since the
     certified integrals would then be quadrature-limited.
     """
-    rule = p.rule()
+    rule = QuadratureRule.disk(p.center, p.radius, p.radial_nodes, p.angular_nodes)
     u, base_report, u_sq, f_sq, defect = _disk_pass(p, rule)
-    _, _, u_sq2, f_sq2, _ = _disk_pass(p, rule.refined(2))
+    _, _, u_sq2, f_sq2, _ = _disk_pass(p, rule.refined())
     shift = 0.0
     if f_sq2 > 0:
         shift = abs(f_sq - f_sq2) / f_sq2

@@ -77,7 +77,7 @@ def test_criterion_2_gaussian_derivative_closed_form():
 
 
 def test_criterion_3_weight_identity_k1():
-    reports = run_weight_identity_suite(trials=10, seed=SEED, weight_degree=3, phi_degree=3)
+    reports = run_weight_identity_suite(trials=10, seed=SEED)
     failures = [r for r in reports if not r.holds]
     report(
         3,

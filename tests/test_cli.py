@@ -57,9 +57,23 @@ def test_solve_missing_and_malformed_inputs(tmp_path, capsys):
         tmp_path / "margin.json", truncation=4, coeffs=[{"m": 4, "n": 4, "re": 1.0, "im": 0.0}]
     )
     assert cli.run(["solve", "--input", str(problem)]) == 2
+    # numbers are checked where they are parsed: an infinite or non-integral
+    # integer field and an infinite monomial coefficient are input errors
+    for i, text in enumerate(
+        [
+            '{"k": 1e999, "f": {"coeffs": []}}',
+            '{"k": 2.5, "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
+            '{"k": 1, "f": {"coeffs": [{"m": Infinity, "n": 0, "re": 1.0}]}}',
+            '{"k": 1, "f": {"basis": "monomial", "coeffs": [{"m": 1, "n": 0, "re": Infinity}]}}',
+        ]
+    ):
+        (tmp_path / f"number{i}.json").write_text(text)
+        assert cli.run(["solve", "--input", str(tmp_path / f"number{i}.json")]) == 2, text
     # every failure path emits a machine-readable reason
-    for line in capsys.readouterr().err.strip().splitlines():
-        assert "error" in json.loads(line)
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.strip().splitlines()]
+    assert len(errors) == 7
+    assert "k = 2.5 is not an integer" in errors[4]
+    assert "(m, n) = (1, 0)" in errors[6]
 
 
 def test_unknown_flags_exit_2(tmp_path):
@@ -96,7 +110,7 @@ def test_verify_reports_all_suites(tmp_path):
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
     from focksolve import identities
 
-    def broken_suite(k, trials, seed, max_degree=4):
+    def broken_suite(k, trials, seed):
         report = identities.VerificationReport("stub", "k", holds=False)
         return [report]
 

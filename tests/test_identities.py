@@ -158,12 +158,12 @@ def test_verify_weight_identity_examples():
     z = PolyZZbar.var_z()
     r = verify_weight_identity_k1(GAUSS, z)
     assert r.holds and r.details["principal_factor"] == "1"
-    assert verify_weight_identity_k1(GAUSS**2, z).holds
+    assert verify_weight_identity_k1(GAUSS * GAUSS, z).holds
     assert verify_weight_identity_k1(
         PolyZZbar({(1, 1): 1, (1, 0): 1, (0, 1): 1}), PolyZZbar.constant(1)
     ).holds
     # constant φ has no cross terms: the principal term is the whole identity
-    rc = verify_weight_identity_k1(GAUSS**2, PolyZZbar.constant(2))
+    rc = verify_weight_identity_k1(GAUSS * GAUSS, PolyZZbar.constant(2))
     assert rc.holds and rc.details["principal_term_only"]
 
 

@@ -203,7 +203,7 @@ def test_quadrature_rule_validation():
 
 def test_disk_rule_integrates_area():
     rule = QuadratureRule.disk(1 + 1j, 2.0, 24, 32)
-    z, w = rule.points_and_weights()
+    z, w = rule.points_and_weights
     assert float(np.sum(w)) == pytest.approx(math.pi * 4.0, rel=1e-12)
     # centered first moment vanishes
     assert complex(np.sum(w * (z - (1 + 1j)))) == pytest.approx(0j, abs=1e-12)

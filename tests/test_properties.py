@@ -1,5 +1,6 @@
-"""Property tests: the float chain kernel against the rational oracle, and the solve map."""
+"""Property tests: the chain kernel against the rational oracle, the solve map, fuzzed files."""
 
+import json
 import math
 import random
 
@@ -8,8 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, solve  # noqa: E402
-from focksolve.basis import falling_factorial  # noqa: E402
+from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.solver import (  # noqa: E402
     _chain_length,
     _min_norm_bidiagonal,
@@ -32,7 +32,7 @@ def rational_chains(draw):
     m0, n0 = draw(st.sampled_from(chain_origins(k, M)))
     L = _chain_length((m0, n0), k, M)
     idx = [(m0 + j * k, n0 + j * k) for j in range(L)]
-    couplings = [falling_factorial(m + k, k) * falling_factorial(n + k, k) for m, n in idx[:-1]]
+    couplings = [math.perm(m + k, k) * math.perm(n + k, k) for m, n in idx[:-1]]
     weights = [math.factorial(m) * math.factorial(n) for m, n in idx]
     rhs = draw(st.lists(exact_scalars, min_size=L, max_size=L))
     return couplings, weights, rhs, draw(exact_scalars)
@@ -81,3 +81,68 @@ def test_solve_is_linear_and_bounded(k, M, c, seeds, alpha, beta):
     keys = set(uc.entries) | set(expect.entries)
     err = math.sqrt(sum(abs(uc.entries.get(key, 0j) - expect.entries.get(key, 0j)) ** 2 for key in keys))
     assert err <= 1e-12 * (abs(alpha) * rep1.u_norm + abs(beta) * rep2.u_norm)
+
+
+# Fuzzed problem files: a valid solve or disk file with up to three fields or
+# blocks replaced by a malformed value.  HUGE is written as the literal 1e999
+# and MISSING drops its key; 24 is an out-of-box index.  Sizes stay small
+# (truncation ≤ 24, node counts ≤ 32): nothing bounds them in the program.
+HUGE, MISSING = "<1e999>", "<missing>"
+malformed = st.sampled_from(
+    [math.nan, math.inf, -math.inf, HUGE, 2.5, -1, 0, 24, "abc", "", None, [], MISSING]
+)
+small_floats = st.floats(-4, 4)
+
+
+def _key_paths(value, path=()):
+    """Key paths of every field and block, each one after the paths below it."""
+    found = [path] if path else []
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found = _key_paths(item, path + (key,)) + found
+    return found
+
+
+@st.composite
+def problem_files(draw):
+    command = draw(st.sampled_from(["solve", "disk"]))
+    k = draw(st.integers(1, 3))
+    margin = draw(st.integers(0, 6))
+    coeff = st.fixed_dictionaries(
+        {"m": st.integers(0, margin), "n": st.integers(0, margin), "re": small_floats, "im": small_floats}
+    )
+    data = {
+        "k": k,
+        "c": {"re": draw(small_floats), "im": draw(small_floats)},
+        "truncation": margin + k,
+        "f": {"basis": "monomial", "coeffs": draw(st.lists(coeff, max_size=3))},
+    }
+    if command == "solve":
+        data["f"]["basis"] = draw(st.sampled_from(["hermite", "monomial"]))
+    else:
+        data["center"] = {"re": draw(small_floats), "im": draw(small_floats)}
+        data["radius"] = draw(st.floats(0.25, 1.5))
+        data["radial_nodes"] = draw(st.integers(1, 32))
+        data["angular_nodes"] = draw(st.integers(1, 32))
+    paths = _key_paths(data)
+    for i in sorted(draw(st.sets(st.integers(0, len(paths) - 1), max_size=3))):
+        *parents, last = paths[i]
+        block = data
+        for key in parents:
+            block = block[key]
+        value = draw(malformed)
+        if value == MISSING and isinstance(block, dict):
+            del block[last]
+        else:
+            block[last] = value
+    return command, json.dumps(data).replace(json.dumps(HUGE), "1e999")
+
+
+# shrink only the first failure: shrinking several distinct ones can take minutes
+@settings(derandomize=True, deadline=None, max_examples=200, report_multiple_bugs=False)
+@given(problem_files())
+def test_fuzzed_problem_files_exit_0_1_or_2(tmp_path_factory, case):
+    command, text = case
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_text(text)
+    assert cli.run([command, "--input", str(path), "--output", str(path.with_suffix(".out"))]) in (0, 1, 2)

@@ -111,6 +111,21 @@ def test_disk_under_resolution_raises():
         solve_disk(p)
 
 
+@pytest.mark.parametrize(
+    "center, radius, name",
+    [
+        (0j, math.nan, "radius"),
+        (0j, math.inf, "radius"),
+        # e^{(2·20)²} overflows: the certified constant would be inf
+        (0j, 20.0, "radius"),
+        (complex(math.inf, 0), 1.0, "center"),
+    ],
+)
+def test_disk_rejects_non_finite_radius_or_center(center, radius, name):
+    with pytest.raises(ValueError, match=name):
+        DiskProblem(center=center, radius=radius, f_poly=PolyZZbar.constant(1), k=1, c=0j)
+
+
 def test_disk_off_center():
     p = DiskProblem(
         center=1 + 1j, radius=0.5, f_poly=PolyZZbar.constant(1), k=1, c=0j, truncation=16

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from focksolve import ExactScalar, HermiteCoeffs, ProblemSpec, operator_norm_probe, solve
-from focksolve.basis import apply_operator, falling_factorial
+from focksolve.basis import apply_operator
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
     _chain_length,
     _min_norm_bidiagonal,
+    _norm,
     _solve_chain_closed,
     _solve_chain_exact,
     chain_origins,
@@ -28,7 +29,7 @@ def chain(origin, k, M, f):
     """Indices, couplings A_j, weights (m₀+jk)!·(n₀+jk)! and raw data of one truncated chain."""
     m0, n0 = origin
     idx = [(m0 + j * k, n0 + j * k) for j in range(_chain_length(origin, k, M))]
-    couplings = [falling_factorial(m + k, k) * falling_factorial(n + k, k) for m, n in idx[:-1]]
+    couplings = [math.perm(m + k, k) * math.perm(n + k, k) for m, n in idx[:-1]]
     weights = [math.factorial(m) * math.factorial(n) for m, n in idx]
     zero = ExactScalar(0) if f.exact or not f.entries else 0j
     return idx, couplings, weights, [f.entries.get(key, zero) for key in idx]
@@ -371,7 +372,7 @@ def dense_f(k, M, seed):
 def chain_couplings(origin, k, length):
     m0, n0 = origin
     return [
-        math.sqrt(falling_factorial(m0 + (j + 1) * k, k) * falling_factorial(n0 + (j + 1) * k, k))
+        math.sqrt(math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k))
         for j in range(length)
     ]
 
@@ -406,6 +407,20 @@ def test_solve_huge_shifts(c):
     # u ≈ f/c: its norm stays representable though its squares underflow
     assert rep.u_norm == pytest.approx(rep.f_norm / abs(c), rel=1e-10)
     assert rep.bound_holds and rep.tail_estimate == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, None], ids=["1e-200", "1", "1e200", "mixed"])
+def test_norm_within_one_ulp_of_exact(scale):
+    # the exact norm is √S with S the rational sum of squares; for r = _norm(v),
+    # |r − √S|/√S = |d|/(√(1+d) + 1) with d = (r² − S)/S computed exactly
+    rng = random.Random(f"norm:{scale}")
+    for _ in range(100):
+        size = rng.randint(1, 300)
+        magnitudes = [scale or 10.0 ** rng.uniform(-300, 300) for _ in range(size)]
+        values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * mag for mag in magnitudes]
+        sq = sum(Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in values)
+        d = float((Fraction(_norm(values)) ** 2 - sq) / sq)
+        assert abs(d) / (math.sqrt(1 + d) + 1) <= 2.3e-16
 
 
 def test_solve_truncation_160():
