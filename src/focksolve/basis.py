@@ -34,6 +34,7 @@ RAW = "raw"
 ORTHONORMAL = "orthonormal"
 
 _NUMERIC_PRUNE = 1e-300
+_INF = math.inf
 
 
 def sqrt_norm(m: int, n: int) -> float:
@@ -105,7 +106,8 @@ class HermiteCoeffs:
     (:class:`ExactScalar`) require the raw normalization, since the
     orthonormal rescaling by √(π·m!·n!) is irrational.  Zero entries are
     pruned on construction: exact zeros in the exact context, magnitudes
-    below 1e−300 in the numeric context.
+    below 1e−300 in the numeric context.  A float amplitude that is NaN, ±inf
+    or of a magnitude past float range raises ``ValueError``.
     """
 
     __slots__ = ("entries", "normalization", "exact")
@@ -117,20 +119,32 @@ class HermiteCoeffs:
         clean: dict = {}
         saw_exact = False
         saw_float = False
-        for (m, n), amp in items:
+        for key, amp in items:
+            m, n = key
             if m < 0 or n < 0:
                 raise ValueError(f"negative basis index ({m},{n})")
-            if isinstance(amp, (int, Fraction, ExactScalar)):
+            # floats first: the Fraction test goes through ABCMeta and is slow
+            numeric = type(amp) is complex or isinstance(amp, float)
+            if numeric or not isinstance(amp, (int, Fraction, ExactScalar)):
+                if type(amp) is not complex:
+                    amp = complex(amp)
+                try:
+                    size = abs(amp)
+                except OverflowError:
+                    size = _INF
+                if not _NUMERIC_PRUNE <= size < _INF:
+                    if size < _NUMERIC_PRUNE:
+                        continue
+                    raise ValueError(f"non-finite amplitude {amp} at index ({m}, {n})")
+                saw_float = True
+            else:
                 amp = ExactScalar.coerce(amp)
                 if amp.is_zero():
                     continue
                 saw_exact = True
-            else:
-                amp = complex(amp)
-                if abs(amp) < _NUMERIC_PRUNE:
-                    continue
-                saw_float = True
-            clean[(int(m), int(n))] = amp
+            if type(key) is not tuple or type(m) is not int or type(n) is not int:
+                key = (int(m), int(n))
+            clean[key] = amp
         if saw_exact and saw_float:
             raise TypeError("cannot mix exact and floating amplitudes")
         if saw_exact and normalization != RAW:

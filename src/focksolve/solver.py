@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .basis import ORTHONORMAL, BasisIndex, HermiteCoeffs
+from .basis import ORTHONORMAL, HermiteCoeffs
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -74,7 +75,8 @@ class ProblemSpec:
 
     The certified-solve precondition requires every index of f to satisfy
     m ≤ M − k and n ≤ M − k, so that the first out-of-box coupling only sees
-    homogeneous tail, never data.
+    homogeneous tail, never data.  The box couplings must fit in a float:
+    the largest, (M+k)!/M!, rules out k = M from 135 on and every k > 170.
     """
 
     k: int
@@ -90,6 +92,12 @@ class ProblemSpec:
             raise ValueError("k must be a positive integer")
         if self.truncation < self.k:
             raise ValueError("truncation must be at least k")
+        # (M+k)!/M! ≥ k!, past float range from k = 171: no big-integer product needed
+        if self.k > 170 or math.perm(self.truncation + self.k, self.k) > sys.float_info.max:
+            raise ValueError(
+                f"k = {self.k} with truncation {self.truncation}: the box couplings "
+                f"exceed the float range"
+            )
         margin = self.truncation - self.k
         for m, n in self.f.entries:
             if m > margin or n > margin:
@@ -97,16 +105,12 @@ class ProblemSpec:
                     f"f has support at index ({m},{n}) outside the certified box "
                     f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
                 )
-        # finiteness is checked on the amplitudes the solve uses: a finite raw
-        # amplitude can still overflow once scaled by √(π·m!·n!)
+        # HermiteCoeffs rejects non-finite amplitudes; an exact amplitude can
+        # still overflow on its way to a float
         try:
-            f = self.f.to_orthonormal()
+            return self.f.to_orthonormal()
         except OverflowError as exc:
             raise ValueError(f"f has an amplitude that overflows a float: {exc}") from None
-        for key, amp in f.entries.items():
-            if not _finite(amp):
-                raise ValueError(f"f has a non-finite orthonormal amplitude {amp} at index {key}")
-        return f
 
 
 @dataclass
@@ -118,7 +122,9 @@ class SolveReport:
     index box, of (∂^k∂̄^k + c)u − f.  ``u_norm`` is the weighted norm of the
     whole infinite-chain solution: the stored box and edge entries plus the
     tail past them.  ``tail_estimate`` is the exact weighted norm of that
-    tail, which the coefficients do not store.
+    tail, which the coefficients do not store.  ``min_pivot`` is the smallest
+    Givens pivot of the chain factorizations; at c = 0 it is k!, the
+    reciprocal of the bound constant.
     """
 
     residual_norm: float
@@ -129,20 +135,7 @@ class SolveReport:
     truncation: int
     chain_count: int
     tail_estimate: float
-
-
-def chain_origins(k: int, M: int):
-    """Lexicographic origins (m₀ < k or n₀ < k) covering the box [0, M]²."""
-    origins = []
-    for m in range(M + 1):
-        for n in range(M + 1):
-            if m < k or n < k:
-                origins.append((m, n))
-    return origins
-
-
-def _chain_length(origin: BasisIndex, k: int, M: int) -> int:
-    return min((M - origin[0]) // k, (M - origin[1]) // k) + 1
+    min_pivot: float
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +182,8 @@ def _min_norm_bidiagonal(
     """Minimum-2-norm solution of c·u_j + sa_j·u_{j+1} = rhs_j, j = 0..L−2.
 
     Orthogonal factorization of the bidiagonal constraint matrix with Givens
-    rotations; O(L) and backward stable, no normal equations formed.
+    rotations; O(L) and backward stable, no normal equations formed.  The
+    scalar oracle of :func:`_lockstep_min_norm`.
     """
     L = len(rhs)
     if L == 1:
@@ -231,50 +225,153 @@ def _min_norm_bidiagonal(
 
 
 # ---------------------------------------------------------------------------
-# Certified solve
+# Certified solve: every chain of the box as one row of an array
 
 
-def _tail_weight(origin: BasisIndex, k: int, L: int, c: complex) -> float:
-    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l}: the chain's mass past u_L over |u_L|².
+class _Chains(NamedTuple):
+    """The (k, k) chains of the box [0, M]², one per row, origins in lexicographic order.
+
+    Row p starts at an origin (m₀, n₀) with m₀ < k or n₀ < k and has
+    ``lengths[p]`` = L box positions j = 0..L−1 at (m₀ + jk, n₀ + jk), each
+    one equation c·u_j + √A_j·u_{j+1} = f_j, plus the edge entry u_L past the
+    box.  Rows are padded to the longest chain, W = M//k + 1 equations.
+    """
+
+    m: np.ndarray  # (P, W + 1) first index of every position, padding included
+    n: np.ndarray  # (P, W + 1)
+    lengths: np.ndarray  # (P,)
+    eqs: np.ndarray  # (P, W) bool: box equations
+    stored: np.ndarray  # (P, W + 1) bool: box positions and the edge entry
+    couplings: np.ndarray  # (P, W) √A_j on the equations, 0 past them
+
+
+def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
+    """(x)_k = x!/(x−k)! as floats for start ≤ x < stop; inf past float range."""
+    perms = (math.perm(x, k) for x in range(start, stop))
+    return np.array([float(p) if p <= sys.float_info.max else math.inf for p in perms])
+
+
+def _layout(k: int, M: int) -> _Chains:
+    grid = np.arange(M + 1)
+    m0, n0 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    origin = (m0 < k) | (n0 < k)
+    m0, n0 = m0[origin], n0[origin]
+    lengths = np.minimum(M - m0, M - n0) // k + 1
+    width = M // k + 1
+    steps = np.arange(width + 1)
+    m = m0[:, None] + k * steps
+    n = n0[:, None] + k * steps
+    eqs = steps[:-1] < lengths[:, None]
+    # √A_j = √((m+k)_k·(n+k)_k), zero past the equations since (0)_k = 0
+    perms = _perm_table(k, 0, M + k + 1)
+    pm = perms[np.where(eqs, m[:, :-1] + k, 0)]
+    pn = perms[np.where(eqs, n[:, :-1] + k, 0)]
+    with np.errstate(over="ignore"):
+        couplings = np.sqrt(pm * pn)
+    # past float range the product overflows before its root
+    wide = couplings == math.inf
+    couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
+    return _Chains(m, n, lengths, eqs, steps <= lengths[:, None], couplings)
+
+
+def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> np.ndarray:
+    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain: its mass past u_L over |u_L|².
 
     Past the box the right-hand side is zero, so the infinite chain continues
     from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only on the chain
-    and |c|² and converges super-factorially; inf once τ passes 1e300.
+    and |c|² and converges super-factorially.  Each chain sums its terms in
+    order until they pass |c|² and fall below 1e−17·τ; τ is inf once it
+    passes 1e300, and an A_j past float range adds nothing.  The terms come
+    in blocks of 8, 16, 32, … as running products and sums along the rows.
     """
-    m0, n0 = origin
-    c2 = abs(c) * abs(c)  # not abs(c) ** 2, which raises on overflow
-    tau = 0.0
-    term = 1.0
-    j = L
-    while True:
-        a = math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k)
-        term *= c2 / a
-        tau += term
-        if tau > 1e300:
-            return math.inf
-        if a > c2 and term <= 1e-17 * tau:
-            return tau
-        j += 1
+    tau = np.empty(len(m_edge))
+    rows = np.arange(len(m_edge))
+    term, acc = np.ones(len(m_edge)), np.zeros(len(m_edge))
+    perms = np.empty(0)
+    block = 8
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size:
+            # A_{L+l} = (m_L + (l+1)k)_k·(n_L + (l+1)k)_k for the block's l
+            offsets = k * np.arange(1, block + 1)
+            xm, xn = m_edge[:, None] + offsets, n_edge[:, None] + offsets
+            top = max(xm[:, -1].max(), xn[:, -1].max())
+            if top >= perms.size:
+                perms = np.concatenate([perms, _perm_table(k, perms.size, top + 1)])
+            a = perms[xm] * perms[xn]
+            ratios = np.where(a < math.inf, c2 / a, 0.0)
+            ratios[:, 0] *= term
+            terms = np.cumprod(ratios, axis=1)
+            terms_acc = terms.copy()
+            terms_acc[:, 0] += acc
+            sums = np.cumsum(terms_acc, axis=1)
+            stop = (sums > 1e300) | (terms == 0) | ((a > c2) & (terms <= 1e-17 * sums))
+            done = stop.any(axis=1)
+            last = sums[done, stop[done].argmax(axis=1)]
+            tau[rows[done]] = np.where(last > 1e300, math.inf, last)
+            live = ~done
+            rows, m_edge, n_edge = rows[live], xm[live, -1], xn[live, -1]
+            term, acc = terms[live, -1], sums[live, -1]
+            block *= 2
+    return tau
 
 
-def _solve_chain_closed(
-    origin: BasisIndex, k: int, sa: List[float], rhs: List[complex], c: complex
-) -> Tuple[List[complex], complex, float]:
-    """Minimum-norm solution of one infinite chain, closed exactly at the box edge.
+def _lockstep_min_norm(c: complex, eqs: np.ndarray, sa: np.ndarray, rhs: np.ndarray):
+    """:func:`_min_norm_bidiagonal` for every chain at once, one column per step.
 
-    ``sa`` holds the L box couplings, the last one reaching the edge entry
-    u_L.  The tail past u_L has mass |u_L|²·τ, so the infinite problem is the
-    finite one in u_0..u_{L−1} and v = √(1+τ)·u_L, with the edge coupling
-    divided by √(1+τ).  Returns u_0..u_L, v (whose square is the mass of u_L
-    and its tail) and the norm of the tail past u_L.
+    Row p solves c·u_j + sa[p, j]·u_{j+1} = rhs[p, j] for j < L_p in the
+    unknowns u_0..u_{L_p}, with L_p = eqs[p].sum().  Past a row's last
+    equation the rotations are the identity (g = 1, s = 0, r = 1) and the
+    data zero, so the padding stays zero.  Complex values are held as
+    (real, imaginary) pairs along axis −2 and combined by the formulas of
+    Python's complex arithmetic, and the pivots come from math.hypot, so
+    every row rounds as the scalar oracle does.  Returns the real and
+    imaginary parts of the (P, W + 1) solutions and the (P, W) pivots r.
     """
-    tau = _tail_weight(origin, k, len(rhs), c)
-    damp = math.sqrt(1.0 + tau)
-    sol = _min_norm_bidiagonal(c, sa[:-1] + [sa[-1] / damp], rhs + [0j])
-    v = sol[-1]
-    sol[-1] = v / damp
-    share = 1.0 if tau == math.inf else tau / (1.0 + tau)
-    return sol, v, abs(v) * math.sqrt(share)
+    # longest chains first, so that the chains still running at step j are
+    # the first live[j] rows; (W, P) layout, so that a step reads contiguous rows
+    order = np.argsort(-eqs.sum(axis=1), kind="stable")
+    eqs, sa = eqs[order].T, np.ascontiguousarray(sa[order].T)
+    rhs = np.stack([rhs[order].real.T, rhs[order].imag.T], axis=1)
+    live = eqs.sum(axis=1)
+    width, rows = eqs.shape
+    flip = np.array([[-1.0], [1.0]])  # (x, y) ↦ (−x, y), applied to swapped pairs
+    cr, ci = c.real, -c.imag  # c̄
+    r = np.ones((width, rows))
+    g = np.zeros((width, 2, rows))
+    g[:, 0] = 1.0
+    alpha = np.empty((2, rows))
+    alpha[0], alpha[1] = cr, ci
+    flip_ci = flip * ci
+    for n, r_j, g_j, sa_j in zip(live.tolist(), r, g, sa):
+        alpha, r_j, g_j = alpha[:, :n], r_j[:n], g_j[:, :n]
+        r_j[:] = list(map(math.hypot, np.hypot(alpha[0], alpha[1]).tolist(), sa_j[:n].tolist()))
+        np.divide(alpha, r_j, out=g_j)
+        alpha = g_j * cr + g_j[::-1] * flip_ci
+    s = sa / r
+    # conj(s·c̄), R's super-diagonal as R^H reads it; zero after a row's last equation
+    sup = s[:-1] * eqs[1:]
+    sup_re, sup_im = (sup * cr)[:, None], -(sup * ci)[:, None]
+    sup_swap = sup_im * flip  # conj(sup)·y = sup_re·y + sup_swap·swap(y)
+    # forward substitution R^H y = rhs
+    y = np.empty((width, 2, rows))
+    prev = np.divide(rhs[0], r[0], out=y[0])
+    for y_j, rhs_j, t_re, t_swap, r_j in zip(y[1:], rhs[1:], sup_re, sup_swap, r[1:]):
+        prev = np.divide(rhs_j - (t_re * prev + t_swap * prev[::-1]), r_j, out=y_j)
+    # u = Q [y; 0]: the conjugated rotations in reverse order; p is u_{j+1}.
+    # The products with y need no earlier step and are taken all at once.
+    g_re = g[:, :1]
+    g_swap = g[:, 1:] * -flip  # (g_im, −g_im): conj(g)·p = g_re·p + g_swap·swap(p)
+    sy = s[:, None] * y
+    gy = g_re * y + g[:, 1:] * flip * y[:, ::-1]
+    u = np.empty((width + 1, 2, rows))
+    p = np.zeros((2, rows))
+    steps = zip(u[:0:-1], sy[::-1], g_re[::-1], g_swap[::-1], gy[::-1], s[::-1])
+    for u_next, sy_j, g_re_j, g_swap_j, gy_j, s_j in steps:
+        np.add(sy_j, g_re_j * p + g_swap_j * p[::-1], out=u_next)
+        p = gy_j - s_j * p
+    u[0] = p
+    back = np.argsort(order)
+    return u[:, 0].T[back], u[:, 1].T[back], r.T[back]
 
 
 def _norm(values) -> float:
@@ -287,63 +384,70 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
 
     Returns orthonormal-normalized float coefficients together with the
     certification report.  Each chain is the minimum-norm solution of its
-    infinite system, whose tail past the box is closed exactly (see
-    :func:`_solve_chain_closed`); the coefficients hold the box plus the one
-    edge entry per chain that the box equations see.  The residual is
-    reported over the box equations, ``u_norm`` is the norm of the whole
-    infinite-chain solution and ``tail_estimate`` the norm of its part past
-    the stored entries.  The construction solves each chain independently and
-    assembles deterministically, so chain processing order cannot affect any
-    output bit.
+    infinite system.  Its tail past the box has mass |u_L|²·τ, so the
+    infinite problem is the finite one in u_0..u_{L−1} and v = √(1+τ)·u_L,
+    with the edge coupling divided by √(1+τ).  All chains are solved
+    together as the rows of one array (:func:`_lockstep_min_norm`).  The
+    coefficients hold the box plus the one edge entry per chain that the
+    box equations see.  The residual is reported over the box equations,
+    ``u_norm`` is the norm of the whole infinite-chain solution and
+    ``tail_estimate`` the norm of its part past the stored entries.  Rows
+    share no arithmetic, so no output bit depends on the chain order.
     """
     f = spec.validate()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
+    chains = _layout(k, M)
+    box, stored = chains.eqs, chains.stored
+    rows = np.arange(len(chains.lengths))
+    edge = chains.lengths
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
-    data = {key: amp / sqrt_pi for key, amp in f.entries.items()}
+    amps = np.fromiter(f.entries.values(), complex, len(f.entries))
+    data = np.empty_like(amps)
+    data.real, data.imag = amps.real / sqrt_pi, amps.imag / sqrt_pi
+    dense = np.zeros((M + 2) * (M + 2), dtype=complex)
+    dense[[m * (M + 2) + n for m, n in f.entries]] = data
+    dense = dense.reshape(M + 2, M + 2)
+    rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
 
-    entries = {}
-    u_values = []
-    residuals = []
-    tails = []
-    origins = chain_origins(k, M)
-    for origin in origins:
-        L = _chain_length(origin, k, M)
-        m0, n0 = origin
-        rhs = []
-        sa = []
-        for j in range(L):
-            m = m0 + j * k
-            n = n0 + j * k
-            rhs.append(data.get((m, n), 0j))
-            sa.append(math.sqrt(math.perm(m + k, k) * math.perm(n + k, k)))
-        sol, v, tail = _solve_chain_closed(origin, k, sa, rhs, c)
-        u_values += sol[:L]
-        u_values.append(v)
-        tails.append(tail)
-        for j, value in enumerate(sol):
-            if abs(value) >= 1e-300:
-                entries[(m0 + j * k, n0 + j * k)] = value * sqrt_pi
-        # Box equations; the edge entry u_L enters through the last coupling.
-        for j in range(L):
-            residuals.append(c * sol[j] - rhs[j] + sa[j] * sol[j + 1])
+    tau = _tail_weights(chains.m[rows, edge], chains.n[rows, edge], k, abs(c) * abs(c))
+    damp = np.sqrt(1.0 + tau)
+    sa = chains.couplings.copy()
+    sa[rows, edge - 1] /= damp
+    u_re, u_im, pivots = _lockstep_min_norm(c, box, sa, rhs)
+    sizes = np.hypot(u_re, u_im)
+    share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
+    tails = sizes[rows, edge] * np.sqrt(share)
+    u_norm = _norm(sizes[stored].tolist()) * sqrt_pi
+    u_re[rows, edge] /= damp
+    u_im[rows, edge] /= damp
+    sizes[rows, edge] = np.hypot(u_re[rows, edge], u_im[rows, edge])
 
-    f_norm = _norm(data.values()) * sqrt_pi
-    u_norm = _norm(u_values) * sqrt_pi
+    # Box equations; the edge entry u_L enters through the last coupling.
+    u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
+    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
+    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
+    keep = stored & (sizes >= 1e-300)
+    values = np.empty(np.count_nonzero(keep), dtype=complex)
+    values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
+    keys = zip(chains.m[keep].tolist(), chains.n[keep].tolist())
+
+    f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = SolveReport(
-        residual_norm=_norm(residuals) * sqrt_pi,
+        residual_norm=_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + BOUND_TOL,
         truncation=M,
-        chain_count=len(origins),
-        tail_estimate=_norm(tails) * sqrt_pi,
+        chain_count=len(rows),
+        tail_estimate=_norm(tails.tolist()) * sqrt_pi,
+        min_pivot=float(pivots[box].min()),
     )
-    return HermiteCoeffs(entries, ORTHONORMAL), report
+    return HermiteCoeffs(zip(keys, values.tolist()), ORTHONORMAL), report
 
 
 def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:

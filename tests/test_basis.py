@@ -200,6 +200,20 @@ def test_zero_pruning_and_context_rules():
         HermiteCoeffs({(0, 0): 1}, "orthonormal")
 
 
+@pytest.mark.parametrize(
+    "amp",
+    [complex(math.nan, 0.0), math.inf, complex(0.0, -math.inf), 1.5e308 + 1.5e308j],
+    ids=["nan", "inf", "-inf", "overflow"],
+)
+@pytest.mark.parametrize("normalization", ["raw", "orthonormal"])
+def test_non_finite_float_amplitude_rejected(amp, normalization):
+    with pytest.raises(ValueError, match=r"\(3, 1\)"):
+        HermiteCoeffs({(0, 0): 1.0 + 0j, (3, 1): amp}, normalization)
+    # a raw amplitude that overflows once rescaled is rejected the same way
+    with pytest.raises(ValueError, match=r"\(50, 50\)"):
+        HermiteCoeffs({(50, 50): 1e300 + 0j}).to_orthonormal()
+
+
 def test_sqrt_norm_past_the_float_product():
     # π·m!·n! overflows to inf from (98, 98) on; the norm itself stays finite
     for m, n in ((98, 98), (120, 120), (170, 170), (200, 3)):

@@ -10,13 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
-from focksolve.solver import (  # noqa: E402
-    _chain_length,
-    _min_norm_bidiagonal,
-    _solve_chain_exact,
-    chain_origins,
-    dense_data,
-)
+from focksolve.solver import _min_norm_bidiagonal, _solve_chain_exact, dense_data  # noqa: E402
+from test_solver import assert_matches_reference, chain_length, chain_origins  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -30,7 +25,7 @@ def rational_chains(draw):
     k = draw(st.integers(1, 4))
     M = draw(st.integers(k, 24))
     m0, n0 = draw(st.sampled_from(chain_origins(k, M)))
-    L = _chain_length((m0, n0), k, M)
+    L = chain_length((m0, n0), k, M)
     idx = [(m0 + j * k, n0 + j * k) for j in range(L)]
     couplings = [math.perm(m + k, k) * math.perm(n + k, k) for m, n in idx[:-1]]
     weights = [math.factorial(m) * math.factorial(n) for m, n in idx]
@@ -81,6 +76,23 @@ def test_solve_is_linear_and_bounded(k, M, c, seeds, alpha, beta):
     keys = set(uc.entries) | set(expect.entries)
     err = math.sqrt(sum(abs(uc.entries.get(key, 0j) - expect.entries.get(key, 0j)) ** 2 for key in keys))
     assert err <= 1e-12 * (abs(alpha) * rep1.u_norm + abs(beta) * rep2.u_norm)
+
+
+@st.composite
+def solve_cases(draw):
+    """k ≤ 4, a box M ≤ 24, a shift and dense data of random support size."""
+    k = draw(st.integers(1, 4))
+    M = draw(st.integers(k, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return k, M, draw(shifts), dense_data(rng, draw(st.integers(0, M - k)))
+
+
+@PROPERTY
+@given(solve_cases())
+def test_solve_matches_scalar_reference(case):
+    # the lockstep kernel against the scalar per-chain pipeline it replaced
+    k, M, c, f = case
+    assert_matches_reference(ProblemSpec(k=k, c=c, truncation=M, f=f))
 
 
 # Fuzzed problem files: a valid solve or disk file with up to three fields or

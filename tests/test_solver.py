@@ -7,16 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from focksolve import ExactScalar, HermiteCoeffs, ProblemSpec, operator_norm_probe, solve
+from focksolve import ExactScalar, HermiteCoeffs, ProblemSpec, cli, operator_norm_probe, solve
 from focksolve.basis import apply_operator
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
-    _chain_length,
+    _layout,
     _min_norm_bidiagonal,
     _norm,
-    _solve_chain_closed,
     _solve_chain_exact,
-    chain_origins,
     dense_data,
 )
 
@@ -25,10 +23,20 @@ def unit_f(value=1.0 + 0j):
     return HermiteCoeffs.basis_vector(0, 0, value, "raw")
 
 
+def chain_origins(k, M):
+    """Lexicographic origins (m₀ < k or n₀ < k) covering the box [0, M]²."""
+    return [(m, n) for m in range(M + 1) for n in range(M + 1) if m < k or n < k]
+
+
+def chain_length(origin, k, M):
+    """Box positions of the chain from ``origin``."""
+    return min((M - origin[0]) // k, (M - origin[1]) // k) + 1
+
+
 def chain(origin, k, M, f):
     """Indices, couplings A_j, weights (m₀+jk)!·(n₀+jk)! and raw data of one truncated chain."""
     m0, n0 = origin
-    idx = [(m0 + j * k, n0 + j * k) for j in range(_chain_length(origin, k, M))]
+    idx = [(m0 + j * k, n0 + j * k) for j in range(chain_length(origin, k, M))]
     couplings = [math.perm(m + k, k) * math.perm(n + k, k) for m, n in idx[:-1]]
     weights = [math.factorial(m) * math.factorial(n) for m, n in idx]
     zero = ExactScalar(0) if f.exact or not f.entries else 0j
@@ -43,32 +51,118 @@ def float_chain_solve(couplings, weights, rhs, c):
     return [x / s for x, s in zip(sol, sqw)]
 
 
+def chain_couplings(origin, k, length):
+    """√A_j for j < length along the chain from ``origin``, past the box too."""
+    m0, n0 = origin
+    return [
+        math.sqrt(math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k))
+        for j in range(length)
+    ]
+
+
+def scalar_tail_weight(origin, k, L, c):
+    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} for one chain, on exact integer couplings."""
+    m0, n0 = origin
+    c2 = abs(c) * abs(c)
+    tau = 0.0
+    term = 1.0
+    j = L
+    while True:
+        a = math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k)
+        term *= c2 / a
+        tau += term
+        if tau > 1e300:
+            return math.inf
+        if a > c2 and term <= 1e-17 * tau:
+            return tau
+        j += 1
+
+
+def reference_solve(spec):
+    """The scalar per-chain pipeline that solve replaces: the reference of the lockstep kernel.
+
+    One chain at a time: scalar τ, the edge coupling divided by √(1+τ) and
+    :func:`_min_norm_bidiagonal`.  Returns the orthonormal entries and the
+    report fields as a dict.
+    """
+    f = spec.validate()
+    k, M, c = spec.k, spec.truncation, complex(spec.c)
+    sqrt_pi = math.sqrt(math.pi)
+    data = {key: amp / sqrt_pi for key, amp in f.entries.items()}
+    entries, u_values, residuals, tails = {}, [], [], []
+    origins = chain_origins(k, M)
+    for m0, n0 in origins:
+        L = chain_length((m0, n0), k, M)
+        rhs = [data.get((m0 + j * k, n0 + j * k), 0j) for j in range(L)]
+        sa = chain_couplings((m0, n0), k, L)
+        tau = scalar_tail_weight((m0, n0), k, L, c)
+        damp = math.sqrt(1.0 + tau)
+        sol = _min_norm_bidiagonal(c, sa[:-1] + [sa[-1] / damp], rhs + [0j])
+        v = sol[-1]
+        sol[-1] = v / damp
+        share = 1.0 if tau == math.inf else tau / (1.0 + tau)
+        u_values += sol[:L] + [v]
+        tails.append(abs(v) * math.sqrt(share))
+        for j, value in enumerate(sol):
+            if abs(value) >= 1e-300:
+                entries[(m0 + j * k, n0 + j * k)] = value * sqrt_pi
+        residuals += [c * sol[j] - rhs[j] + sa[j] * sol[j + 1] for j in range(L)]
+    f_norm = _norm(data.values()) * sqrt_pi
+    u_norm = _norm(u_values) * sqrt_pi
+    report = {
+        "residual_norm": _norm(residuals) * sqrt_pi,
+        "f_norm": f_norm,
+        "u_norm": u_norm,
+        "bound_ratio": 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm,
+        "chain_count": len(origins),
+        "tail_estimate": _norm(tails) * sqrt_pi,
+    }
+    return entries, report
+
+
+def assert_matches_reference(spec):
+    """solve against :func:`reference_solve`, within the equivalence gate's bounds."""
+    u, rep = solve(spec)
+    entries, want = reference_solve(spec)
+    assert rep.chain_count == want["chain_count"]
+    assert list(u.entries) == list(entries)
+    scale = max((abs(v) for v in entries.values()), default=0.0)
+    for key, amp in entries.items():
+        assert abs(u.entries[key] - amp) <= 1e-14 * scale
+    for name in ("u_norm", "f_norm", "bound_ratio", "tail_estimate"):
+        assert abs(getattr(rep, name) - want[name]) <= 1e-14 * want[name], name
+    assert abs(rep.residual_norm - want["residual_norm"]) <= 1e-14 * want["f_norm"]
+
+
 # ---------------------------------------------------------------------------
-# chain layout: chain_origins and _chain_length
+# chain layout: _layout
 
 
 def test_decompose_partitions_box():
-    for k, M in [(1, 6), (2, 5), (3, 7), (4, 4)]:
-        origins = chain_origins(k, M)
-        seen = set()
-        for m0, n0 in origins:
-            assert m0 < k or n0 < k
-            for j in range(_chain_length((m0, n0), k, M)):
-                idx = (m0 + j * k, n0 + j * k)
-                assert idx not in seen
-                assert idx[0] <= M and idx[1] <= M
-                seen.add(idx)
-        assert seen == {(m, n) for m in range(M + 1) for n in range(M + 1)}
-        assert origins == sorted(origins)
+    for k, M in [(1, 6), (2, 5), (3, 7), (4, 4), (5, 13)]:
+        chains = _layout(k, M)
+        origins = list(zip(chains.m[:, 0].tolist(), chains.n[:, 0].tolist()))
+        assert origins == chain_origins(k, M)
+        assert chains.lengths.tolist() == [chain_length(o, k, M) for o in origins]
+        eqs, stored = chains.eqs, chains.stored
+        box = list(zip(chains.m[:, :-1][eqs].tolist(), chains.n[:, :-1][eqs].tolist()))
+        assert sorted(box) == [(m, n) for m in range(M + 1) for n in range(M + 1)]
+        # the stored positions add one edge entry per chain, past the box
+        edges = set(zip(chains.m[stored].tolist(), chains.n[stored].tolist())) - set(box)
+        assert len(edges) == len(origins)
+        assert all(m > M or n > M for m, n in edges)
+        assert chains.couplings[eqs].tolist() == [
+            math.sqrt(math.perm(m + k, k) * math.perm(n + k, k)) for m, n in box
+        ]
 
 
 def test_decompose_examples():
     idx, *_ = chain((0, 0), 2, 5, HermiteCoeffs.zero())
     assert idx == [(0, 0), (2, 2), (4, 4)]
 
-    origins = chain_origins(3, 2)
-    assert all(_chain_length(origin, 3, 2) == 1 for origin in origins)
-    assert len(origins) == 9
+    chains = _layout(3, 2)
+    assert chains.lengths.tolist() == [1] * 9
+    assert chains.eqs.shape == (9, 1) and chains.stored.shape == (9, 2)
 
 
 def test_decompose_couplings_and_weights():
@@ -76,6 +170,7 @@ def test_decompose_couplings_and_weights():
     assert couplings == [1, 4, 9, 16]
     assert weights == [1, 1, 4, 36, 576]
     assert all(b > a for a, b in zip(couplings, couplings[1:]))
+    assert _layout(1, 4).couplings[0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,34 +464,31 @@ def dense_f(k, M, seed):
     return dense_data(random.Random(seed), M - k)
 
 
-def chain_couplings(origin, k, length):
-    m0, n0 = origin
-    return [
-        math.sqrt(math.perm(m0 + (j + 1) * k, k) * math.perm(n0 + (j + 1) * k, k))
-        for j in range(length)
-    ]
-
-
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("c", [0.01 + 0j, 1 + 0j, 1j, 10 + 0j, 1e6 + 0j])
 def test_tail_closure_matches_padded_chain(k, c):
-    # The closed chain is the infinite chain's minimum-norm solution; the same
-    # chain zero-padded by 64 positions approximates it to rounding.
+    # Each stored chain is the infinite chain's minimum-norm solution; the
+    # same chain zero-padded by 64 positions approximates it to rounding.
     M, pad = 32, 64
-    rng = random.Random(101 + k)
-    for origin in chain_origins(k, M):
-        L = _chain_length(origin, k, M)
-        rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(L)]
-        sa = chain_couplings(origin, k, L + pad)
-        sol, v, tail = _solve_chain_closed(origin, k, sa[:L], rhs, c)
+    f = dense_f(k, M, 101 + k)
+    u, rep = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+    sqrt_pi = math.sqrt(math.pi)
+    scales, tails = [], []
+    for m0, n0 in chain_origins(k, M):
+        L = chain_length((m0, n0), k, M)
+        idx = [(m0 + j * k, n0 + j * k) for j in range(L + 1)]
+        rhs = [f.entries.get(key, 0j) / sqrt_pi for key in idx[:L]]
+        sa = chain_couplings((m0, n0), k, L + pad)
         oracle = _min_norm_bidiagonal(c, sa, rhs + [0j] * (pad + 1))
         scale = math.sqrt(sum(abs(x) ** 2 for x in oracle))
-        assert len(sol) == L + 1
+        sol = [u.entries.get(key, 0j) / sqrt_pi for key in idx]
         assert max(abs(a - b) for a, b in zip(sol, oracle)) <= 1e-14 * scale
-        edge_mass = math.sqrt(sum(abs(x) ** 2 for x in oracle[L:]))
-        assert abs(abs(v) - edge_mass) <= 1e-14 * scale
-        past_edge = math.sqrt(sum(abs(x) ** 2 for x in oracle[L + 1 :]))
-        assert abs(tail - past_edge) <= 1e-14 * scale
+        scales.append(scale)
+        tails.append(math.sqrt(sum(abs(x) ** 2 for x in oracle[L + 1 :])))
+    # the edge entries' mass and the tail past them, summed over the chains
+    bound = 1e-14 * _norm(scales)
+    assert abs(rep.u_norm / sqrt_pi - _norm(scales)) <= bound
+    assert abs(rep.tail_estimate / sqrt_pi - _norm(tails)) <= bound
 
 
 @pytest.mark.parametrize("c", [1e150 + 0j, 1e200 + 0j])
@@ -438,7 +530,7 @@ def test_solve_stores_box_plus_edge(k, c):
     for m, n in u.entries:
         j = min(m, n) // k
         origin = (m - j * k, n - j * k)
-        assert j <= _chain_length(origin, k, M)
+        assert j <= chain_length(origin, k, M)
     # u_norm is the stored part plus the tail past it
     stored_sq = sum(abs(v) ** 2 for v in u.entries.values())
     assert rep.u_norm**2 == pytest.approx(stored_sq + rep.tail_estimate**2, rel=1e-12)
@@ -451,6 +543,69 @@ def test_solve_rejects_non_finite_shift(c):
 
 
 def test_solve_rejects_non_finite_data():
-    f = HermiteCoeffs({(0, 0): 1.0 + 0j, (2, 1): complex(float("nan"), 0.0)}, "orthonormal")
+    # the data are rejected where they enter, in the HermiteCoeffs constructor
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        f = HermiteCoeffs({(0, 0): 1.0 + 0j, (2, 1): complex(float("nan"), 0.0)}, "orthonormal")
         solve(ProblemSpec(k=1, c=1 + 0j, truncation=8, f=f))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep kernel against the scalar per-chain reference
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", CERTIFICATION_C_GRID + (0.01 + 0j,))
+def test_solve_matches_scalar_reference(k, c):
+    assert_matches_reference(ProblemSpec(k=k, c=c, truncation=32, f=dense_f(k, 32, 200 + k)))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("c", [0j, 1 + 1j, 1e6 + 0j])
+def test_solve_matches_scalar_reference_at_256(k, c):
+    assert_matches_reference(ProblemSpec(k=k, c=c, truncation=256, f=dense_f(k, 256, 300 + k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_pivot_is_k_factorial_at_c0(k):
+    # at c = 0 every pivot is a coupling, the smallest √(k!·k!) at the origin
+    _, rep = solve(ProblemSpec(k=k, c=0j, truncation=16, f=dense_f(k, 16, 9)))
+    assert rep.min_pivot == math.factorial(k)
+
+
+def independent_residual(k, c, M, f, u):
+    """Weighted residual of (∂^k∂̄^k + c)u − f over the box, couplings as √(m+k)_k·√(n+k)_k."""
+    values = []
+    for m in range(M + 1):
+        for n in range(M + 1):
+            upper = u.entries.get((m + k, n + k), 0j)
+            coupling = math.sqrt(math.perm(m + k, k)) * math.sqrt(math.perm(n + k, k))
+            values.append(c * u.entries.get((m, n), 0j) - f.entries.get((m, n), 0j) + coupling * upper)
+    return _norm(values)
+
+
+@pytest.mark.parametrize("k, c", [(80, 1 + 0j), (120, 1j)])
+def test_solve_large_k(k, c):
+    # the box couplings reach (2k)!/k!, whose square overflows a float
+    f = dense_f(k, k, 10)
+    u, rep = solve(ProblemSpec(k=k, c=c, truncation=k, f=f))
+    assert rep.bound_ratio <= 1 + 1e-10
+    assert independent_residual(k, c, k, f, u) <= 1e-10 * rep.f_norm
+    assert rep.residual_norm <= 1e-10 * rep.f_norm
+
+
+@pytest.mark.parametrize("k, M", [(170, 170), (171, 171), (200, 200), (30, 10**11)])
+def test_solve_rejects_couplings_past_float_range(k, M):
+    with pytest.raises(ValueError, match=f"k = {k} with truncation {M}"):
+        solve(ProblemSpec(k=k, c=1 + 0j, truncation=M, f=unit_f()))
+
+
+def test_cli_large_k_exits_2(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(
+        '{"k": 200, "c": {"re": 1.0, "im": 0.0}, "truncation": 200,'
+        ' "f": {"basis": "hermite", "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]}}'
+    )
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 2
+    assert "k = 200" in capsys.readouterr().err
+    assert not out.exists()
