@@ -34,7 +34,6 @@ RAW = "raw"
 ORTHONORMAL = "orthonormal"
 
 _NUMERIC_PRUNE = 1e-300
-_INF = math.inf
 
 
 def sqrt_norm(m: int, n: int) -> float:
@@ -131,8 +130,8 @@ class HermiteCoeffs:
                 try:
                     size = abs(amp)
                 except OverflowError:
-                    size = _INF
-                if not _NUMERIC_PRUNE <= size < _INF:
+                    size = math.inf
+                if not _NUMERIC_PRUNE <= size < math.inf:
                     if size < _NUMERIC_PRUNE:
                         continue
                     raise ValueError(f"non-finite amplitude {amp} at index ({m}, {n})")
@@ -142,6 +141,7 @@ class HermiteCoeffs:
                 if amp.is_zero():
                     continue
                 saw_exact = True
+            # int-tuple keys are kept as given: rebuilding each costs a third of the loop
             if type(key) is not tuple or type(m) is not int or type(n) is not int:
                 key = (int(m), int(n))
             clean[key] = amp

@@ -279,40 +279,25 @@ def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> 
 
     Past the box the right-hand side is zero, so the infinite chain continues
     from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only on the chain
-    and |c|² and converges super-factorially.  Each chain sums its terms in
-    order until they pass |c|² and fall below 1e−17·τ; τ is inf once it
-    passes 1e300, and an A_j past float range adds nothing.  The terms come
-    in blocks of 8, 16, 32, … as running products and sums along the rows.
+    and |c|² and converges super-factorially.  All chains add one term per
+    step, each until its terms pass |c|² and fall below 1e−17·τ; τ is inf
+    once it passes 1e300, and an A_j past float range adds nothing.
     """
-    tau = np.empty(len(m_edge))
-    rows = np.arange(len(m_edge))
     term, acc = np.ones(len(m_edge)), np.zeros(len(m_edge))
     perms = np.empty(0)
-    block = 8
+    top = max(m_edge.max(), n_edge.max())
     with np.errstate(over="ignore", invalid="ignore"):
-        while rows.size:
-            # A_{L+l} = (m_L + (l+1)k)_k·(n_L + (l+1)k)_k for the block's l
-            offsets = k * np.arange(1, block + 1)
-            xm, xn = m_edge[:, None] + offsets, n_edge[:, None] + offsets
-            top = max(xm[:, -1].max(), xn[:, -1].max())
+        while term.any():
+            # A_j = (m_j + k)_k·(n_j + k)_k, inf past float range
+            m_edge, n_edge, top = m_edge + k, n_edge + k, top + k
             if top >= perms.size:
-                perms = np.concatenate([perms, _perm_table(k, perms.size, top + 1)])
-            a = perms[xm] * perms[xn]
-            ratios = np.where(a < math.inf, c2 / a, 0.0)
-            ratios[:, 0] *= term
-            terms = np.cumprod(ratios, axis=1)
-            terms_acc = terms.copy()
-            terms_acc[:, 0] += acc
-            sums = np.cumsum(terms_acc, axis=1)
-            stop = (sums > 1e300) | (terms == 0) | ((a > c2) & (terms <= 1e-17 * sums))
-            done = stop.any(axis=1)
-            last = sums[done, stop[done].argmax(axis=1)]
-            tau[rows[done]] = np.where(last > 1e300, math.inf, last)
-            live = ~done
-            rows, m_edge, n_edge = rows[live], xm[live, -1], xn[live, -1]
-            term, acc = terms[live, -1], sums[live, -1]
-            block *= 2
-    return tau
+                perms = np.concatenate([perms, _perm_table(k, perms.size, 2 * top + 1)])
+            a = perms[m_edge] * perms[n_edge]
+            term *= np.where(a < math.inf, c2 / a, 0.0)
+            acc += term
+            # a finished chain adds zero terms from here on
+            term[(acc > 1e300) | ((a > c2) & (term <= 1e-17 * acc))] = 0.0
+    return np.where(acc > 1e300, math.inf, acc)
 
 
 def _lockstep_min_norm(c: complex, eqs: np.ndarray, sa: np.ndarray, rhs: np.ndarray):

@@ -15,6 +15,7 @@ from focksolve.solver import (
     _min_norm_bidiagonal,
     _norm,
     _solve_chain_exact,
+    _tail_weights,
     dense_data,
 )
 
@@ -469,6 +470,8 @@ def dense_f(k, M, seed):
 def test_tail_closure_matches_padded_chain(k, c):
     # Each stored chain is the infinite chain's minimum-norm solution; the
     # same chain zero-padded by 64 positions approximates it to rounding.
+    # The edge entry v = √(1+τ)·u_L carries the mass from L on, and the tail
+    # past it |v|·√(τ/(1+τ)).
     M, pad = 32, 64
     f = dense_f(k, M, 101 + k)
     u, rep = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
@@ -483,12 +486,34 @@ def test_tail_closure_matches_padded_chain(k, c):
         scale = math.sqrt(sum(abs(x) ** 2 for x in oracle))
         sol = [u.entries.get(key, 0j) / sqrt_pi for key in idx]
         assert max(abs(a - b) for a, b in zip(sol, oracle)) <= 1e-14 * scale
+        tau = scalar_tail_weight((m0, n0), k, L, c)
+        v = abs(sol[L]) * math.sqrt(1.0 + tau) if sol[L] else 0.0
+        tail = v * math.sqrt(1.0 if tau == math.inf else tau / (1.0 + tau))
+        edge_mass = math.sqrt(sum(abs(x) ** 2 for x in oracle[L:]))
+        assert abs(v - edge_mass) <= 1e-14 * scale
+        past_edge = math.sqrt(sum(abs(x) ** 2 for x in oracle[L + 1 :]))
+        assert abs(tail - past_edge) <= 1e-14 * scale
         scales.append(scale)
-        tails.append(math.sqrt(sum(abs(x) ** 2 for x in oracle[L + 1 :])))
-    # the edge entries' mass and the tail past them, summed over the chains
+        tails.append(past_edge)
+    # the same masses summed over the chains, as the report gives them
     bound = 1e-14 * _norm(scales)
     assert abs(rep.u_norm / sqrt_pi - _norm(scales)) <= bound
     assert abs(rep.tail_estimate / sqrt_pi - _norm(tails)) <= bound
+
+
+@pytest.mark.parametrize("M", [32, 256])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tail_weights_match_scalar_series(k, M):
+    # every chain's τ against the scalar series on exact integer couplings
+    chains = _layout(k, M)
+    rows = np.arange(len(chains.lengths))
+    m_edge, n_edge = chains.m[rows, chains.lengths], chains.n[rows, chains.lengths]
+    origins = chain_origins(k, M)
+    for c in CERTIFICATION_C_GRID + (0.01 + 0j, 1e200 + 0j):
+        tau = _tail_weights(m_edge, n_edge, k, abs(c) * abs(c))
+        for origin, got in zip(origins, tau.tolist()):
+            want = scalar_tail_weight(origin, k, chain_length(origin, k, M), c)
+            assert got == want or abs(got - want) <= 1e-14 * want, (origin, c)
 
 
 @pytest.mark.parametrize("c", [1e150 + 0j, 1e200 + 0j])
@@ -543,10 +568,15 @@ def test_solve_rejects_non_finite_shift(c):
 
 
 def test_solve_rejects_non_finite_data():
-    # the data are rejected where they enter, in the HermiteCoeffs constructor
+    # a NaN amplitude is rejected where the data enter, in the HermiteCoeffs
+    # constructor, so it never reaches solve
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
-        f = HermiteCoeffs({(0, 0): 1.0 + 0j, (2, 1): complex(float("nan"), 0.0)}, "orthonormal")
-        solve(ProblemSpec(k=1, c=1 + 0j, truncation=8, f=f))
+        HermiteCoeffs({(0, 0): 1.0 + 0j, (2, 1): complex(float("nan"), 0.0)}, "orthonormal")
+    # finite raw data that overflow on the way to orthonormal amplitudes are
+    # rejected by solve
+    f = HermiteCoeffs({(0, 0): 1.0 + 0j, (50, 50): 1e300 + 0j})
+    with pytest.raises(ValueError, match=r"\(50, 50\)"):
+        solve(ProblemSpec(k=1, c=1 + 0j, truncation=60, f=f))
 
 
 # ---------------------------------------------------------------------------
