@@ -196,12 +196,26 @@ class HermiteCoeffs:
         return HermiteCoeffs(out, ORTHONORMAL)
 
     def to_raw(self) -> "HermiteCoeffs":
-        """Rescale to raw amplitudes (floating point when starting orthonormal)."""
+        """Rescale to raw amplitudes (floating point when starting orthonormal).
+
+        An entry whose raw amplitude leaves the float range raises
+        ``ValueError`` naming its index: where √(π·m!·n!) is past float range,
+        or where the quotient falls below the 1e−300 pruning floor although
+        the amplitude is at least 2⁻⁵² of the largest.  Smaller amplitudes
+        than that are below the vector's rounding and are pruned as zeros.
+        """
         if self.normalization == RAW:
             return self
+        floor = max(map(abs, self.entries.values()), default=0.0) * 2.0**-52
         out = {}
         for (m, n), amp in self.entries.items():
-            out[(m, n)] = amp / sqrt_norm(m, n)
+            norm = sqrt_norm(m, n)
+            value = out[(m, n)] = amp / norm
+            if abs(value) < _NUMERIC_PRUNE and (norm == math.inf or abs(amp) >= floor):
+                raise ValueError(
+                    f"the raw amplitude at index ({m}, {n}) leaves the float range: "
+                    f"√(π·m!·n!) = {norm:.3e}"
+                )
         return HermiteCoeffs(out, RAW)
 
     # ---- linear structure -----------------------------------------------------
@@ -285,6 +299,14 @@ def norm_squared(u: HermiteCoeffs) -> PiScaled:
     return PiScaled(pairing.coeff.real, pairing.pi_exponent)
 
 
+def _root_product(a: int, b: int) -> float:
+    """√(a·b) for integers; √a·√b where the product's conversion to float overflows."""
+    try:
+        return math.sqrt(a * b)
+    except OverflowError:
+        return math.sqrt(a) * math.sqrt(b)
+
+
 def lower(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
     """Action of ∂^k∂̄^k: H_{m,n} ↦ (m)_k (n)_k H_{m−k,n−k}, zero when m<k or n<k."""
     if k < 1:
@@ -293,9 +315,10 @@ def lower(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
     for (m, n), amp in u.entries.items():
         if m < k or n < k:
             continue
-        factor = math.perm(m, k) * math.perm(n, k)
-        if u.normalization != RAW:
-            factor = math.sqrt(factor)
+        if u.normalization == RAW:
+            factor = math.perm(m, k) * math.perm(n, k)
+        else:
+            factor = _root_product(math.perm(m, k), math.perm(n, k))
         value = amp * factor
         key = (m - k, n - k)
         out[key] = out[key] + value if key in out else value
@@ -311,7 +334,7 @@ def raise_(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
         if u.normalization == RAW:
             value = amp
         else:
-            value = amp * math.sqrt(math.perm(m + k, k) * math.perm(n + k, k))
+            value = amp * _root_product(math.perm(m + k, k), math.perm(n + k, k))
         out[(m + k, n + k)] = value
     return HermiteCoeffs(out, u.normalization)
 

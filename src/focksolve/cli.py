@@ -11,8 +11,10 @@ disk     bounded-domain (disk) solve with its certification report
 
 Exit codes: 0 success (all checks passing where applicable), 1 a
 verification or certification check failed (reports still written),
-2 invalid input.  Output files are written atomically and reruns with the
-same inputs and seed produce byte-identical reports.
+2 invalid input, including a ``solve`` or ``disk`` file whose solution would
+reach past index 170, where raw amplitudes leave the float range.  Output
+files are written atomically and reruns with the same inputs and seed
+produce byte-identical reports.
 
 Problem JSON schema::
 
@@ -54,6 +56,9 @@ from .solver import (
 DEFAULT_TRUNCATION = 32
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 42
+# √(π·m!·n!) leaves the float range past (170, 170): a solution whose box and
+# edge entries reach index M + k > 170 has raw amplitudes no file can hold
+MAX_U_INDEX = 170
 
 
 # the process umask, read once: mkstemp creates files private to the owner
@@ -83,8 +88,55 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_SCALAR = json.JSONEncoder(allow_nan=False)
+
+
+def _is_row(item) -> bool:
+    """A non-empty object whose values are all ints or floats (not bools)."""
+    return (
+        isinstance(item, dict)
+        and bool(item)
+        and all(type(value) is int or type(value) is float for value in item.values())
+    )
+
+
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` at indent ``pad``.
+
+    With ``indent`` set, the json module runs its pure-Python encoder.  A list
+    of rows (:func:`_is_row`) is encoded instead by one call of the C encoder
+    with the item separator ",\n" + the rows' key indent, so keys come out on
+    their own lines and only the row boundaries "},\n…{" need fixing.  No raw
+    newline can occur inside an encoded key or number, so the boundary is
+    unambiguous.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{inner}{_SCALAR.encode(key)}: {_render(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(map(_is_row, value)):
+            keys = inner + "  "
+            encoder = json.JSONEncoder(
+                separators=(",\n" + keys, ": "), sort_keys=True, allow_nan=False
+            )
+            rows = encoder.encode(value)[2:-2].split("},\n" + keys + "{")
+            between = "\n" + inner + "},\n" + inner + "{\n" + keys
+            return f"[\n{inner}{{\n{keys}{between.join(rows)}\n{inner}}}\n{pad}]"
+        items = (inner + _render(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _SCALAR.encode(value)
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
+    _write(_render(payload, "") + "\n", output)
 
 
 def _load_json(path: str) -> dict:
@@ -136,6 +188,15 @@ def _parse_f(block: dict) -> HermiteCoeffs:
     raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
 
 
+def _check_writable(k: int, truncation: int) -> None:
+    """Reject, before solving, a (k, M) whose ``u`` block reaches past :data:`MAX_U_INDEX`."""
+    if truncation + k > MAX_U_INDEX:
+        raise ValueError(
+            f"k = {k} with truncation {truncation}: the solution reaches index "
+            f"{truncation + k} > {MAX_U_INDEX}, where raw amplitudes leave the float range"
+        )
+
+
 def _coeff_block(u: HermiteCoeffs) -> dict:
     coeffs = []
     for (m, n), amp in u.to_raw().items():
@@ -152,6 +213,7 @@ def cmd_solve(args) -> int:
         truncation=_int(data, "truncation", DEFAULT_TRUNCATION),
         f=_parse_f(data["f"]),
     )
+    _check_writable(spec.k, spec.truncation)
     u, report = solve(spec)
     payload = {
         "k": spec.k,
@@ -267,6 +329,7 @@ def cmd_disk(args) -> int:
         radial_nodes=_int(data, "radial_nodes", 64),
         angular_nodes=_int(data, "angular_nodes", 64),
     )
+    _check_writable(problem.k, problem.truncation)
     u, report = solve_disk(problem)
     payload = {
         "center": {"re": center.real, "im": center.imag},

@@ -23,7 +23,9 @@ Gaussian, and a uniform trapezoid rule in θ is exact for trigonometric
 polynomials, so polynomial-times-Gaussian integrals are exact at finite node
 counts.  Disk integrals keep the plain area measure: Gauss-Legendre in r with
 the explicit r dr factor, uniform nodes in θ, and any Gaussian factor carried
-by the integrand.
+by the integrand.  Both rules are polar products whose weights depend on the
+radius alone, and H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), so projection
+and quadrature norms on a rule take an FFT in θ and walk the radii only.
 
 The finite-difference residual uses 4·∂∂̄ = Δ: the five-point discrete
 Laplacian over four, plus c, applied to a synthesized solution, is an
@@ -90,25 +92,37 @@ class QuadratureRule:
         )
 
     @cached_property
+    def polar(self):
+        """Read-only arrays (r, w): the R radii about the centre and one weight per radius.
+
+        The rule's node at (i, j) is centre + r_i·e^{2πij/A} with weight w_i.
+        Full plane: Gauss-Laguerre in t = r², the Gaussian absorbed.
+        Disk:       Gauss-Legendre in r with the r dr factor (plain area measure).
+        """
+        if self.domain == FULL_PLANE:
+            t, wt = np.polynomial.laguerre.laggauss(self.radial_nodes)
+            r, w = np.sqrt(t), wt * (math.pi / self.angular_nodes)
+        else:
+            x, wx = np.polynomial.legendre.leggauss(self.radial_nodes)
+            r = 0.5 * self.radius * (x + 1.0)
+            w = 0.5 * self.radius * wx * r * (2.0 * math.pi / self.angular_nodes)
+        r.setflags(write=False)
+        w.setflags(write=False)
+        return r, w
+
+    @cached_property
     def points_and_weights(self):
-        """Flat read-only arrays (z, w), generated once per rule.
+        """Flat read-only arrays (z, w) of the R·A nodes, radius-major, generated once per rule.
 
         Full plane: Σ w·g(z) ≈ ∫ g(z) e^{−|z|²} dσ (Gaussian absorbed).
         Disk:       Σ w·g(z) ≈ ∫_U g(z) dσ (plain area measure).
         """
+        r, wr = self.polar
         theta = 2.0 * math.pi * np.arange(self.angular_nodes) / self.angular_nodes
-        phase = np.exp(1j * theta)
-        if self.domain == FULL_PLANE:
-            t, wt = np.polynomial.laguerre.laggauss(self.radial_nodes)
-            r = np.sqrt(t)
-            z = np.outer(r, phase).ravel()
-            w = np.outer(wt * (math.pi / self.angular_nodes), np.ones_like(theta)).ravel()
-        else:
-            x, wx = np.polynomial.legendre.leggauss(self.radial_nodes)
-            r = 0.5 * self.radius * (x + 1.0)
-            wr = 0.5 * self.radius * wx * r * (2.0 * math.pi / self.angular_nodes)
-            z = self.center + np.outer(r, phase).ravel()
-            w = np.outer(wr, np.ones_like(theta)).ravel()
+        z = np.outer(r, np.exp(1j * theta)).ravel()
+        if self.domain == DISK:
+            z = self.center + z
+        w = np.repeat(wr, self.angular_nodes)
         # the arrays are shared by every caller of this rule
         z.setflags(write=False)
         w.setflags(write=False)
@@ -158,6 +172,25 @@ def hermite_lower_walk(M: int, z):
             yield (n + 1 + alpha, n + 1), x
 
 
+def _radial_blocks(M: int, r: np.ndarray):
+    """Yield (α, rows) for α = 0..M, with rows[n] = H_{n+α,n}(r) on real radii r.
+
+    In polar form H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), and the walk keeps
+    real points real, so each offset's rows carry its angular dependence in
+    e^{iαθ}.  One offset is held at a time: O(M·R) memory.
+    """
+    walk = hermite_lower_walk(M, r)
+    for alpha in range(M + 1):
+        yield alpha, np.array([next(walk)[1] for _ in range(M + 1 - alpha)])
+
+
+def _raw_amplitude(u: HermiteCoeffs, m: int, n: int, amp) -> complex:
+    """The amplitude ``amp`` of u at (m, n) as a raw float coefficient."""
+    if u.normalization == RAW:
+        return amp.to_complex() if u.exact else amp
+    return amp / sqrt_norm(m, n)
+
+
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
     if not u.entries:
@@ -166,14 +199,9 @@ def synthesize(u: HermiteCoeffs, z) -> complex:
 
     def coeff_at(m, n):
         amp = u.entries.get((m, n))
-        if amp is None:
-            return None
-        if u.normalization == RAW:
-            return amp.to_complex() if u.exact else amp
-        coeff = amp / sqrt_norm(m, n)
         # a raw amplitude that underflows cannot contribute; skipping it also
         # avoids 0·inf once H values leave the f64 range at extreme indices
-        return coeff if coeff != 0 else None
+        return None if amp is None else _raw_amplitude(u, m, n, amp) or None
 
     total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
     for (m, n), value in hermite_lower_walk(max(mmax, nmax), z):
@@ -201,31 +229,43 @@ def project(
     ≤ d, a full-plane rule with R ≥ d + M + 1 and A ≥ 2(d + M) + 1 reproduces
     the exact basis change to rounding.
 
+    f is evaluated once on the rule's nodes.  On each radius the angular sum
+    Σ_j f·e^{∓iαθ_j} of the pairing with H_{n+α,n} (or its mirror H_{n,n+α})
+    is bin ±α mod A of the FFT of f along θ, exactly, so the walk runs over
+    the R radii only: O(RA log A + M²R) work, aliasing as in the node sum.
+
     Returns the raw coefficients and the signed Parseval defect
     (‖f‖² − coefficient mass)/‖f‖², both norms in the projection's weight.
     With ``check_parseval`` a defect above 1e−6 in magnitude raises
     :class:`QuadratureResolutionError`.
     """
-    z, w = rule.points_and_weights
-    fv = np.asarray(f(z), dtype=complex)
+    z, _ = rule.points_and_weights
+    r, wr = rule.polar
+    A = rule.angular_nodes
+    # f may return a scalar: the zero polynomial evaluates to 0j
+    fv = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape).reshape(len(r), A)
     if rule.domain == DISK:
-        z = z - rule.center
-        w = w * np.exp(-np.real(z * np.conjugate(z)))
-    wf = w * fv
-    norm_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
+        # the centered Gaussian depends on the radius alone
+        wr = wr * np.exp(-r * r)
+    norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
+    spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
     coeffs = {}
     mass = 0.0
-    for (m, n), h in hermite_lower_walk(M, z):
-        weight = math.pi * math.factorial(m) * math.factorial(n)
-        a = complex(np.sum(np.conjugate(h) * wf)) / weight
-        coeffs[(m, n)] = a
-        mass += weight * abs(a) ** 2
-        if m != n:
-            # conj(H_{n,m}) = H_{m,n}: the mirror coefficient from the same walk
-            b = complex(np.sum(h * wf)) / weight
-            coeffs[(n, m)] = b
-            mass += weight * abs(b) ** 2
+    for alpha, rows in _radial_blocks(M, r):
+        lower = (rows @ spectrum[:, alpha % A]).tolist()
+        upper = (rows @ spectrum[:, -alpha % A]).tolist()
+        for n, (a, b) in enumerate(zip(lower, upper)):
+            m = n + alpha
+            weight = math.pi * math.factorial(m) * math.factorial(n)
+            a /= weight
+            coeffs[(m, n)] = a
+            mass += weight * abs(a) ** 2
+            if alpha:
+                # conj(H_{n,m}) = H_{m,n}: the mirror coefficient from bin −α
+                b /= weight
+                coeffs[(n, m)] = b
+                mass += weight * abs(b) ** 2
     defect = (norm_sq - mass) / max(norm_sq, 1e-300)
     if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
@@ -236,10 +276,29 @@ def project(
 
 
 def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
-    """Full-plane quadrature of |synthesize(u, ·)|² e^{−|z|²}."""
-    z, w = rule.points_and_weights
-    values = synthesize(u, z)
-    return float(np.real(np.sum(w * values * np.conjugate(values))))
+    """The rule's quadrature of |u|² about its centre: Σ w·|synthesize(u, z − z₀)|².
+
+    No node values are formed.  On a radius u(r·e^{iθ}) = Σ_α G_α(r)·e^{iαθ},
+    where G_α(r) sums a_{m,n}·H_{m,n}(r) over m − n = α, and on A uniform
+    angles Parseval gives Σ_j |u|² = A·Σ_b |Σ_{α ≡ b mod A} G_α(r)|².
+    """
+    if not u.entries:
+        return 0.0
+    r, wr = rule.polar
+    A = rule.angular_nodes
+    M = max(u.max_index())
+    # raw coefficients of H_{n+α,n} at [0, α, n] and of its mirror H_{n,n+α} at [1, α, n]
+    coef = np.zeros((2, M + 1, M + 1), dtype=complex)
+    for (m, n), amp in u.entries.items():
+        coef[int(m < n), abs(m - n), min(m, n)] = _raw_amplitude(u, m, n, amp)
+    spectrum = np.zeros((A, len(r)), dtype=complex)
+    for alpha, rows in _radial_blocks(M, r):
+        for bin_, c in ((alpha % A, coef[0, alpha]), (-alpha % A, coef[1, alpha])):
+            # a zero coefficient must not meet an H value past float range: 0·inf
+            live = np.flatnonzero(c)
+            if live.size:
+                spectrum[bin_] += c[live] @ rows[live]
+    return float(A * np.dot(wr, np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)))
 
 
 def _laplacian_residual(

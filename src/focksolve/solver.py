@@ -39,7 +39,7 @@ from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
     project,
-    synthesize,
+    quadrature_norm_sq,
 )
 from .ring import ExactScalar, PolyZZbar
 
@@ -59,6 +59,11 @@ CERTIFICATION_C_GRID = (
     -10j,
     1e6 + 0j,
 )
+
+#: Float cells a disk solve may allocate for its doubled quadrature rule:
+#: 4·R·A nodes plus leggauss's 4·R² companion matrix.  The default 64 × 64
+#: rule uses 32,768; the bound admits R = A = 512, and R up to 723 with few angles.
+DISK_GRID_CELLS = 2**21
 
 ExactLike = Union[int, Fraction, ExactScalar]
 
@@ -535,7 +540,9 @@ class ScaledReport:
 
     Squared norms transport from w-space by the exact Jacobian factor λ^{−2};
     the solution representative carries the extra λ^{−2k} from its prefactor.
-    The certified inequality is sq_norm_ratio ≤ 1/(λ^k·k!)².
+    The certified inequality is sq_norm_ratio ≤ 1/(λ^k·k!)².  Both sides are
+    subnormal from k ≈ 99, so ``bound_holds`` tests the same inequality in
+    its scale-free form, (base bound_ratio)² ≤ 1 + 1e−10.
     """
 
     lam: float
@@ -567,7 +574,8 @@ def solve_scaled(p: ScaledProblem) -> Tuple[ScaledSolution, ScaledReport]:
     u_sq = lam ** (-2 * k) * base_report.u_norm**2 * jac
     f_sq = base_report.f_norm**2 * jac
     ratio = 0.0 if f_sq == 0 else u_sq / f_sq
-    constant = 1.0 / (lam**k * math.factorial(k)) ** 2
+    # (k!)² leaves the float range from k = 99: divide by k! twice
+    constant = 1.0 / lam ** (2 * k) / math.factorial(k) / math.factorial(k)
     report = ScaledReport(
         lam=lam,
         z0=complex(p.z0),
@@ -576,7 +584,8 @@ def solve_scaled(p: ScaledProblem) -> Tuple[ScaledSolution, ScaledReport]:
         f_sq_norm_z=f_sq,
         sq_norm_ratio=ratio,
         bound_constant_sq=constant,
-        bound_holds=ratio <= constant * (1.0 + BOUND_TOL),
+        # ratio / constant = (u_norm·k!/f_norm)², the λ and Jacobian factors cancel
+        bound_holds=base_report.bound_ratio**2 <= 1.0 + BOUND_TOL,
     )
     solution = ScaledSolution(lam=lam, z0=complex(p.z0), prefactor=lam**-k, v=v)
     return solution, report
@@ -592,7 +601,8 @@ class DiskProblem:
 
     ``f_poly`` is exact polynomial data in the global variable z.  The
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
-    The disk quadrature rule on U has the given radial and angular node counts.
+    The disk quadrature rule on U has the given radial and angular node counts,
+    bounded by :data:`DISK_GRID_CELLS` in its doubled form.
     """
 
     center: complex
@@ -605,6 +615,14 @@ class DiskProblem:
     angular_nodes: int = 64
 
     def __post_init__(self):
+        R, A = self.radial_nodes, self.angular_nodes
+        # the doubled rule's 2R·2A nodes plus leggauss's (2R)² companion matrix
+        cells = 4 * R * A + 4 * R * R
+        if not (R >= 1 and A >= 1 and cells <= DISK_GRID_CELLS):
+            raise ValueError(
+                f"radial_nodes {R} and angular_nodes {A} must be positive with "
+                f"4·R·A + 4·R² = {cells} at most {DISK_GRID_CELLS}"
+            )
         # past radius ≈ 13.32 the certified constant e^{(2·radius)²} overflows a float
         if not 0 < self.radius <= 13:
             raise ValueError(f"radius {self.radius} must be positive and at most 13")
@@ -637,14 +655,14 @@ class DiskReport:
 def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     """Project the zero-extended data, solve, and integrate over the disk."""
     z, w = rule.points_and_weights
+    # evaluated once: the projection and ∫_U|f|² share the node values
+    fv = p.f_poly.evaluate(z)
     # Hermite projection of the zero-extended data in the centered weight,
     # restricted to the certified support box [0, M−k]²; the Parseval defect
     # is the weighted mass the box misses.
-    f_hat, defect = project(p.f_poly.evaluate, p.truncation - p.k, rule, check_parseval=False)
+    f_hat, defect = project(lambda _: fv, p.truncation - p.k, rule, check_parseval=False)
     u, base_report = solve(ProblemSpec(k=p.k, c=p.c, truncation=p.truncation, f=f_hat))
-    uv = synthesize(u, z - rule.center)
-    fv = p.f_poly.evaluate(z)
-    u_sq = float(np.real(np.sum(w * uv * np.conjugate(uv))))
+    u_sq = quadrature_norm_sq(u, rule)
     f_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
     return u, base_report, u_sq, f_sq, max(0.0, defect)
 
@@ -671,7 +689,7 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
             f"increase radial/angular nodes"
         )
     diameter = 2.0 * p.radius
-    constant = math.exp(diameter**2) / math.factorial(p.k) ** 2
+    constant = math.exp(diameter**2) / math.factorial(p.k) / math.factorial(p.k)
     ratio = 0.0 if f_sq == 0 else u_sq / f_sq
     report = DiskReport(
         u_sq_on_disk=u_sq,

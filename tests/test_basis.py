@@ -222,3 +222,28 @@ def test_sqrt_norm_past_the_float_product():
     # inside the float range the direct product is kept bit for bit
     assert sqrt_norm(20, 30) == math.sqrt(math.pi * math.factorial(20) * math.factorial(30))
     assert sqrt_norm(400, 400) == math.inf
+
+
+def test_lower_and_raise_past_the_float_product():
+    # (160)_80² ≈ 4e331 overflows a float; its root (160)_80 ≈ 6.6e165 does not
+    want = float(math.perm(160, 80))
+    down = lower(80, HermiteCoeffs.basis_vector(160, 160, 1.0 + 0j, "orthonormal"))
+    assert down.entries[(80, 80)] == pytest.approx(want, rel=1e-14)
+    up = raise_(80, HermiteCoeffs.basis_vector(80, 80, 1.0 + 0j, "orthonormal"))
+    assert up.entries[(160, 160)] == pytest.approx(want, rel=1e-14)
+    # inside the float range the root of the product is kept bit for bit
+    small = lower(2, HermiteCoeffs.basis_vector(5, 7, 1.0 + 0j, "orthonormal"))
+    assert small.entries[(3, 5)] == math.sqrt(20 * 42)
+
+
+def test_to_raw_raises_where_a_raw_amplitude_leaves_float_range():
+    # √(π·180!·180!) is past float range
+    u = HermiteCoeffs({(0, 0): 1.0 + 0j, (180, 180): 0.5 + 0j}, "orthonormal")
+    with pytest.raises(ValueError, match=r"\(180, 180\)"):
+        u.to_raw()
+    # a finite norm, but 1/√(π·168!·168!) ≈ 1e−303 is under the pruning floor
+    with pytest.raises(ValueError, match=r"\(168, 168\)"):
+        HermiteCoeffs({(168, 168): 1.0 + 0j}, "orthonormal").to_raw()
+    # an amplitude below 2⁻⁵² of the largest is rounding and is pruned
+    raw = HermiteCoeffs({(0, 0): 1.0 + 0j, (168, 168): 1e-17 + 0j}, "orthonormal").to_raw()
+    assert list(raw.entries) == [(0, 0)]

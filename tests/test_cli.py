@@ -268,3 +268,73 @@ def test_emit_rejects_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         cli._emit({"report": {"u_norm": float("nan")}}, str(out))
     assert list(tmp_path.iterdir()) == []
+
+
+EMIT_PAYLOADS = [
+    {},
+    {"empty_list": [], "empty_object": {}, "nested": {"deeper": {}}},
+    {
+        "rows": [
+            {"m": 0, "n": 1, "re": 0.5, "im": -0.0},
+            {"m": 2, "n": 0, "re": 1e300, "im": 5e-324},
+        ]
+    },
+    {"outer": {"rows": [{"b": 1, "a": 2}]}, "lists": [[{"x": 1}], [], [[{"y": 2.5}]]]},
+    {"s": "},\n  {", "rows": [{"}, {": 1, 'a"b': 2.5, "é": 3}, {"z{": -4}]},
+    {"t": True, "f": False, "none": None, "rows": [{"flag": True, "v": 1}]},
+    {"mixed": [{"a": 1}, {}], "scalars": [1, 2.5, "x", None], "strings": [{"a": "b"}]},
+]
+
+
+@pytest.mark.parametrize("payload", EMIT_PAYLOADS)
+def test_emit_matches_json_dumps(tmp_path, payload):
+    out = tmp_path / "out.json"
+    cli._emit(payload, str(out))
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_matches_json_dumps_on_a_solution(tmp_path):
+    problem = write_problem(tmp_path / "p.json", k=2, c=(1.0, -1.0), truncation=12)
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "disk"])
+def test_solution_past_the_writable_index_exits_2(tmp_path, capsys, command):
+    # M + k = 171: √(π·171!·171!) is past float range, so u's raw block cannot be written
+    payload = {
+        "k": 1,
+        "c": {"re": 1.0, "im": 0.0},
+        "truncation": 170,
+        "f": {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
+        "radius": 1.0,
+    }
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    assert cli.run([command, "--input", str(problem), "--output", str(out)]) == 2
+    assert "index 171 > 170" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+def test_solution_at_the_writable_index_is_written(tmp_path):
+    problem = write_problem(tmp_path / "p.json", c=(1.0, 0.0), truncation=169)
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 0
+    keys = {(c["m"], c["n"]) for c in json.loads(out.read_text())["u"]["coeffs"]}
+    assert (0, 0) in keys
+
+
+def test_disk_node_counts_past_the_grid_bound_exit_2(tmp_path, capsys):
+    payload = {
+        "k": 1,
+        "radius": 1.0,
+        "radial_nodes": 100000,
+        "f": {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
+    }
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload))
+    assert cli.run(["disk", "--input", str(problem)]) == 2
+    assert "radial_nodes 100000" in json.loads(capsys.readouterr().err)["error"]

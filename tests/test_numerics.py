@@ -2,13 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from focksolve import HermiteCoeffs, QuadratureRule, project, synthesize
-from focksolve.basis import hermite_polynomial, norm_squared
+from focksolve.basis import hermite_polynomial, norm_squared, sqrt_norm
 from focksolve.numerics import (
+    DISK,
     GridSpec,
     QuadratureResolutionError,
     fd_residual_k1,
@@ -17,6 +19,56 @@ from focksolve.numerics import (
     quadrature_norm_sq,
 )
 from focksolve.solver import dense_data
+
+
+def reference_project(f, M, rule, check_parseval=False):
+    """The per-node projection: the walk over all R·A nodes, with no polar structure.
+
+    The reference of :func:`project`'s FFT in angle and walk over the radii;
+    it returns the Parseval defect without checking it.
+    """
+    z, w = rule.points_and_weights
+    fv = np.asarray(f(z), dtype=complex)
+    if rule.domain == DISK:
+        z = z - rule.center
+        w = w * np.exp(-np.real(z * np.conjugate(z)))
+    wf = w * fv
+    norm_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
+    coeffs = {}
+    mass = 0.0
+    for (m, n), h in hermite_lower_walk(M, z):
+        weight = math.pi * math.factorial(m) * math.factorial(n)
+        a = complex(np.sum(np.conjugate(h) * wf)) / weight
+        coeffs[(m, n)] = a
+        mass += weight * abs(a) ** 2
+        if m != n:
+            b = complex(np.sum(h * wf)) / weight
+            coeffs[(n, m)] = b
+            mass += weight * abs(b) ** 2
+    return HermiteCoeffs(coeffs, "raw"), (norm_sq - mass) / max(norm_sq, 1e-300)
+
+
+def reference_norm_sq(u, rule):
+    """Synthesize u on every node about the rule's centre, then sum w·|u|²."""
+    z, w = rule.points_and_weights
+    values = synthesize(u, z - rule.center)
+    return float(np.real(np.sum(w * values * np.conjugate(values))))
+
+
+# (rule, M): full plane and disk, each once with A ≤ 2M, where the angular sum aliases
+POLAR_CASES = [
+    (QuadratureRule.full_plane(30, 61), 20),
+    (QuadratureRule.full_plane(24, 17), 20),
+    (QuadratureRule.disk(1 + 1j, 1.0, 64, 64), 15),
+    (QuadratureRule.disk(-0.5j, 2.0, 48, 20), 18),
+]
+POLAR_IDS = ["plane", "plane-aliased", "disk", "disk-aliased"]
+
+
+def smooth_data(z):
+    """A polynomial plus a non-polynomial part, so that no rule integrates it exactly."""
+    polynomial = (0.3 - 1.1j) + 0.7 * z - 0.2j * np.conjugate(z) * z**2
+    return polynomial + np.exp(-0.4 * z.real) * np.cos(z.imag)
 
 
 def eval_table(M, z):
@@ -95,6 +147,38 @@ def test_project_examples():
     got, _ = project(lambda z: z**2 * np.conjugate(z), 4, rule)
     assert got.entries[(1, 0)] == pytest.approx(2.0, rel=1e-12)
     assert got.entries[(2, 1)] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("rule, M", POLAR_CASES, ids=POLAR_IDS)
+def test_project_matches_per_node_reference(rule, M):
+    got, defect = project(smooth_data, M, rule, check_parseval=False)
+    want, want_defect = reference_project(smooth_data, M, rule)
+    assert set(got.entries) == set(want.entries)
+    ortho = {key: amp * sqrt_norm(*key) for key, amp in want.entries.items()}
+    scale = max(map(abs, ortho.values()))
+    for key, amp in got.entries.items():
+        assert abs(amp * sqrt_norm(*key) - ortho[key]) <= 1e-14 * scale
+    assert abs(defect - want_defect) <= 1e-14
+
+
+@pytest.mark.parametrize("rule, M", POLAR_CASES, ids=POLAR_IDS)
+def test_quadrature_norm_sq_matches_synthesis(rule, M):
+    u = dense_data(random.Random(M), M)
+    exact = HermiteCoeffs({(1, 0): 2, (0, 3): Fraction(-1, 3), (M, M - 1): 1}, "raw")
+    for v in (u, u.to_raw(), exact):
+        want = reference_norm_sq(v, rule)
+        assert quadrature_norm_sq(v, rule) == pytest.approx(want, rel=1e-13)
+    assert quadrature_norm_sq(HermiteCoeffs.zero(), rule) == 0.0
+
+
+def test_polar_structure_builds_the_nodes():
+    rule = QuadratureRule.disk(1 - 2j, 1.5, 5, 7)
+    r, wr = rule.polar
+    z, w = rule.points_and_weights
+    theta = 2 * math.pi * np.arange(7) / 7
+    assert np.array_equal(z.reshape(5, 7), (1 - 2j) + r[:, None] * np.exp(1j * theta))
+    assert np.array_equal(w.reshape(5, 7), np.repeat(wr[:, None], 7, axis=1))
+    assert not (r.flags.writeable or wr.flags.writeable)
 
 
 def test_project_detects_under_resolution():

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
+from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
 from focksolve.solver import _min_norm_bidiagonal, _solve_chain_exact, dense_data  # noqa: E402
 from test_solver import assert_matches_reference, chain_length, chain_origins  # noqa: E402
 
@@ -158,3 +159,34 @@ def test_fuzzed_problem_files_exit_0_1_or_2(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("fuzz") / "problem.json"
     path.write_text(text)
     assert cli.run([command, "--input", str(path), "--output", str(path.with_suffix(".out"))]) in (0, 1, 2)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 300), st.integers(0, 300)),
+        st.complex_numbers(min_magnitude=1e-20, max_magnitude=1e20),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_raw_orthonormal_round_trip_or_raise(entries):
+    # to_raw either round-trips every amplitude above 2⁻⁵² of the largest, or
+    # raises naming an index whose raw amplitude a float cannot hold: its norm
+    # √(π·m!·n!) is inf, or the quotient of a non-negligible amplitude underflows
+    u = HermiteCoeffs(entries, "orthonormal")
+    floor = max(map(abs, entries.values())) * 2.0**-52
+    unheld = {
+        key
+        for key, amp in entries.items()
+        if abs(amp) / sqrt_norm(*key) < 1e-300 and (sqrt_norm(*key) == math.inf or abs(amp) >= floor)
+    }
+    try:
+        back = u.to_raw().to_orthonormal()
+    except ValueError as exc:
+        assert any(f"({m}, {n})" in str(exc) for m, n in unheld)
+        return
+    assert not unheld
+    for key, amp in entries.items():
+        if abs(amp) >= floor:
+            assert back.entries[key] == pytest.approx(amp, rel=1e-13)

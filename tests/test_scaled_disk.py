@@ -1,11 +1,15 @@
 """Scaled-weight and bounded-domain (disk) solve variants."""
 
+import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from focksolve import (
     DiskProblem,
+    ExactScalar,
     HermiteCoeffs,
     PolyZZbar,
     ProblemSpec,
@@ -14,7 +18,10 @@ from focksolve import (
     solve_disk,
     solve_scaled,
 )
+from focksolve import solver
 from focksolve.numerics import QuadratureResolutionError
+from focksolve.solver import DISK_GRID_CELLS
+from test_numerics import reference_norm_sq, reference_project
 
 
 def base_spec(k=1, c=0j, truncation=16, f=None):
@@ -134,3 +141,91 @@ def test_disk_off_center():
     assert rep.bound_holds
     assert rep.f_sq_on_disk == pytest.approx(math.pi * 0.25, rel=1e-10)
     assert rep.bound_constant == pytest.approx(math.exp(1.0))
+
+
+def test_scaled_solve_at_k_100():
+    # (k!)² = (100!)² is past float range; the constant is a subnormal 1/(100!)²
+    f = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j, "orthonormal")
+    _, rep = solve_scaled(ScaledProblem(lam=1.0, z0=0j, base=base_spec(k=100, truncation=100, f=f)))
+    want = Fraction(1, math.factorial(100) ** 2)
+    assert rep.bound_constant_sq == pytest.approx(float(want), rel=1e-6)
+    # f = H₀₀ at c = 0 attains the bound: the subnormal sides are equal to rounding
+    assert rep.sq_norm_ratio == pytest.approx(rep.bound_constant_sq, rel=1e-6)
+    assert rep.bound_holds and rep.base_report.bound_ratio == pytest.approx(1.0, rel=1e-12)
+
+
+def test_disk_solve_at_k_100():
+    # (100!)² is past float range.  u = a·H_{100,100} with a ≈ 1/100!, so on a
+    # wide disk ∫_U|u|² stays a normal float; |u|²·r has degree 401 in r.
+    p = DiskProblem(
+        0j, 13.0, PolyZZbar.constant(1), 100, 0j, 100, radial_nodes=256, angular_nodes=8
+    )
+    _, rep = solve_disk(p)
+    want = Fraction(math.exp(26.0**2)) / math.factorial(100) ** 2
+    assert rep.bound_constant == pytest.approx(float(want), rel=1e-14)
+    assert rep.bound_holds and rep.resolution_shift <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "radial, angular", [(100000, 64), (64, 10**7), (0, 64), (64, 0), (724, 1), (513, 512)]
+)
+def test_disk_rejects_node_counts_past_the_grid_bound(radial, angular):
+    # rejected in the constructor, before any rule or companion matrix exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="radial_nodes"):
+            DiskProblem(
+                center=0j,
+                radius=1.0,
+                f_poly=PolyZZbar.constant(1),
+                k=1,
+                c=0j,
+                radial_nodes=radial,
+                angular_nodes=angular,
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_disk_grid_bound_admits_its_edge():
+    p = DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, 0j, radial_nodes=512, angular_nodes=512)
+    assert 4 * 512 * 512 + 4 * 512**2 == DISK_GRID_CELLS
+    assert p.radial_nodes == 512
+
+
+def test_disk_reports_match_per_node_reference(monkeypatch):
+    # the polar project and quadrature_norm_sq against the per-node walk and synthesis
+    poly = PolyZZbar(
+        {
+            (0, 0): ExactScalar(Fraction(1, 2), Fraction(-1)),
+            (1, 0): ExactScalar(Fraction(3, 4)),
+            (1, 1): ExactScalar(0, Fraction(-5, 4)),
+            (0, 2): ExactScalar(Fraction(1, 4), Fraction(1, 4)),
+        }
+    )
+    cases = [
+        DiskProblem(0.5 - 0.25j, 1.0, poly, 1, 1 + 0j, truncation=16),
+        DiskProblem(-1 + 1j, 0.8, poly, 2, 1j, truncation=20, radial_nodes=48, angular_nodes=40),
+    ]
+    for p in cases:
+        u, rep = solve_disk(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "project", reference_project)
+            patch.setattr(solver, "quadrature_norm_sq", reference_norm_sq)
+            want_u, want = solve_disk(p)
+        assert set(u.entries) == set(want_u.entries)
+        got, exp = dataclasses.asdict(rep), dataclasses.asdict(want)
+        got.update({f"base.{k}": v for k, v in got.pop("base_report").items()})
+        exp.update({f"base.{k}": v for k, v in exp.pop("base_report").items()})
+        f_norm = exp["base.f_norm"]
+        for name, value in exp.items():
+            if name == "resolution_shift":
+                # a rounding-level difference of two integrals
+                assert abs(got[name] - value) <= 1e-14, name
+            elif name == "base.residual_norm":
+                # rounding of the solve, at 1e−16 of f_norm
+                assert abs(got[name] - value) <= 1e-14 * f_norm, name
+            else:
+                assert got[name] == pytest.approx(value, rel=1e-12), name

@@ -602,15 +602,11 @@ def test_min_pivot_is_k_factorial_at_c0(k):
     assert rep.min_pivot == math.factorial(k)
 
 
-def independent_residual(k, c, M, f, u):
-    """Weighted residual of (∂^k∂̄^k + c)u − f over the box, couplings as √(m+k)_k·√(n+k)_k."""
-    values = []
-    for m in range(M + 1):
-        for n in range(M + 1):
-            upper = u.entries.get((m + k, n + k), 0j)
-            coupling = math.sqrt(math.perm(m + k, k)) * math.sqrt(math.perm(n + k, k))
-            values.append(c * u.entries.get((m, n), 0j) - f.entries.get((m, n), 0j) + coupling * upper)
-    return _norm(values)
+def box_residual(k, c, M, f, u):
+    """Weighted residual of (∂^k∂̄^k + c)u − f over the box, through apply_operator."""
+    lu = apply_operator(k, c, u)
+    keys = {key for key in set(lu.entries) | set(f.entries) if max(key) <= M}
+    return _norm(lu.entries.get(key, 0j) - f.entries.get(key, 0j) for key in keys)
 
 
 @pytest.mark.parametrize("k, c", [(80, 1 + 0j), (120, 1j)])
@@ -619,8 +615,17 @@ def test_solve_large_k(k, c):
     f = dense_f(k, k, 10)
     u, rep = solve(ProblemSpec(k=k, c=c, truncation=k, f=f))
     assert rep.bound_ratio <= 1 + 1e-10
-    assert independent_residual(k, c, k, f, u) <= 1e-10 * rep.f_norm
+    assert box_residual(k, c, k, f, u) <= 1e-10 * rep.f_norm
     assert rep.residual_norm <= 1e-10 * rep.f_norm
+
+
+def test_to_raw_of_a_solution_past_index_170_raises():
+    # library solves stay unbounded; only the raw rescaling has to refuse
+    f = HermiteCoeffs.basis_vector(180, 180, 1.0 + 0j, "orthonormal")
+    u, _ = solve(ProblemSpec(k=1, c=1 + 0j, truncation=200, f=f))
+    assert len(u.entries) == 21
+    with pytest.raises(ValueError, match="leaves the float range"):
+        u.to_raw()
 
 
 @pytest.mark.parametrize("k, M", [(170, 170), (171, 171), (200, 200), (30, 10**11)])
