@@ -163,6 +163,13 @@ class HermiteCoeffs:
     def basis_vector(cls, m: int, n: int, amplitude=1, normalization: str = RAW) -> "HermiteCoeffs":
         return cls({(m, n): amplitude}, normalization)
 
+    @classmethod
+    def _trusted(cls, entries: dict, normalization: str) -> "HermiteCoeffs":
+        """Wrap ``entries`` unchecked: int-tuple keys, finite complex amplitudes of size ≥ 1e−300."""
+        self = cls.__new__(cls)
+        self.entries, self.normalization, self.exact = entries, normalization, False
+        return self
+
     # ---- structure ----------------------------------------------------------
 
     def max_index(self) -> BasisIndex:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
@@ -51,6 +51,15 @@ PARSEVAL_TOL = 1e-6
 
 class QuadratureResolutionError(ValueError):
     """Raised when a quadrature rule is too coarse for the requested data."""
+
+
+@lru_cache(maxsize=8)
+def _legendre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss–Legendre nodes and weights on [−1, 1], computed once per node count."""
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    wx.setflags(write=False)
+    return x, wx
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ class QuadratureRule:
             t, wt = np.polynomial.laguerre.laggauss(self.radial_nodes)
             r, w = np.sqrt(t), wt * (math.pi / self.angular_nodes)
         else:
-            x, wx = np.polynomial.legendre.leggauss(self.radial_nodes)
+            x, wx = _legendre(self.radial_nodes)
             r = 0.5 * self.radius * (x + 1.0)
             w = 0.5 * self.radius * wx * r * (2.0 * math.pi / self.angular_nodes)
         r.setflags(write=False)

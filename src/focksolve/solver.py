@@ -30,6 +30,8 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +67,11 @@ CERTIFICATION_C_GRID = (
 #: rule uses 32,768; the bound admits R = A = 512, and R up to 723 with few angles.
 DISK_GRID_CELLS = 2**21
 
+#: Box cells a certification or probe trial may allocate: it draws (M − k + 1)²
+#: data entries and lays out (chains × (M//k + 1)), about 2·(M + 1)² cells, so
+#: (M + 1)² is bounded; that admits truncations up to M = 1447.
+SWEEP_BOX_CELLS = 2**21
+
 ExactLike = Union[int, Fraction, ExactScalar]
 
 
@@ -91,6 +98,10 @@ class ProblemSpec:
 
     def validate(self) -> HermiteCoeffs:
         """Check the problem; return f in orthonormal amplitudes, each one finite."""
+        return self._checked()[0]
+
+    def _checked(self) -> Tuple[HermiteCoeffs, np.ndarray]:
+        """:meth:`validate`, plus the keys of the returned f as one (entries × 2) array."""
         if not _finite(self.c):
             raise ValueError(f"shift c = {self.c} is not finite")
         if self.k < 1:
@@ -104,18 +115,25 @@ class ProblemSpec:
                 f"exceed the float range"
             )
         margin = self.truncation - self.k
-        for m, n in self.f.entries:
-            if m > margin or n > margin:
-                raise ValueError(
-                    f"f has support at index ({m},{n}) outside the certified box "
-                    f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
-                )
+        try:
+            index = _indices(self.f.entries)
+            outside = (index > margin).any(axis=1)
+        except OverflowError:  # an index past int64 is outside every box
+            outside = [max(key) > margin for key in self.f.entries]
+        if np.any(outside):
+            m, n = list(self.f.entries)[int(np.argmax(outside))]
+            raise ValueError(
+                f"f has support at index ({m},{n}) outside the certified box "
+                f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
+            )
         # HermiteCoeffs rejects non-finite amplitudes; an exact amplitude can
         # still overflow on its way to a float
         try:
-            return self.f.to_orthonormal()
+            f = self.f.to_orthonormal()
         except OverflowError as exc:
             raise ValueError(f"f has an amplitude that overflows a float: {exc}") from None
+        # an exact amplitude under the pruning floor drops out of the rescaled f
+        return f, index if len(f.entries) == len(index) else _indices(f.entries)
 
 
 @dataclass
@@ -188,7 +206,7 @@ def _min_norm_bidiagonal(
 
     Orthogonal factorization of the bidiagonal constraint matrix with Givens
     rotations; O(L) and backward stable, no normal equations formed.  The
-    scalar oracle of :func:`_lockstep_min_norm`.
+    scalar oracle of :func:`_factor` and :func:`_lockstep_apply`.
     """
     L = len(rhs)
     if L == 1:
@@ -256,7 +274,20 @@ def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
     return np.array([float(p) if p <= sys.float_info.max else math.inf for p in perms])
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _indices(entries) -> np.ndarray:
+    """The (m, n) keys of ``entries`` as one (entries × 2) int64 array."""
+    return np.fromiter(chain.from_iterable(entries), np.int64, 2 * len(entries)).reshape(-1, 2)
+
+
+@lru_cache(maxsize=4)
 def _layout(k: int, M: int) -> _Chains:
+    """The chains of (k, M), read-only and kept for the last few (k, M)."""
     grid = np.arange(M + 1)
     m0, n0 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
     origin = (m0 < k) | (n0 < k)
@@ -276,7 +307,7 @@ def _layout(k: int, M: int) -> _Chains:
     # past float range the product overflows before its root
     wide = couplings == math.inf
     couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
-    return _Chains(m, n, lengths, eqs, steps <= lengths[:, None], couplings)
+    return _Chains(*_read_only(m, n, lengths, eqs, steps <= lengths[:, None], couplings))
 
 
 def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> np.ndarray:
@@ -305,23 +336,33 @@ def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> 
     return np.where(acc > 1e300, math.inf, acc)
 
 
-def _lockstep_min_norm(c: complex, eqs: np.ndarray, sa: np.ndarray, rhs: np.ndarray):
-    """:func:`_min_norm_bidiagonal` for every chain at once, one column per step.
+@lru_cache(maxsize=1)
+def _factor(k: int, c_hex: Tuple[str, str], M: int) -> tuple:
+    """What a solve of (k, c, M) needs before it sees data, every array read-only.
 
-    Row p solves c·u_j + sa[p, j]·u_{j+1} = rhs[p, j] for j < L_p in the
-    unknowns u_0..u_{L_p}, with L_p = eqs[p].sum().  Past a row's last
-    equation the rotations are the identity (g = 1, s = 0, r = 1) and the
-    data zero, so the padding stays zero.  Complex values are held as
-    (real, imaginary) pairs along axis −2 and combined by the formulas of
-    Python's complex arithmetic, and the pivots come from math.hypot, so
-    every row rounds as the scalar oracle does.  Returns the real and
-    imaginary parts of the (P, W + 1) solutions and the (P, W) pivots r.
+    Returns the chains, √(1 + τ) (each edge coupling's divisor), √(τ/(1 + τ))
+    (the tail's part of the edge size), the smallest pivot and the Givens
+    factor that :func:`_lockstep_apply` reads: :func:`_min_norm_bidiagonal`'s
+    for every chain at once, one column per step, with identity rotations
+    (g = 1, s = 0, r = 1) past a row's last equation.  Complex values are
+    (real, imaginary) pairs along axis −2, combined by the formulas of
+    Python's complex arithmetic, and the pivots come from math.hypot, so every
+    row rounds as the scalar oracle does.  Only the last (k, c, M) is kept; c
+    is keyed by the ``float.hex`` of its parts, so that shifts apart only in
+    the sign of a zero never share an entry.
     """
+    c = complex(*map(float.fromhex, c_hex))
+    chains = _layout(k, M)
+    ids, edge = np.arange(len(chains.lengths)), chains.lengths
+    tau = _tail_weights(chains.m[ids, edge], chains.n[ids, edge], k, abs(c) * abs(c))
+    damp = np.sqrt(1.0 + tau)
+    share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
+    sa = chains.couplings.copy()
+    sa[ids, edge - 1] /= damp
     # longest chains first, so that the chains still running at step j are
     # the first live[j] rows; (W, P) layout, so that a step reads contiguous rows
-    order = np.argsort(-eqs.sum(axis=1), kind="stable")
-    eqs, sa = eqs[order].T, np.ascontiguousarray(sa[order].T)
-    rhs = np.stack([rhs[order].real.T, rhs[order].imag.T], axis=1)
+    order = np.argsort(-chains.lengths, kind="stable")
+    eqs, sa = chains.eqs[order].T, np.ascontiguousarray(sa[order].T)
     live = eqs.sum(axis=1)
     width, rows = eqs.shape
     flip = np.array([[-1.0], [1.0]])  # (x, y) ↦ (−x, y), applied to swapped pairs
@@ -342,17 +383,27 @@ def _lockstep_min_norm(c: complex, eqs: np.ndarray, sa: np.ndarray, rhs: np.ndar
     sup = s[:-1] * eqs[1:]
     sup_re, sup_im = (sup * cr)[:, None], -(sup * ci)[:, None]
     sup_swap = sup_im * flip  # conj(sup)·y = sup_re·y + sup_swap·swap(y)
+    g_re = g[:, :1].copy()
+    g_swap = g[:, 1:] * -flip  # (g_im, −g_im): conj(g)·p = g_re·p + g_swap·swap(p)
+    kernel = _read_only(order, np.argsort(order), r, s, sup_re, sup_swap, g_re, g_swap)
+    return chains, *_read_only(damp, np.sqrt(share)), float(r[eqs].min()), kernel
+
+
+def _lockstep_apply(kernel: tuple, rhs: np.ndarray):
+    """Solve every row for the (P, W) right-hand sides: the real and imaginary (P, W + 1) u."""
+    order, back, r, s, sup_re, sup_swap, g_re, g_swap = kernel
+    rhs = np.stack([rhs[order].real.T, rhs[order].imag.T], axis=1)
+    width, rows = r.shape
     # forward substitution R^H y = rhs
     y = np.empty((width, 2, rows))
     prev = np.divide(rhs[0], r[0], out=y[0])
     for y_j, rhs_j, t_re, t_swap, r_j in zip(y[1:], rhs[1:], sup_re, sup_swap, r[1:]):
         prev = np.divide(rhs_j - (t_re * prev + t_swap * prev[::-1]), r_j, out=y_j)
     # u = Q [y; 0]: the conjugated rotations in reverse order; p is u_{j+1}.
-    # The products with y need no earlier step and are taken all at once.
-    g_re = g[:, :1]
-    g_swap = g[:, 1:] * -flip  # (g_im, −g_im): conj(g)·p = g_re·p + g_swap·swap(p)
+    # The products with y need no earlier step and are taken all at once;
+    # g·y = g_re·y − g_swap·swap(y).
     sy = s[:, None] * y
-    gy = g_re * y + g[:, 1:] * flip * y[:, ::-1]
+    gy = g_re * y - g_swap * y[:, ::-1]
     u = np.empty((width + 1, 2, rows))
     p = np.zeros((2, rows))
     steps = zip(u[:0:-1], sy[::-1], g_re[::-1], g_swap[::-1], gy[::-1], s[::-1])
@@ -360,8 +411,7 @@ def _lockstep_min_norm(c: complex, eqs: np.ndarray, sa: np.ndarray, rhs: np.ndar
         np.add(sy_j, g_re_j * p + g_swap_j * p[::-1], out=u_next)
         p = gy_j - s_j * p
     u[0] = p
-    back = np.argsort(order)
-    return u[:, 0].T[back], u[:, 1].T[back], r.T[back]
+    return u[:, 0].T[back], u[:, 1].T[back]
 
 
 def _norm(values) -> float:
@@ -377,20 +427,19 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     infinite system.  Its tail past the box has mass |u_L|²·τ, so the
     infinite problem is the finite one in u_0..u_{L−1} and v = √(1+τ)·u_L,
     with the edge coupling divided by √(1+τ).  All chains are solved
-    together as the rows of one array (:func:`_lockstep_min_norm`).  The
-    coefficients hold the box plus the one edge entry per chain that the
+    together as the rows of one array, factored once per (k, c, M)
+    (:func:`_factor`) and applied to each data set.  The coefficients hold the box plus the one edge entry per chain that the
     box equations see.  The residual is reported over the box equations,
     ``u_norm`` is the norm of the whole infinite-chain solution and
     ``tail_estimate`` the norm of its part past the stored entries.  Rows
     share no arithmetic, so no output bit depends on the chain order.
     """
-    f = spec.validate()
+    f, index = spec._checked()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
-    chains = _layout(k, M)
+    chains, damp, tail_share, min_pivot, kernel = _factor(k, (c.real.hex(), c.imag.hex()), M)
     box, stored = chains.eqs, chains.stored
-    rows = np.arange(len(chains.lengths))
-    edge = chains.lengths
+    rows, edge = np.arange(len(chains.lengths)), chains.lengths
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
@@ -398,18 +447,13 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     data = np.empty_like(amps)
     data.real, data.imag = amps.real / sqrt_pi, amps.imag / sqrt_pi
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
-    dense[[m * (M + 2) + n for m, n in f.entries]] = data
+    dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     dense = dense.reshape(M + 2, M + 2)
     rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
 
-    tau = _tail_weights(chains.m[rows, edge], chains.n[rows, edge], k, abs(c) * abs(c))
-    damp = np.sqrt(1.0 + tau)
-    sa = chains.couplings.copy()
-    sa[rows, edge - 1] /= damp
-    u_re, u_im, pivots = _lockstep_min_norm(c, box, sa, rhs)
+    u_re, u_im = _lockstep_apply(kernel, rhs)
     sizes = np.hypot(u_re, u_im)
-    share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
-    tails = sizes[rows, edge] * np.sqrt(share)
+    tails = sizes[rows, edge] * tail_share
     u_norm = _norm(sizes[stored].tolist()) * sqrt_pi
     u_re[rows, edge] /= damp
     u_im[rows, edge] /= damp
@@ -419,10 +463,16 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    keep = stored & (sizes >= 1e-300)
+    keep = stored & ~(sizes < 1e-300)  # NaN is kept, to be refused below
     values = np.empty(np.count_nonzero(keep), dtype=complex)
     values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
-    keys = zip(chains.m[keep].tolist(), chains.n[keep].tolist())
+    keys = list(zip(chains.m[keep].tolist(), chains.n[keep].tolist()))
+    # the HermiteCoeffs guarantee, checked at once: every |amplitude| finite
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.abs(values))
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
 
     f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
@@ -435,9 +485,9 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
         truncation=M,
         chain_count=len(rows),
         tail_estimate=_norm(tails.tolist()) * sqrt_pi,
-        min_pivot=float(pivots[box].min()),
+        min_pivot=min_pivot,
     )
-    return HermiteCoeffs(zip(keys, values.tolist()), ORTHONORMAL), report
+    return HermiteCoeffs._trusted(dict(zip(keys, values.tolist())), ORTHONORMAL), report
 
 
 def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
@@ -448,6 +498,15 @@ def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
         for n in range(margin + 1)
     }
     return HermiteCoeffs(entries, ORTHONORMAL)
+
+
+def _check_sweep_box(M: int) -> None:
+    """Reject a truncation past :data:`SWEEP_BOX_CELLS` before any trial allocates."""
+    if (M + 1) ** 2 > SWEEP_BOX_CELLS:
+        raise ValueError(
+            f"truncation {M} gives (M + 1)² = {(M + 1) ** 2} box cells, "
+            f"more than {SWEEP_BOX_CELLS}"
+        )
 
 
 def operator_norm_probe(
@@ -461,6 +520,7 @@ def operator_norm_probe(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_sweep_box(M)
     rng = random.Random(seed)
     best = 0.0
     for trial in range(trials):
@@ -482,6 +542,11 @@ def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> Lis
     Each row holds the cell, its worst ratio and residual, and whether every
     trial kept the bound and a relative residual ≤ 1e−10.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if k_min > k_max:
+        raise ValueError(f"k_min {k_min} is above k_max {k_max}: no k to certify")
+    _check_sweep_box(M)
     rng = random.Random(f"certify:{seed}")
     rows = []
     for k in range(k_min, k_max + 1):

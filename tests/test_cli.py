@@ -338,3 +338,20 @@ def test_disk_node_counts_past_the_grid_bound_exit_2(tmp_path, capsys):
     problem.write_text(json.dumps(payload))
     assert cli.run(["disk", "--input", str(problem)]) == 2
     assert "radial_nodes 100000" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--trials", "0"], "trials must be at least 1"),
+        (["certify", "--k-min", "3", "--k-max", "1"], "k_min 3 is above k_max 1"),
+        (["certify", "--truncation", "1448"], "truncation 1448"),
+        (["probe", "--k", "1", "--truncation", "1448"], "truncation 1448"),
+    ],
+)
+def test_sweeps_without_work_or_past_the_box_bound_exit_2(tmp_path, capsys, argv, message):
+    # no trial, no k, or a box past SWEEP_BOX_CELLS: an error, never an empty pass
+    out = tmp_path / "o.json"
+    assert cli.run(argv + ["--output", str(out)]) == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()

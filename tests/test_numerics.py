@@ -15,6 +15,7 @@ from focksolve.numerics import (
     QuadratureResolutionError,
     fd_residual_k1,
     fd_residual_rows,
+    _legendre,
     hermite_lower_walk,
     quadrature_norm_sq,
 )
@@ -291,3 +292,21 @@ def test_disk_rule_integrates_area():
     assert float(np.sum(w)) == pytest.approx(math.pi * 4.0, rel=1e-12)
     # centered first moment vanishes
     assert complex(np.sum(w * (z - (1 + 1j)))) == pytest.approx(0j, abs=1e-12)
+
+
+def test_legendre_rule_is_computed_once_per_node_count(monkeypatch):
+    _legendre.cache_clear()
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    a = QuadratureRule.disk(0j, 1.0, 24, 8)
+    b = QuadratureRule.disk(1 + 1j, 2.5, 24, 16)
+    assert a.polar[0].tolist() == [0.5 * (x + 1.0) for x in leggauss(24)[0].tolist()]
+    b.polar, QuadratureRule.disk(0j, 1.0, 12, 8).polar
+    assert calls == [24, 12] and _legendre.cache_info().hits == 1
+    # the two rules of R = 24 share one read-only pair
+    x, wx = _legendre(24)
+    assert _legendre(24)[0] is x
+    for array in (x, wx):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0

@@ -19,7 +19,7 @@ from focksolve import (
     solve_scaled,
 )
 from focksolve import solver
-from focksolve.numerics import QuadratureResolutionError
+from focksolve.numerics import QuadratureResolutionError, _legendre
 from focksolve.solver import DISK_GRID_CELLS
 from test_numerics import reference_norm_sq, reference_project
 
@@ -229,3 +229,14 @@ def test_disk_reports_match_per_node_reference(monkeypatch):
                 assert abs(got[name] - value) <= 1e-14 * f_norm, name
             else:
                 assert got[name] == pytest.approx(value, rel=1e-12), name
+
+
+def test_disk_reports_do_not_depend_on_cached_rules_or_factors():
+    p = DiskProblem(0.5 - 0.25j, 1.0, PolyZZbar.var_z(), 2, 1j, truncation=16, radial_nodes=32)
+    u, rep = solve_disk(p)
+    _legendre.cache_clear()
+    solver._factor.cache_clear()
+    solver._layout.cache_clear()
+    cold_u, cold = solve_disk(p)
+    assert repr(dataclasses.asdict(rep)) == repr(dataclasses.asdict(cold))
+    assert list(u.entries.items()) == list(cold_u.entries.items())

@@ -2,15 +2,28 @@
 
 import math
 import random
+import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from focksolve import ExactScalar, HermiteCoeffs, ProblemSpec, cli, operator_norm_probe, solve
+from focksolve import (
+    ExactScalar,
+    HermiteCoeffs,
+    ProblemSpec,
+    certify_sweep,
+    cli,
+    operator_norm_probe,
+    solve,
+    solver,
+)
 from focksolve.basis import apply_operator
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
+    SWEEP_BOX_CELLS,
+    _factor,
     _layout,
     _min_norm_bidiagonal,
     _norm,
@@ -644,3 +657,106 @@ def test_cli_large_k_exits_2(tmp_path, capsys):
     assert cli.run(["solve", "--input", str(problem), "--output", str(out)]) == 2
     assert "k = 200" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the factor of (k, c, M), shared by the solves that come after it
+
+
+def bits(solution):
+    """Every bit of a solve's output: the coefficients in order and the report fields."""
+    u, rep = solution
+    floats = [x.hex() if isinstance(x, float) else x for x in astuple(rep)]
+    return [(key, v.real.hex(), v.imag.hex()) for key, v in u.entries.items()], floats
+
+
+def cold_solve(spec):
+    _factor.cache_clear()
+    _layout.cache_clear()
+    return solve(spec)
+
+
+def test_solve_is_independent_of_the_solves_before_it():
+    a = ProblemSpec(k=1, c=1 + 1j, truncation=16, f=dense_f(1, 16, 1))
+    same_factor = ProblemSpec(k=1, c=1 + 1j, truncation=16, f=dense_f(1, 16, 2))
+    other_c = ProblemSpec(k=1, c=-10j, truncation=16, f=dense_f(1, 16, 3))
+    other_k_m = ProblemSpec(k=3, c=1e6 + 0j, truncation=24, f=dense_f(3, 24, 4))
+    cold = {id(spec): bits(cold_solve(spec)) for spec in (a, same_factor, other_c, other_k_m)}
+    for spec in (a, same_factor, a, other_c, a, other_k_m, same_factor, a, a):
+        assert bits(solve(spec)) == cold[id(spec)]
+        assert_matches_reference(spec)
+
+
+def test_shifts_apart_only_in_the_sign_of_zero_share_no_factor():
+    f = dense_f(2, 12, 5)
+    specs = [ProblemSpec(k=2, c=c, truncation=12, f=f) for c in (0j, complex(0, -0.0))]
+    cold = [bits(cold_solve(spec)) for spec in specs]
+    misses = _factor.cache_info().misses
+    assert [bits(solve(spec)) for spec in specs + specs] == cold + cold
+    assert _factor.cache_info().misses == misses + 4
+
+
+def test_cached_arrays_are_read_only():
+    solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
+    chains, damp, tail_share, _, kernel = _factor(2, ((1.0).hex(), (1.0).hex()), 10)
+    arrays = [*chains, damp, tail_share, *kernel]
+    assert chains is _layout(2, 10) and len(arrays) == 16
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("part", [(math.inf, 0.0), (math.nan, 0.0), (1.5e308, 1.5e308)])
+def test_a_non_finite_solution_amplitude_raises(monkeypatch, part):
+    # as the HermiteCoeffs constructor raises on the same amplitude
+    apply = solver._lockstep_apply
+
+    def broken(factor, rhs):
+        u_re, u_im = apply(factor, rhs)
+        u_re[0, 0], u_im[0, 0] = (x / math.sqrt(math.pi) for x in part)
+        return u_re, u_im
+
+    monkeypatch.setattr(solver, "_lockstep_apply", broken)
+    with pytest.raises(ValueError) as raised:
+        solve(ProblemSpec(k=1, c=1 + 1j, truncation=8, f=unit_f()))
+    value = complex(*(x / math.sqrt(math.pi) * math.sqrt(math.pi) for x in part))
+    with pytest.raises(ValueError) as constructed:
+        HermiteCoeffs({(0, 0): value}, "orthonormal")
+    assert str(raised.value) == str(constructed.value)
+
+
+def test_solve_rejects_an_index_past_int64():
+    f = HermiteCoeffs({(0, 0): 1.0 + 0j, (10**30, 0): 1.0 + 0j}, "orthonormal")
+    with pytest.raises(ValueError, match=r"index \(10{30},0\) outside the certified box"):
+        solve(ProblemSpec(k=1, c=0j, truncation=8, f=f))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: certify_sweep(1, 1, 1, 1448, 0),
+        lambda: operator_norm_probe(1, 0j, 1, M=1448),
+        lambda: certify_sweep(1, 1, 1, 10**9, 0),
+    ],
+)
+def test_sweeps_reject_a_box_past_the_bound(sweep):
+    # rejected before any data or layout exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="box cells"):
+            sweep()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_sweep_box_bound_admits_its_edge():
+    assert (1447 + 1) ** 2 <= SWEEP_BOX_CELLS < (1448 + 1) ** 2
+    solver._check_sweep_box(1447)
+
+
+@pytest.mark.parametrize("trials, k_min, k_max", [(0, 1, 2), (-1, 1, 2), (1, 3, 1)])
+def test_certify_sweep_rejects_an_empty_sweep(trials, k_min, k_max):
+    with pytest.raises(ValueError):
+        certify_sweep(k_min, k_max, trials, 8, 0)
