@@ -12,8 +12,7 @@ two shifts are what make the solver's chain decomposition possible.
 Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
 
 * the exact context stores raw amplitudes (multiplying H_{m,n}) as
-  :class:`~focksolve.ring.ExactScalar` values, and every inner product is a
-  rational multiple of π, tracked symbolically via :class:`PiScaled`;
+  :class:`~focksolve.ring.ExactScalar` values;
 * the numeric context stores orthonormal amplitudes (multiplying
   H_{m,n}/√(π·m!·n!)) as complex floats, which keeps stored magnitudes O(1);
   raw float amplitudes under/overflow once indices reach ≈ 85.
@@ -61,41 +60,6 @@ def hermite_polynomial(idx: BasisIndex) -> PolyZZbar:
         coeff = (-1) ** r * math.factorial(r) * math.comb(m, r) * math.comb(n, r)
         terms[(m - r, n - r)] = coeff
     return PolyZZbar(terms)
-
-
-class PiScaled:
-    """A value of the form coeff · π^pi_exponent.
-
-    In the exact context ``coeff`` is an :class:`ExactScalar` (or Fraction)
-    and π is never numerically expanded; comparisons reduce to exact rational
-    comparisons when the exponents match.  In the numeric context ``coeff``
-    is a float or complex and :meth:`value` gives the usual number.
-    """
-
-    __slots__ = ("coeff", "pi_exponent")
-
-    def __init__(self, coeff, pi_exponent: int = 1):
-        self.coeff = coeff
-        self.pi_exponent = pi_exponent
-
-    def value(self):
-        """Float (or complex) value, expanding π numerically."""
-        c = self.coeff
-        if isinstance(c, ExactScalar):
-            c = c.to_complex()
-            if c.imag == 0:
-                c = c.real
-        elif isinstance(c, Fraction):
-            c = float(c)
-        return c * math.pi**self.pi_exponent
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiScaled):
-            return NotImplemented
-        return self.pi_exponent == other.pi_exponent and self.coeff == other.coeff
-
-    def __repr__(self) -> str:
-        return f"({self.coeff!r})*pi^{self.pi_exponent}"
 
 
 class HermiteCoeffs:
@@ -244,17 +208,18 @@ class HermiteCoeffs:
 def to_hermite(p: PolyZZbar) -> HermiteCoeffs:
     """Exact change of basis from monomials to Hermite coefficients.
 
-    Triangular back-substitution against the H_{m,n} table: repeatedly peel
-    the highest-total-degree monomial c·z^a z̄^b, emit c·H_{a,b}, and subtract
-    c·H_{a,b} from the remainder.  Inverse of :func:`to_monomial`.
+    Closed form z^a z̄^b = Σ_{r=0}^{min(a,b)} r!·C(a,r)·C(b,r)·H_{a−r,b−r},
+    summed over the terms of p.  Keys come out by descending total degree,
+    then descending (a, b).  Inverse of :func:`to_monomial`.
     """
-    remainder = PolyZZbar(p.terms)
     out: dict = {}
-    while not remainder.is_zero():
-        (a, b), coeff = max(remainder.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
-        out[(a, b)] = coeff
-        remainder = remainder - coeff * hermite_polynomial((a, b))
-    return HermiteCoeffs(out, RAW)
+    for (a, b), coeff in p.terms.items():
+        for r in range(min(a, b) + 1):
+            key = (a - r, b - r)
+            value = coeff * (math.factorial(r) * math.comb(a, r) * math.comb(b, r))
+            out[key] = out[key] + value if key in out else value
+    order = sorted(out, key=lambda ab: (ab[0] + ab[1], ab), reverse=True)
+    return HermiteCoeffs([(key, out[key]) for key in order], RAW)
 
 
 def to_monomial(u: HermiteCoeffs) -> PolyZZbar:
@@ -267,43 +232,6 @@ def to_monomial(u: HermiteCoeffs) -> PolyZZbar:
     for (m, n), amp in u.entries.items():
         total = total + amp * hermite_polynomial((m, n))
     return total
-
-
-def inner_product(u: HermiteCoeffs, v: HermiteCoeffs) -> PiScaled:
-    """⟨u, v⟩ = ∫ ū v e^{−|z|²} dσ, conjugate-linear in u.
-
-    Raw amplitudes give Σ π·m!·n!·ū·v, returned as a PiScaled with π-exponent
-    one (exact when both inputs are exact).  Orthonormal amplitudes already
-    absorb √π, so the pairing is Σ ū·v with π-exponent zero.
-    """
-    if u.normalization != v.normalization:
-        raise ValueError("inner_product requires matching normalizations")
-    if u.exact != v.exact and u.entries and v.entries:
-        raise TypeError("cannot pair exact with floating amplitudes")
-    if u.normalization == RAW:
-        total = ExactScalar(0) if u.exact or v.exact else 0j
-        for key, amp in u.entries.items():
-            other = v.entries.get(key)
-            if other is None:
-                continue
-            m, n = key
-            weight = math.factorial(m) * math.factorial(n)
-            total = total + amp.conjugate() * other * weight
-        return PiScaled(total, 1)
-    total = 0j
-    for key, amp in u.entries.items():
-        other = v.entries.get(key)
-        if other is not None:
-            total += amp.conjugate() * other
-    return PiScaled(total, 0)
-
-
-def norm_squared(u: HermiteCoeffs) -> PiScaled:
-    """Squared weighted norm ‖u‖²; raw gives Σ π·m!·n!·|a|² exactly."""
-    pairing = inner_product(u, u)
-    if isinstance(pairing.coeff, ExactScalar):
-        return PiScaled(pairing.coeff.re, pairing.pi_exponent)
-    return PiScaled(pairing.coeff.real, pairing.pi_exponent)
 
 
 def _root_product(a: int, b: int) -> float:

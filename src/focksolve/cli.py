@@ -152,17 +152,31 @@ def _object(value) -> dict:
 
 
 def _int(block: dict, key: str, default: int | None = None) -> int:
-    """Integer field ``key``, required without a default; a non-integral number is invalid."""
+    """Integer field ``key``, required without a default; only an integral JSON number is valid."""
     value = block[key] if default is None else block.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} = {value!r} is not an integer")
-    return int(value)
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} = {value!r} is not an integer")
+
+
+def _real(value, key: str) -> float:
+    """A JSON number as a float; a string, a boolean or an integer past float range is invalid."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{key} = {value!r} is not a JSON number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer past float range") from None
 
 
 def _complex(block: dict) -> complex:
     """A {"re", "im"} block; a missing part is zero."""
     block = _object(block)
-    return complex(float(block.get("re", 0.0)), float(block.get("im", 0.0)))
+    return complex(_real(block.get("re", 0.0), "re"), _real(block.get("im", 0.0), "im"))
 
 
 def _parse_poly(coeffs: list) -> PolyZZbar:
@@ -318,7 +332,7 @@ def cmd_disk(args) -> int:
     if f_block.get("basis", "monomial") != "monomial":
         raise ValueError("disk data must be polynomial ('monomial' basis)")
     center = _complex(data.get("center", {}))
-    radius = float(data["radius"])
+    radius = _real(data["radius"], "radius")
     problem = DiskProblem(
         center=center,
         radius=radius,

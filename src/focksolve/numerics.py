@@ -343,10 +343,4 @@ def fd_residual_rows(
 ):
     """Interior residual samples as (x, y, re, im) rows for CSV export."""
     zz, res = _laplacian_residual(u, f, complex(c), grid)
-    rows = []
-    for i in range(zz.shape[0]):
-        for j in range(zz.shape[1]):
-            point = zz[i, j]
-            value = res[i, j]
-            rows.append((float(point.real), float(point.imag), float(value.real), float(value.imag)))
-    return rows
+    return np.stack([zz.real, zz.imag, res.real, res.imag], axis=-1).reshape(-1, 4).tolist()

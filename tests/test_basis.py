@@ -7,23 +7,30 @@ from fractions import Fraction
 import pytest
 
 from focksolve import ExactScalar, HermiteCoeffs, PolyZZbar, to_hermite, to_monomial
-from focksolve.basis import (
-    apply_operator,
-    hermite_polynomial,
-    inner_product,
-    lower,
-    norm_squared,
-    raise_,
-    sqrt_norm,
-)
+from focksolve.basis import apply_operator, hermite_polynomial, lower, raise_, sqrt_norm
 from focksolve.identities import formal_adjoint_weighted
-from focksolve.ring import WeightedGaussianFunction, gaussian_pairing
+from focksolve.ring import WeightedGaussianFunction, gaussian_pairing, weighted_norm_sq
 
 
 def oracle_hermite(m, n):
     """(−1)^{m+n} e^{|z|²} ∂^n ∂̄^m e^{−|z|²} by iterated weighted differentiation."""
     w = WeightedGaussianFunction(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent())
     return (-1) ** (m + n) * w.deriv(n, m).poly
+
+
+def reference_to_hermite(p):
+    """Reference change of basis by triangular back-substitution.
+
+    Repeatedly peel the highest-total-degree monomial c·z^a z̄^b, emit
+    c·H_{a,b}, and subtract c·H_{a,b} from the remainder.
+    """
+    remainder = PolyZZbar(p.terms)
+    out = {}
+    while not remainder.is_zero():
+        (a, b), coeff = max(remainder.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
+        out[(a, b)] = coeff
+        remainder = remainder - coeff * hermite_polynomial((a, b))
+    return HermiteCoeffs(out)
 
 
 def test_hermite_polynomial_examples():
@@ -48,6 +55,27 @@ def test_to_hermite_examples():
     assert to_hermite(PolyZZbar.constant(1)).entries == {(0, 0): ExactScalar(1)}
 
 
+def test_to_hermite_closed_form_matches_reference_loop():
+    for a in range(13):
+        for b in range(13):
+            mono = PolyZZbar.monomial(a, b, ExactScalar(Fraction(3, 2), -1))
+            got, want = to_hermite(mono), reference_to_hermite(mono)
+            assert got == want and list(got.entries) == list(want.entries)
+            # every lower term of H_{a,b} cancels to an exact zero and is pruned
+            assert to_hermite(hermite_polynomial((a, b))) == HermiteCoeffs.basis_vector(a, b)
+    rng = random.Random(41)
+    for _ in range(40):
+        terms = {
+            (rng.randrange(10), rng.randrange(10)): ExactScalar(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3)
+            )
+            for _ in range(rng.randint(1, 8))
+        }
+        poly = PolyZZbar(terms)
+        got, want = to_hermite(poly), reference_to_hermite(poly)
+        assert got == want and list(got.entries) == list(want.entries)
+
+
 def test_to_monomial_examples():
     u = HermiteCoeffs({(1, 1): 1})
     assert to_monomial(u) == PolyZZbar({(1, 1): 1, (0, 0): -1})
@@ -70,25 +98,8 @@ def test_basis_round_trip_random():
         assert to_hermite(to_monomial(u)) == u
 
 
-def test_inner_product_orthogonality_table():
-    for m in range(9):
-        for n in range(9):
-            for p in range(9):
-                for q in range(9):
-                    value = inner_product(
-                        HermiteCoeffs.basis_vector(m, n), HermiteCoeffs.basis_vector(p, q)
-                    )
-                    assert value.pi_exponent == 1
-                    expected = (
-                        ExactScalar(math.factorial(m) * math.factorial(n))
-                        if (m, n) == (p, q)
-                        else ExactScalar(0)
-                    )
-                    assert value.coeff == expected
-
-
 def test_orthogonality_against_exact_gaussian_pairing():
-    # Same statement via the moment-based pairing on the monomial images.
+    # ⟨H_{m,n}, H_{p,q}⟩ = π·m!·n!·δ, via the moment-based pairing.
     for m in range(9):
         for n in range(9):
             for p in range(9):
@@ -144,8 +155,8 @@ def test_adjointness_of_raise_and_lower():
             {(rng.randrange(8), rng.randrange(8)): ExactScalar(rng.randint(-4, 4), -2)}
         )
         for k in (1, 2, 3):
-            lhs = inner_product(raise_(k, u), v)
-            rhs = inner_product(u, lower(k, v))
+            lhs = gaussian_pairing(to_monomial(raise_(k, u)), to_monomial(v))
+            rhs = gaussian_pairing(to_monomial(u), to_monomial(lower(k, v)))
             assert lhs == rhs
 
 
@@ -177,13 +188,13 @@ def test_apply_operator_examples():
     assert got.entries == {(0, 0): ExactScalar(4), (2, 2): ExactScalar(0, 1)}
 
 
-def test_norm_squared_and_normalization_round_trip():
+def test_weighted_norm_and_normalization_round_trip():
     u = HermiteCoeffs({(1, 1): 1, (3, 2): ExactScalar(0, 2)})
-    nsq = norm_squared(u)
-    assert nsq.pi_exponent == 1
-    assert nsq.coeff == Fraction(1) * 1 + 4 * math.factorial(3) * math.factorial(2)
+    nsq = weighted_norm_sq(to_monomial(u))
+    assert nsq == Fraction(1) * 1 + 4 * math.factorial(3) * math.factorial(2)
     ortho = u.to_orthonormal()
-    assert norm_squared(ortho).coeff == pytest.approx(nsq.value(), rel=1e-14)
+    ortho_nsq = sum(abs(amp) ** 2 for amp in ortho.entries.values())
+    assert ortho_nsq == pytest.approx(float(nsq) * math.pi, rel=1e-14)
     back = ortho.to_raw()
     for key, amp in u.entries.items():
         assert back.entries[key] == pytest.approx(amp.to_complex(), rel=1e-14)

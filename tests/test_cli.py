@@ -58,22 +58,32 @@ def test_solve_missing_and_malformed_inputs(tmp_path, capsys):
     )
     assert cli.run(["solve", "--input", str(problem)]) == 2
     # numbers are checked where they are parsed: an infinite or non-integral
-    # integer field and an infinite monomial coefficient are input errors
+    # integer field, an infinite monomial coefficient, a string or boolean
+    # where a number belongs and an integer past float range are input errors
     for i, text in enumerate(
         [
             '{"k": 1e999, "f": {"coeffs": []}}',
             '{"k": 2.5, "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
             '{"k": 1, "f": {"coeffs": [{"m": Infinity, "n": 0, "re": 1.0}]}}',
             '{"k": 1, "f": {"basis": "monomial", "coeffs": [{"m": 1, "n": 0, "re": Infinity}]}}',
+            '{"k": true, "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
+            '{"k": "1", "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
+            '{"k": 1, "truncation": true, "f": {"coeffs": []}}',
+            '{"k": 1, "c": {"re": "1e1"}, "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
+            '{"k": 1, "f": {"coeffs": [{"m": 0, "n": 0, "re": "1", "im": "0"}]}}',
+            '{"k": 1, "c": {"im": 1' + "0" * 400 + '}, "f": {"coeffs": []}}',
         ]
     ):
         (tmp_path / f"number{i}.json").write_text(text)
         assert cli.run(["solve", "--input", str(tmp_path / f"number{i}.json")]) == 2, text
     # every failure path emits a machine-readable reason
     errors = [json.loads(line)["error"] for line in capsys.readouterr().err.strip().splitlines()]
-    assert len(errors) == 7
+    assert len(errors) == 13
     assert "k = 2.5 is not an integer" in errors[4]
     assert "(m, n) = (1, 0)" in errors[6]
+    assert "k = True is not an integer" in errors[7]
+    assert "re = '1e1' is not a JSON number" in errors[10]
+    assert "im is an integer past float range" in errors[12]
 
 
 def test_unknown_flags_exit_2(tmp_path):
@@ -187,6 +197,9 @@ def test_disk_command(tmp_path):
     assert data["report"]["bound_holds"] is True
     assert data["report"]["bound_constant"] == pytest.approx(math.exp(4.0))
     assert data["report"]["ratio"] <= data["report"]["bound_constant"]
+    # a radius given as a string is an input error, not a number
+    path.write_text(json.dumps({**payload, "radius": "1.0"}))
+    assert cli.run(["disk", "--input", str(path)]) == 2
 
 
 def test_solve_non_finite_shift_exits_2(tmp_path, capsys):
