@@ -23,7 +23,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Tuple
+
+import numpy as np
 
 from .ring import ExactScalar, PolyZZbar
 
@@ -34,19 +37,69 @@ ORTHONORMAL = "orthonormal"
 
 _NUMERIC_PRUNE = 1e-300
 
+# float(i!) for i ≤ 170; 171! is past float range
+_FACTORIALS = np.array([float(math.factorial(i)) for i in range(171)])
+_FACTORIALS.setflags(write=False)
+_TOP = len(_FACTORIALS) - 1
+
 
 def sqrt_norm(m: int, n: int) -> float:
     """√(π·m!·n!) = ‖H_{m,n}‖ as a float; log-space once π·m!·n! leaves f64 range."""
-    try:
+    value = math.inf
+    if max(m, n) <= _TOP:
         value = math.sqrt(math.pi * math.factorial(m) * math.factorial(n))
-    except OverflowError:
-        value = math.inf
     if value < math.inf:
         return value
     try:
         return math.exp(0.5 * (math.log(math.pi) + math.lgamma(m + 1) + math.lgamma(n + 1)))
     except OverflowError:
         return math.inf
+
+
+def sqrt_norms(index: np.ndarray) -> np.ndarray:
+    """:func:`sqrt_norm` at each row (m, n) of an (entries × 2) index array, bit for bit.
+
+    √((π·m!)·n!) from the float factorial table is the scalar's own sequence
+    of IEEE operations; where an index passes 170 or the product overflows,
+    the scalar's log-space path fills in.
+    """
+    m, n = index[:, 0], index[:, 1]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(
+            (math.pi * _FACTORIALS[np.minimum(m, _TOP)]) * _FACTORIALS[np.minimum(n, _TOP)]
+        )
+    for i in np.flatnonzero((np.maximum(m, n) > _TOP) | (norms == math.inf)).tolist():
+        norms[i] = sqrt_norm(int(m[i]), int(n[i]))
+    return norms
+
+
+def index_array(keys) -> np.ndarray:
+    """The (m, n) keys as one (entries × 2) int64 array; an index past int64 reads as 2⁶².
+
+    Every index from 2⁶² on is far outside any box and has an infinite norm,
+    so the clipped array serves every check and conversion alike.
+    """
+    try:
+        return np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys)).reshape(-1, 2)
+    except OverflowError:
+        clip = 2**62
+        return np.array([(min(m, clip), min(n, clip)) for m, n in keys], np.int64).reshape(-1, 2)
+
+
+def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """complex(re, im) elementwise, every part kept bit for bit (signed zeros too)."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _quotient(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """values / norms by the formula of Python's ``complex / float``, bit for bit.
+
+    That is ((re + im·0.0)/s, (im − re·0.0)/s), signed zeros included.
+    """
+    re, im = values.real, values.imag
+    return _complex_array((re + im * 0.0) / norms, (im - re * 0.0) / norms)
 
 
 @lru_cache(maxsize=None)
@@ -156,15 +209,57 @@ class HermiteCoeffs:
 
     # ---- normalization ------------------------------------------------------
 
+    def _values(self) -> np.ndarray:
+        """The amplitudes as one complex array in entry order (exact ones converted)."""
+        values = self.entries.values()
+        if self.exact:
+            values = [amp.to_complex() for amp in values]
+        return np.fromiter(values, complex, len(self.entries))
+
+    @classmethod
+    def _from_array(cls, keys: list, values: np.ndarray, normalization: str) -> "HermiteCoeffs":
+        """The vector of ``values`` at ``keys``, pruned and checked as the constructor does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sizes = np.hypot(values.real, values.imag)
+        kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
+        bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
+        if not kept.all():
+            keys = [keys[i] for i in np.flatnonzero(kept).tolist()]
+            values = values[kept]
+        return cls._trusted(dict(zip(keys, values.tolist())), normalization)
+
+    def raw_values(self) -> Tuple[list, np.ndarray, np.ndarray]:
+        """(keys, index, values): the raw float amplitudes in entry order, unpruned and unchecked.
+
+        ``index`` is :func:`index_array` of the keys; orthonormal amplitudes
+        are divided as in :meth:`to_raw`.
+        """
+        keys = list(self.entries)
+        index = index_array(keys)
+        values = self._values()
+        if self.normalization == ORTHONORMAL:
+            values = _quotient(values, sqrt_norms(index))
+        return keys, index, values
+
     def to_orthonormal(self) -> "HermiteCoeffs":
-        """Rescale to orthonormal amplitudes (floating point)."""
+        """Rescale to orthonormal amplitudes (floating point).
+
+        Each amplitude is multiplied by √(π·m!·n!) by the formula of Python's
+        ``complex * float``, (re·s − im·0.0, re·0.0 + im·s): the per-entry
+        product bit for bit, signed zeros included.
+        """
         if self.normalization == ORTHONORMAL:
             return self
-        out = {}
-        for (m, n), amp in self.entries.items():
-            value = amp.to_complex() if isinstance(amp, ExactScalar) else amp
-            out[(m, n)] = value * sqrt_norm(m, n)
-        return HermiteCoeffs(out, ORTHONORMAL)
+        keys = list(self.entries)
+        norms = sqrt_norms(index_array(keys))
+        values = self._values()
+        re, im = values.real, values.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
+        return HermiteCoeffs._from_array(keys, scaled, ORTHONORMAL)
 
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).
@@ -177,17 +272,23 @@ class HermiteCoeffs:
         """
         if self.normalization == RAW:
             return self
-        floor = max(map(abs, self.entries.values()), default=0.0) * 2.0**-52
-        out = {}
-        for (m, n), amp in self.entries.items():
-            norm = sqrt_norm(m, n)
-            value = out[(m, n)] = amp / norm
-            if abs(value) < _NUMERIC_PRUNE and (norm == math.inf or abs(amp) >= floor):
-                raise ValueError(
-                    f"the raw amplitude at index ({m}, {n}) leaves the float range: "
-                    f"√(π·m!·n!) = {norm:.3e}"
-                )
-        return HermiteCoeffs(out, RAW)
+        keys = list(self.entries)
+        norms = sqrt_norms(index_array(keys))
+        amps = self._values()
+        values = _quotient(amps, norms)
+        sizes = np.hypot(amps.real, amps.imag)
+        floor = sizes.max(initial=0.0) * 2.0**-52
+        unheld = (np.hypot(values.real, values.imag) < _NUMERIC_PRUNE) & (
+            (norms == math.inf) | (sizes >= floor)
+        )
+        if unheld.any():
+            i = int(unheld.argmax())
+            m, n = keys[i]
+            raise ValueError(
+                f"the raw amplitude at index ({m}, {n}) leaves the float range: "
+                f"√(π·m!·n!) = {float(norms[i]):.3e}"
+            )
+        return HermiteCoeffs._from_array(keys, values, RAW)
 
     # ---- linear structure -----------------------------------------------------
 

@@ -39,9 +39,10 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 from . import identities
-from .basis import HermiteCoeffs, to_hermite
+from .basis import HermiteCoeffs, index_array, to_hermite
 from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
@@ -141,7 +142,10 @@ def _emit(payload: dict, output: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return _object(json.load(handle))
+        try:
+            return _object(json.load(handle))
+        except RecursionError:
+            raise ValueError(f"{path} nests its JSON values too deeply") from None
 
 
 def _object(value) -> dict:
@@ -191,15 +195,26 @@ def _parse_poly(coeffs: list) -> PolyZZbar:
     return PolyZZbar(terms)
 
 
-def _parse_f(block: dict) -> HermiteCoeffs:
+def _parse_f(block: dict, top: int, name: str = "f") -> HermiteCoeffs:
+    """A coefficient block whose every index is at most ``top``, checked before any conversion.
+
+    The Hermite image of a monomial block has the same largest m and n as
+    its support, so the check is exact for both bases.
+    """
     basis = _object(block).get("basis", "hermite")
     coeffs = block.get("coeffs", [])
     if basis == "hermite":
-        entries = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
-        return HermiteCoeffs(entries, "raw")
-    if basis == "monomial":
-        return to_hermite(_parse_poly(coeffs))
-    raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
+        terms = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
+    elif basis == "monomial":
+        poly = _parse_poly(coeffs)
+        terms = poly.terms
+    else:
+        raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
+    outside = (index_array(terms) > top).any(axis=1)
+    if outside.any():
+        past = list(terms)[int(outside.argmax())]
+        raise ValueError(f"{name} has support at index {past}, outside the box [0,{top}]²")
+    return HermiteCoeffs(terms, "raw") if basis == "hermite" else to_hermite(poly)
 
 
 def _check_writable(k: int, truncation: int) -> None:
@@ -212,22 +227,25 @@ def _check_writable(k: int, truncation: int) -> None:
 
 
 def _coeff_block(u: HermiteCoeffs) -> dict:
-    coeffs = []
-    for (m, n), amp in u.to_raw().items():
-        value = complex(amp)
-        coeffs.append({"m": m, "n": n, "re": value.real, "im": value.imag})
+    """The raw amplitudes of a numeric ``u`` as rows sorted by (m, n)."""
+    coeffs = [
+        {"m": m, "n": n, "re": amp.real, "im": amp.imag}
+        for (m, n), amp in u.to_raw().items()
+    ]
     return {"basis": "hermite", "coeffs": coeffs}
 
 
 def cmd_solve(args) -> int:
     data = _load_json(args.input)
+    k = _int(data, "k")
+    truncation = _int(data, "truncation", DEFAULT_TRUNCATION)
     spec = ProblemSpec(
-        k=_int(data, "k"),
+        k=k,
         c=_complex(data.get("c", {})),
-        truncation=_int(data, "truncation", DEFAULT_TRUNCATION),
-        f=_parse_f(data["f"]),
+        truncation=truncation,
+        f=_parse_f(data["f"], truncation - k),
     )
-    _check_writable(spec.k, spec.truncation)
+    _check_writable(k, truncation)
     u, report = solve(spec)
     payload = {
         "k": spec.k,
@@ -315,8 +333,8 @@ def cmd_probe(args) -> int:
 def cmd_eval(args) -> int:
     data = _load_json(args.input)
     c = _complex(data.get("c", {}))
-    u = _parse_f(data["u"])
-    f = _parse_f(data["f"])
+    u = _parse_f(data["u"], MAX_U_INDEX, "u")
+    f = _parse_f(data["f"], MAX_U_INDEX)
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     rows = fd_residual_rows(u, f, c, grid)
     lines = ["x,y,re_residual,im_residual"]
@@ -369,14 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--output", default=None)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the exact identity suites")
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_certify = sub.add_parser("certify", help="sweep the solve bound over a shift grid")
     p_certify.add_argument("--k-min", type=int, default=1)
@@ -385,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p_certify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_certify.add_argument("--output", default=None)
-    p_certify.set_defaults(func=cmd_certify)
 
     p_probe = sub.add_parser("probe", help="empirical operator-norm probe")
     p_probe.add_argument("--k", type=int, required=True)
@@ -395,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p_probe.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_probe.add_argument("--output", default=None)
-    p_probe.set_defaults(func=cmd_probe)
 
     p_eval = sub.add_parser("eval", help="export a residual grid as CSV")
     p_eval.add_argument("--input", required=True)
@@ -405,24 +419,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--y-max", type=float, default=1.0)
     p_eval.add_argument("--step", type=float, default=0.1)
     p_eval.add_argument("--output", default=None)
-    p_eval.set_defaults(func=cmd_eval)
 
     p_disk = sub.add_parser("disk", help="bounded-domain solve on a disk")
     p_disk.add_argument("--input", required=True)
     p_disk.add_argument("--output", default=None)
-    p_disk.set_defaults(func=cmd_disk)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # looked up per call, so that a replaced cmd_* function takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import RAW, HermiteCoeffs, sqrt_norm
+from .basis import RAW, HermiteCoeffs
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -138,9 +138,13 @@ class QuadratureRule:
         return z, w
 
 
+# the most nodes a finite-difference grid may have: 2²¹, as for disk rules
+GRID_NODES = 2**21
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular grid for finite-difference checks."""
+    """Uniform rectangular grid for finite-difference checks, at most :data:`GRID_NODES` nodes."""
 
     x_min: float
     x_max: float
@@ -149,14 +153,26 @@ class GridSpec:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max, self.h))):
+            raise ValueError("grid bounds and step must be finite")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("grid bounds must be increasing")
         if self.h <= 0:
             raise ValueError("grid step must be positive")
+        # steps per side as floats first: they may be inf, or too many to round to an int
+        steps = ((self.x_max - self.x_min) / self.h, (self.y_max - self.y_min) / self.h)
+        if not max(steps) <= GRID_NODES or math.prod(self.shape) > GRID_NODES:
+            raise ValueError(f"the grid has more than {GRID_NODES:,} nodes")
 
-    def mesh(self):
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """(nx, ny): the node counts along x and y."""
         nx = int(round((self.x_max - self.x_min) / self.h)) + 1
         ny = int(round((self.y_max - self.y_min) / self.h)) + 1
+        return nx, ny
+
+    def mesh(self):
+        nx, ny = self.shape
         xs = self.x_min + self.h * np.arange(nx)
         ys = self.y_min + self.h * np.arange(ny)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
@@ -193,24 +209,18 @@ def _radial_blocks(M: int, r: np.ndarray):
         yield alpha, np.array([next(walk)[1] for _ in range(M + 1 - alpha)])
 
 
-def _raw_amplitude(u: HermiteCoeffs, m: int, n: int, amp) -> complex:
-    """The amplitude ``amp`` of u at (m, n) as a raw float coefficient."""
-    if u.normalization == RAW:
-        return amp.to_complex() if u.exact else amp
-    return amp / sqrt_norm(m, n)
-
-
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
     if not u.entries:
         return np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
     mmax, nmax = u.max_index()
+    keys, _, values = u.raw_values()
+    raw = dict(zip(keys, values.tolist()))
 
     def coeff_at(m, n):
-        amp = u.entries.get((m, n))
         # a raw amplitude that underflows cannot contribute; skipping it also
         # avoids 0·inf once H values leave the f64 range at extreme indices
-        return None if amp is None else _raw_amplitude(u, m, n, amp) or None
+        return raw.get((m, n)) or None
 
     total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
     for (m, n), value in hermite_lower_walk(max(mmax, nmax), z):
@@ -295,11 +305,12 @@ def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
         return 0.0
     r, wr = rule.polar
     A = rule.angular_nodes
-    M = max(u.max_index())
+    _, index, values = u.raw_values()
+    m, n = index[:, 0], index[:, 1]
+    M = int(index.max())
     # raw coefficients of H_{n+α,n} at [0, α, n] and of its mirror H_{n,n+α} at [1, α, n]
     coef = np.zeros((2, M + 1, M + 1), dtype=complex)
-    for (m, n), amp in u.entries.items():
-        coef[int(m < n), abs(m - n), min(m, n)] = _raw_amplitude(u, m, n, amp)
+    coef[(m < n).astype(np.intp), np.abs(m - n), np.minimum(m, n)] = values
     spectrum = np.zeros((A, len(r)), dtype=complex)
     for alpha, rows in _radial_blocks(M, r):
         for bin_, c in ((alpha % A, coef[0, alpha]), (-alpha % A, coef[1, alpha])):

@@ -31,12 +31,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs
+from .basis import ORTHONORMAL, HermiteCoeffs, index_array
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -115,12 +114,9 @@ class ProblemSpec:
                 f"exceed the float range"
             )
         margin = self.truncation - self.k
-        try:
-            index = _indices(self.f.entries)
-            outside = (index > margin).any(axis=1)
-        except OverflowError:  # an index past int64 is outside every box
-            outside = [max(key) > margin for key in self.f.entries]
-        if np.any(outside):
+        index = index_array(self.f.entries)
+        outside = (index > margin).any(axis=1)
+        if outside.any():
             m, n = list(self.f.entries)[int(np.argmax(outside))]
             raise ValueError(
                 f"f has support at index ({m},{n}) outside the certified box "
@@ -133,7 +129,7 @@ class ProblemSpec:
         except OverflowError as exc:
             raise ValueError(f"f has an amplitude that overflows a float: {exc}") from None
         # an exact amplitude under the pruning floor drops out of the rescaled f
-        return f, index if len(f.entries) == len(index) else _indices(f.entries)
+        return f, index if len(f.entries) == len(index) else index_array(f.entries)
 
 
 @dataclass
@@ -278,11 +274,6 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _indices(entries) -> np.ndarray:
-    """The (m, n) keys of ``entries`` as one (entries × 2) int64 array."""
-    return np.fromiter(chain.from_iterable(entries), np.int64, 2 * len(entries)).reshape(-1, 2)
 
 
 @lru_cache(maxsize=4)

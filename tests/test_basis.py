@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from focksolve import ExactScalar, HermiteCoeffs, PolyZZbar, to_hermite, to_monomial
-from focksolve.basis import apply_operator, hermite_polynomial, lower, raise_, sqrt_norm
+from focksolve.basis import (
+    apply_operator,
+    hermite_polynomial,
+    index_array,
+    lower,
+    raise_,
+    sqrt_norm,
+    sqrt_norms,
+)
 from focksolve.identities import formal_adjoint_weighted
 from focksolve.ring import WeightedGaussianFunction, gaussian_pairing, weighted_norm_sq
 
@@ -31,6 +39,34 @@ def reference_to_hermite(p):
         out[(a, b)] = coeff
         remainder = remainder - coeff * hermite_polynomial((a, b))
     return HermiteCoeffs(out)
+
+
+def reference_to_orthonormal(u):
+    """Reference rescaling to orthonormal amplitudes, one ``complex * float`` per entry."""
+    if u.normalization == "orthonormal":
+        return u
+    out = {}
+    for (m, n), amp in u.entries.items():
+        value = amp.to_complex() if isinstance(amp, ExactScalar) else amp
+        out[(m, n)] = value * sqrt_norm(m, n)
+    return HermiteCoeffs(out, "orthonormal")
+
+
+def reference_to_raw(u):
+    """Reference rescaling to raw amplitudes, one ``complex / float`` per entry."""
+    if u.normalization == "raw":
+        return u
+    floor = max(map(abs, u.entries.values()), default=0.0) * 2.0**-52
+    out = {}
+    for (m, n), amp in u.entries.items():
+        norm = sqrt_norm(m, n)
+        value = out[(m, n)] = amp / norm
+        if abs(value) < 1e-300 and (norm == math.inf or abs(amp) >= floor):
+            raise ValueError(
+                f"the raw amplitude at index ({m}, {n}) leaves the float range: "
+                f"√(π·m!·n!) = {norm:.3e}"
+            )
+    return HermiteCoeffs(out, "raw")
 
 
 def test_hermite_polynomial_examples():
@@ -233,6 +269,15 @@ def test_sqrt_norm_past_the_float_product():
     # inside the float range the direct product is kept bit for bit
     assert sqrt_norm(20, 30) == math.sqrt(math.pi * math.factorial(20) * math.factorial(30))
     assert sqrt_norm(400, 400) == math.inf
+
+
+def test_sqrt_norms_match_the_scalar_bit_for_bit():
+    # the factorial table inside the float product, the log-space path past it
+    grid = [(m, n) for m in range(301) for n in range(301)] + [(10**30, 0), (2**63, 2**63)]
+    norms = sqrt_norms(index_array(grid)).tolist()
+    for (m, n), got in zip(grid, norms):
+        assert got.hex() == sqrt_norm(m, n).hex(), (m, n)
+    assert sqrt_norm(10**9, 10**9) == math.inf
 
 
 def test_lower_and_raise_past_the_float_product():

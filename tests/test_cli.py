@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +369,89 @@ def test_sweeps_without_work_or_past_the_box_bound_exit_2(tmp_path, capsys, argv
     assert cli.run(argv + ["--output", str(out)]) == 2
     assert message in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("reached past the index check")
+
+
+@pytest.mark.parametrize("index", [5000, 10**9])
+def test_monomial_support_past_the_box_exits_2_before_conversion(tmp_path, capsys, monkeypatch, index):
+    # the Hermite image's largest (m, n) is the support's, so the box check needs no conversion
+    monkeypatch.setattr(cli, "to_hermite", _not_called)
+    coeffs = [{"m": 0, "n": 0, "re": 1.0}, {"m": index, "n": index, "re": 1.0}]
+    problem = write_problem(tmp_path / "p.json", truncation=32, coeffs=coeffs, basis="monomial")
+    assert cli.run(["solve", "--input", str(problem)]) == 2
+    assert f"({index}, {index})" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "block, basis",
+    [("u", "hermite"), ("f", "hermite"), ("f", "monomial")],
+)
+def test_eval_indices_past_170_exit_2_before_synthesis(tmp_path, capsys, monkeypatch, block, basis):
+    monkeypatch.setattr(cli, "to_hermite", _not_called)
+    monkeypatch.setattr(cli, "fd_residual_rows", _not_called)
+    small = {"basis": "hermite", "coeffs": [{"m": 0, "n": 0, "re": 1.0}]}
+    payload = {"c": {"re": 0.0}, "u": small, "f": small}
+    payload[block] = {"basis": basis, "coeffs": [{"m": 3000, "n": 3000, "re": 1.0}]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["eval", "--input", str(path)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"{block} has support at index (3000, 3000)" in error and "170" in error
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "disk"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert cli.run([command, "--input", str(path)]) == 2
+    assert "too deeply" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--x-max", "inf"], "finite"),
+        (["--y-min", "nan"], "finite"),
+        (["--step", "1e-9"], "more than 2,097,152 nodes"),
+        (["--x-min=-1e308", "--x-max=1e308", "--step", "1"], "more than 2,097,152 nodes"),
+        # 2049 × 1025 nodes: just past the bound
+        (["--x-min", "0", "--x-max", "2048", "--y-min", "0", "--y-max", "1024", "--step", "1"], "nodes"),
+    ],
+)
+def test_eval_grid_past_the_bound_exits_2(tmp_path, capsys, monkeypatch, grid, message):
+    problem = write_problem(tmp_path / "p.json", truncation=8)
+    solution = tmp_path / "s.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(solution)]) == 0
+    monkeypatch.setattr(cli, "fd_residual_rows", _not_called)
+    assert cli.run(["eval", "--input", str(solution), *grid]) == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_run_builds_its_parser_once_and_looks_commands_up_per_call(tmp_path, monkeypatch):
+    problem = write_problem(tmp_path / "p.json", truncation=8)
+    assert cli.run(["solve", "--input", str(problem), "--output", str(tmp_path / "o.json")]) == 0
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.input) or 7)
+    assert cli.run(["solve", "--input", str(problem)]) == 7
+    assert seen == [str(problem)]
+    assert cli._parser() is parser
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def test_readme_examples_solve_eval_and_disk(tmp_path):
+    # the README's command block: solve, eval the solution, then the disk file
+    solution, residual, report = tmp_path / "solution.json", tmp_path / "residual.csv", tmp_path / "report.json"
+    assert cli.run(["solve", "--input", str(EXAMPLES / "problem.json"), "--output", str(solution)]) == 0
+    assert json.loads(solution.read_text())["report"]["bound_holds"] is True
+    assert cli.run(["eval", "--input", str(solution), "--step", "0.1", "--output", str(residual)]) == 0
+    rows = residual.read_text().splitlines()
+    assert len(rows) == 1 + 19 * 19
+    assert max(abs(complex(*map(float, row.split(",")[2:]))) for row in rows[1:]) <= 1e-10
+    assert cli.run(["disk", "--input", str(EXAMPLES / "disk.json"), "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["report"]["bound_holds"] is True

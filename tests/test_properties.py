@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
 from focksolve.solver import _min_norm_bidiagonal, _solve_chain_exact, dense_data  # noqa: E402
+from test_basis import reference_to_orthonormal, reference_to_raw  # noqa: E402
 from test_solver import assert_matches_reference, chain_length, chain_origins  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -190,3 +191,67 @@ def test_raw_orthonormal_round_trip_or_raise(entries):
     for key, amp in entries.items():
         if abs(amp) >= floor:
             assert back.entries[key] == pytest.approx(amp, rel=1e-13)
+
+
+# float parts that reach the edges of the conversions: signed zeros, the
+# 1e−300 pruning floor, the 2⁻⁵² raise rule, the float range
+EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1.0000000000000001e-300, 9.9e-301, 5e-324]
+EDGE_PARTS += [2.0**-52, -(2.0**-52), 2.0**-53, 1.5 * 2.0**-53, 1e300, -1.7e308]
+# at (0, 0) these rescale to 1e−300 exactly: raw from orthonormal, orthonormal from raw
+EDGE_PARTS += [1.772453850905516e-300, 5.641895835477563e-301]
+# inside the factorial table, where π·m!·n! overflows, where 1/√(π·m!·n!) nears
+# the pruning floor, past the table and past the float range of the norm
+EDGE_INDICES = [(0, 0), (3, 1), (1, 3), (98, 98), (165, 165), (168, 168), (170, 170)]
+EDGE_INDICES += [(171, 0), (180, 180), (300, 300)]
+edge_parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1e20, 1e20))
+indices = st.one_of(st.integers(0, 300), st.integers(160, 175))
+
+
+def _outcome(convert, u):
+    """What a conversion gives: its error, or its normalization and entries with every bit and key order."""
+    try:
+        v = convert(u)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return (v.normalization, [(key, amp.real.hex(), amp.imag.hex()) for key, amp in v.entries.items()])
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.tuples(indices, indices), st.builds(complex, edge_parts, edge_parts), max_size=6
+    ),
+    st.sampled_from(["raw", "orthonormal"]),
+)
+def test_array_conversions_match_the_per_entry_loops(entries, normalization):
+    try:
+        u = HermiteCoeffs(entries, normalization)
+    except ValueError:
+        return  # a non-finite amplitude: the constructor's case, not the conversions'
+    assert _outcome(HermiteCoeffs.to_raw, u) == _outcome(reference_to_raw, u)
+    assert _outcome(HermiteCoeffs.to_orthonormal, u) == _outcome(reference_to_orthonormal, u)
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(indices, indices), exact_scalars, max_size=6))
+def test_array_rescaling_of_exact_amplitudes_matches_the_loop(entries):
+    u = HermiteCoeffs(entries)
+    assert _outcome(HermiteCoeffs.to_orthonormal, u) == _outcome(reference_to_orthonormal, u)
+
+
+def test_array_conversions_match_the_loops_on_every_edge_pair():
+    for re in EDGE_PARTS:
+        for im in EDGE_PARTS:
+            for key in EDGE_INDICES:
+                # alone, and beside a unit amplitude that sets the 2⁻⁵² floor
+                for entries in ({key: complex(re, im)}, {(2, 0): 1 + 0j, key: complex(re, im)}):
+                    for normalization in ("raw", "orthonormal"):
+                        try:
+                            u = HermiteCoeffs(entries, normalization)
+                        except ValueError:
+                            continue
+                        for convert, reference in (
+                            (HermiteCoeffs.to_raw, reference_to_raw),
+                            (HermiteCoeffs.to_orthonormal, reference_to_orthonormal),
+                        ):
+                            assert _outcome(convert, u) == _outcome(reference, u), (entries, normalization)
