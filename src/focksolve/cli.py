@@ -26,6 +26,13 @@ Monomial data is converted exactly (floats are taken at their binary value)
 through the Hermite change of basis before solving.  The solution JSON
 mirrors the input schema, adds a ``u`` coefficient block (raw amplitudes),
 and a ``report`` object.
+
+A coefficient block whose rows all have exactly the keys m, n, re and im,
+with int indices inside the box and finite int or float parts, is read by
+column (:func:`_columns`); any other block is read row by row, which gives
+an invalid one its error.  The ``u`` block and an echoed ``f`` block read
+by column are written one ``%``-template per row (:class:`_Rows`); the rest
+of a report is written as ``json.dumps(indent=2, sort_keys=True)`` writes it.
 """
 
 from __future__ import annotations
@@ -35,14 +42,18 @@ import cmath
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from typing import Tuple
+
+import numpy as np
 
 from . import identities
-from .basis import HermiteCoeffs, index_array, to_hermite
+from .basis import RAW, HermiteCoeffs, _complex_array, index_array, to_hermite
 from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
@@ -92,24 +103,22 @@ def _write(text: str, output: str | None) -> None:
 _SCALAR = json.JSONEncoder(allow_nan=False)
 
 
-def _is_row(item) -> bool:
-    """A non-empty object whose values are all ints or floats (not bools)."""
-    return (
-        isinstance(item, dict)
-        and bool(item)
-        and all(type(value) is int or type(value) is float for value in item.values())
-    )
+class _Rows(list):
+    """Coefficient rows as (im, m, n, re) tuples of exact ints and finite floats.
+
+    The tuple order is the sorted key order, so :func:`_render` writes every
+    row with one template.
+    """
+
+
+_ROW = operator.itemgetter("im", "m", "n", "re")
 
 
 def _render(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` at indent ``pad``.
 
-    With ``indent`` set, the json module runs its pure-Python encoder.  A list
-    of rows (:func:`_is_row`) is encoded instead by one call of the C encoder
-    with the item separator ",\n" + the rows' key indent, so keys come out on
-    their own lines and only the row boundaries "},\n…{" need fixing.  No raw
-    newline can occur inside an encoded key or number, so the boundary is
-    unambiguous.
+    A :class:`_Rows` list is written one ``%``-template per row: the ``repr``
+    of an exact int or a finite float is its JSON text.
     """
     inner = pad + "  "
     if isinstance(value, dict):
@@ -123,15 +132,12 @@ def _render(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(map(_is_row, value)):
+        if type(value) is _Rows:
             keys = inner + "  "
-            encoder = json.JSONEncoder(
-                separators=(",\n" + keys, ": "), sort_keys=True, allow_nan=False
-            )
-            rows = encoder.encode(value)[2:-2].split("},\n" + keys + "{")
-            between = "\n" + inner + "},\n" + inner + "{\n" + keys
-            return f"[\n{inner}{{\n{keys}{between.join(rows)}\n{inner}}}\n{pad}]"
-        items = (inner + _render(item, inner) for item in value)
+            row = f'{inner}{{\n{keys}"im": %r,\n{keys}"m": %r,\n{keys}"n": %r,\n{keys}"re": %r\n{inner}}}'
+            items = map(row.__mod__, value)
+        else:
+            items = (inner + _render(item, inner) for item in value)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _SCALAR.encode(value)
 
@@ -195,26 +201,70 @@ def _parse_poly(coeffs: list) -> PolyZZbar:
     return PolyZZbar(terms)
 
 
-def _parse_f(block: dict, top: int, name: str = "f") -> HermiteCoeffs:
-    """A coefficient block whose every index is at most ``top``, checked before any conversion.
+def _columns(coeffs, top: int):
+    """(rows, keys, values) of a coefficient block in the column shape, else None.
 
-    The Hermite image of a monomial block has the same largest m and n as
-    its support, so the check is exact for both bases.
+    The shape: a non-empty list of objects with exactly the keys m, n, re
+    and im; m and n exact ints in [0, ``top``], no two rows at one (m, n); re
+    and im exact ints or floats, each finite as a float.  ``rows`` is the
+    block as :class:`_Rows`, ``keys`` the (m, n) pairs in row order and
+    ``values`` complex(re, im) as one array, every part as :func:`_real`
+    reads it.  Every check runs on a whole column, and the indices are
+    checked before any part is converted.  A block outside the shape is read
+    row by row, which raises the errors of an invalid one.
+    """
+    if type(coeffs) is not list or set(map(type, coeffs)) != {dict} or set(map(len, coeffs)) != {4}:
+        return None
+    try:
+        rows = _Rows(map(_ROW, coeffs))
+    except KeyError:
+        return None
+    im, m, n, re = zip(*rows)
+    indices, parts = {*map(type, m), *map(type, n)}, {*map(type, re), *map(type, im)}
+    if indices != {int} or not parts <= {int, float}:
+        return None
+    if min(m) < 0 or min(n) < 0 or max(m) > top or max(n) > top:
+        return None
+    try:
+        values = _complex_array(np.array(re, float), np.array(im, float))
+    except OverflowError:
+        return None
+    keys = list(zip(m, n))
+    if not np.isfinite(values).all() or len(set(keys)) < len(keys):
+        return None
+    return rows, keys, values
+
+
+def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dict]:
+    """A coefficient block whose every index is at most ``top``, and the block to echo.
+
+    Indices are checked before any conversion.  The Hermite image of a
+    monomial block has the same largest m and n as its support, so the check
+    is exact for both bases.  A Hermite block in the shape of
+    :func:`_columns` is read by column, and a block of either basis in that
+    shape is echoed as its :class:`_Rows`; any other block is read row by row
+    and echoed as it is.
     """
     basis = _object(block).get("basis", "hermite")
     coeffs = block.get("coeffs", [])
-    if basis == "hermite":
-        terms = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
-    elif basis == "monomial":
-        poly = _parse_poly(coeffs)
-        terms = poly.terms
-    else:
+    if basis not in ("hermite", "monomial"):
         raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
-    outside = (index_array(terms) > top).any(axis=1)
-    if outside.any():
-        past = list(terms)[int(outside.argmax())]
-        raise ValueError(f"{name} has support at index {past}, outside the box [0,{top}]²")
-    return HermiteCoeffs(terms, "raw") if basis == "hermite" else to_hermite(poly)
+    columns = _columns(coeffs, top)
+    if basis == "hermite" and columns is not None:
+        _, keys, values = columns
+        f = HermiteCoeffs._from_array(keys, values, RAW)
+    else:
+        if basis == "hermite":
+            terms = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
+        else:
+            poly = _parse_poly(coeffs)
+            terms = poly.terms
+        outside = (index_array(terms) > top).any(axis=1)
+        if outside.any():
+            past = list(terms)[int(outside.argmax())]
+            raise ValueError(f"{name} has support at index {past}, outside the box [0,{top}]²")
+        f = HermiteCoeffs(terms, RAW) if basis == "hermite" else to_hermite(poly)
+    return f, block if columns is None else {**block, "coeffs": columns[0]}
 
 
 def _check_writable(k: int, truncation: int) -> None:
@@ -228,30 +278,24 @@ def _check_writable(k: int, truncation: int) -> None:
 
 def _coeff_block(u: HermiteCoeffs) -> dict:
     """The raw amplitudes of a numeric ``u`` as rows sorted by (m, n)."""
-    coeffs = [
-        {"m": m, "n": n, "re": amp.real, "im": amp.imag}
-        for (m, n), amp in u.to_raw().items()
-    ]
-    return {"basis": "hermite", "coeffs": coeffs}
+    rows = _Rows((amp.imag, m, n, amp.real) for (m, n), amp in u.to_raw().items())
+    return {"basis": "hermite", "coeffs": rows}
 
 
 def cmd_solve(args) -> int:
     data = _load_json(args.input)
     k = _int(data, "k")
     truncation = _int(data, "truncation", DEFAULT_TRUNCATION)
-    spec = ProblemSpec(
-        k=k,
-        c=_complex(data.get("c", {})),
-        truncation=truncation,
-        f=_parse_f(data["f"], truncation - k),
-    )
+    c = _complex(data.get("c", {}))
+    f, echo = _parse_f(data["f"], truncation - k)
+    spec = ProblemSpec(k=k, c=c, truncation=truncation, f=f)
     _check_writable(k, truncation)
     u, report = solve(spec)
     payload = {
         "k": spec.k,
         "c": {"re": spec.c.real, "im": spec.c.imag},
         "truncation": spec.truncation,
-        "f": data["f"],
+        "f": echo,
         "u": _coeff_block(u),
         "report": dataclasses.asdict(report),
     }
@@ -333,8 +377,8 @@ def cmd_probe(args) -> int:
 def cmd_eval(args) -> int:
     data = _load_json(args.input)
     c = _complex(data.get("c", {}))
-    u = _parse_f(data["u"], MAX_U_INDEX, "u")
-    f = _parse_f(data["f"], MAX_U_INDEX)
+    u, _ = _parse_f(data["u"], MAX_U_INDEX, "u")
+    f, _ = _parse_f(data["f"], MAX_U_INDEX)
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     rows = fd_residual_rows(u, f, c, grid)
     lines = ["x,y,re_residual,im_residual"]

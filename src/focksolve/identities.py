@@ -81,58 +81,6 @@ def commutator(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     return lhs - rhs
 
 
-def commutator_expansion(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
-    """Quadruple-sum Leibniz expansion of the commutator.
-
-    Expanding adjoint_k(φ) = Σ_{i,j} C(k,i)C(k,j) (∂^{k−j}∂̄^{k−i}φ)·G_{ji}
-    with G_{ji} = e^{g}∂^j∂̄^i e^{−g} and applying ∂^k∂̄^k by Leibniz gives a
-    sum over (i, j, l, m) ∈ [0,k]⁴.  Subtracting adjoint_k(∂^k∂̄^k φ) cancels
-    exactly the (l, m) = (0, 0) slice, so the commutator is the sum over the
-    remaining index set.  (Terms with (i, j) = (0, 0) vanish on their own:
-    they differentiate the constant G_{00} = 1.)
-    """
-    base = WeightedGaussianFunction(PolyZZbar.constant(1), g)
-    # gbar[i] = ∂̄^i e^{−g} as a weighted function; gfac[j][i] = e^{g}∂^j∂̄^i e^{−g}
-    gbar = [base]
-    for _ in range(k):
-        gbar.append(gbar[-1].dzbar())
-    gfac = []
-    for i in range(k + 1):
-        row = [gbar[i]]
-        for _ in range(k):
-            row.append(row[-1].dz())
-        gfac.append([row[j].poly for j in range(k + 1)])
-
-    # phider[a][b] = ∂^a ∂̄^b φ for a, b ≤ 2k
-    phider = [[None] * (2 * k + 1) for _ in range(2 * k + 1)]
-    phider[0][0] = phi
-    for a in range(2 * k + 1):
-        for b in range(2 * k + 1):
-            if a == 0 and b == 0:
-                continue
-            if b > 0:
-                phider[a][b] = phider[a][b - 1].dzbar()
-            else:
-                phider[a][b] = phider[a - 1][0].dz()
-
-    total = PolyZZbar.zero()
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if i == 0 and j == 0:
-                continue
-            cij = math.comb(k, i) * math.comb(k, j)
-            for l in range(k + 1):
-                for m in range(k + 1):
-                    if l == 0 and m == 0:
-                        continue
-                    coeff = cij * math.comb(k, l) * math.comb(k, m)
-                    factor = gfac[i][j].deriv(m, l)
-                    if factor.is_zero():
-                        continue
-                    total = total + coeff * (phider[2 * k - m - j][2 * k - l - i] * factor)
-    return total
-
-
 def weight_identity_rhs_k1(phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     """Complete first-order commutator expansion for weight exponent g.
 

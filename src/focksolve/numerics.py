@@ -294,15 +294,40 @@ def project(
     return HermiteCoeffs(coeffs, RAW), defect
 
 
+def scale_down(values) -> Tuple[np.ndarray, int]:
+    """(values·2^−e, e) for complex ``values``, with 2^e just above the largest part.
+
+    A power-of-two scale is exact, so the squares of the scaled values are
+    those of ``values`` times 2^−2e, and none is subnormal where the largest
+    is not.  e is 0 where the largest part is 0, infinite or NaN.
+    """
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    peak = float(np.max(np.abs(parts), initial=0.0))
+    e = math.frexp(peak)[1] if math.isfinite(peak) else 0
+    return np.ldexp(parts, -e).view(complex), e
+
+
+def unscale(value: float, exponent: int) -> float:
+    """value·2^exponent; ±inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, exponent))
+
+
 def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
-    """The rule's quadrature of |u|² about its centre: Σ w·|synthesize(u, z − z₀)|².
+    """The rule's quadrature of |u|² about its centre: Σ w·|synthesize(u, z − z₀)|²."""
+    return unscale(*scaled_quadrature_norm_sq(u, rule))
+
+
+def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[float, int]:
+    """(q, x) with q·2^x the quadrature of |u|², q computed without subnormal squares.
 
     No node values are formed.  On a radius u(r·e^{iθ}) = Σ_α G_α(r)·e^{iαθ},
     where G_α(r) sums a_{m,n}·H_{m,n}(r) over m − n = α, and on A uniform
-    angles Parseval gives Σ_j |u|² = A·Σ_b |Σ_{α ≡ b mod A} G_α(r)|².
+    angles Parseval gives Σ_j |u|² = A·Σ_b |Σ_{α ≡ b mod A} G_α(r)|², summed
+    from the spectrum scaled by :func:`scale_down`.
     """
     if not u.entries:
-        return 0.0
+        return 0.0, 0
     r, wr = rule.polar
     A = rule.angular_nodes
     _, index, values = u.raw_values()
@@ -318,7 +343,8 @@ def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
             live = np.flatnonzero(c)
             if live.size:
                 spectrum[bin_] += c[live] @ rows[live]
-    return float(A * np.dot(wr, np.sum(spectrum.real**2 + spectrum.imag**2, axis=0)))
+    spectrum, e = scale_down(spectrum)
+    return float(A * np.dot(wr, np.sum(spectrum.real**2 + spectrum.imag**2, axis=0))), 2 * e
 
 
 def _laplacian_residual(

@@ -8,9 +8,7 @@ from an origin (m₀, n₀) with m₀ < k or n₀ < k, the unknowns u_j at indic
 
     c·u_j + A_j·u_{j+1} = f_j,      A_j = ((m₀+(j+1)k)! / (m₀+jk)!) · (n analog).
 
-Each chain is solved for its minimum weighted-norm solution: in exact
-arithmetic by projecting the forward particular solution against the
-one-dimensional homogeneous family, in floating point by an orthogonal
+Each chain is solved for its minimum weighted-norm solution by an orthogonal
 (Givens) factorization in orthonormal coordinates, where the couplings
 become √A_j and every stored quantity stays O(1).  Past the box the data
 vanish, so each chain's infinite tail is fixed by its edge entry and the
@@ -29,9 +27,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -40,9 +37,11 @@ from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
     project,
-    quadrature_norm_sq,
+    scale_down,
+    scaled_quadrature_norm_sq,
+    unscale,
 )
-from .ring import ExactScalar, PolyZZbar
+from .ring import PolyZZbar
 
 BOUND_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -70,8 +69,6 @@ DISK_GRID_CELLS = 2**21
 #: data entries and lays out (chains × (M//k + 1)), about 2·(M + 1)² cells, so
 #: (M + 1)² is bounded; that admits truncations up to M = 1447.
 SWEEP_BOX_CELLS = 2**21
-
-ExactLike = Union[int, Fraction, ExactScalar]
 
 
 def _finite(value) -> bool:
@@ -159,40 +156,6 @@ class SolveReport:
 
 # ---------------------------------------------------------------------------
 # Chain solves
-
-
-def _solve_chain_exact(
-    couplings: Sequence[int], weights: Sequence[int], rhs: Sequence[ExactLike], c: ExactLike
-) -> List[ExactScalar]:
-    """Exact minimum-weighted-norm solution of one truncated chain: the rational oracle.
-
-    ``couplings[j]`` is A_j, ``weights[j]`` the factorial product
-    (m₀+jk)!·(n₀+jk)! carrying the squared-norm weight of position j, and
-    ``rhs`` the raw data amplitudes at the chain positions.  Forward
-    substitution from u₀ = 0 gives a particular solution p of the equations
-    c·u_j + A_j·u_{j+1} = f_j (j = 0..L−2); the homogeneous family is spanned
-    by h with h₀ = 1, h_{j+1} = −c·h_j/A_j.  The minimum-norm solution is
-    p − (⟨h, p⟩_w / ⟨h, h⟩_w)·h, exactly.
-    """
-    c = ExactScalar.coerce(c)
-    L = len(rhs)
-    if L == 1:
-        # No equations inside the chain; the minimum-norm choice is zero.
-        return [ExactScalar(0)]
-    p = [ExactScalar(0)]
-    h = [ExactScalar(1)]
-    for j in range(L - 1):
-        a = couplings[j]
-        p.append((rhs[j] - c * p[j]) / a)
-        h.append(-(c * h[j]) / a)
-    hp = ExactScalar(0)
-    hh = Fraction(0)
-    for j in range(L):
-        w = weights[j]
-        hp = hp + h[j].conjugate() * p[j] * w
-        hh += h[j].abs2() * w
-    t = -(hp / hh)
-    return [p[j] + t * h[j] for j in range(L)]
 
 
 def _min_norm_bidiagonal(
@@ -718,9 +681,24 @@ def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     # is the weighted mass the box misses.
     f_hat, defect = project(lambda _: fv, p.truncation - p.k, rule, check_parseval=False)
     u, base_report = solve(ProblemSpec(k=p.k, c=p.c, truncation=p.truncation, f=f_hat))
-    u_sq = quadrature_norm_sq(u, rule)
-    f_sq = float(np.real(np.sum(w * fv * np.conjugate(fv))))
+    # both integrals as (value, exponent) pairs: see _relative_change
+    u_sq = scaled_quadrature_norm_sq(u, rule)
+    fs, e = scale_down(np.broadcast_to(fv, z.shape))
+    f_sq = (float(np.real(np.sum(w * fs * np.conjugate(fs)))), 2 * e)
     return u, base_report, u_sq, f_sq, max(0.0, defect)
+
+
+def _relative_change(a: Tuple[float, int], b: Tuple[float, int]) -> float:
+    """|a − b|/b for integrals given as (value, exponent) pairs; 0 where b is not positive.
+
+    Computed on b's power-of-two scale, which is exact: an integral whose
+    unscaled value is subnormal still compares at full precision, and normal
+    ones give the bits of the unscaled quotient.
+    """
+    (va, xa), (vb, xb) = a, b
+    if not vb > 0:
+        return 0.0
+    return abs(unscale(va, xa - xb) - vb) / vb
 
 
 def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
@@ -729,21 +707,20 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
     Certifies the inequality ∫_U|u|² ≤ (e^{|U|²}/(k!)²)·∫_U|f|².  Both disk
     integrals are recomputed at doubled quadrature resolution; a relative
     shift above 1e−6 raises :class:`QuadratureResolutionError`, since the
-    certified integrals would then be quadrature-limited.
+    certified integrals would then be quadrature-limited.  The shift is
+    taken on a power-of-two scale (:func:`_relative_change`), so it measures
+    the quadrature, not the rounding of a subnormal integral.
     """
     rule = QuadratureRule.disk(p.center, p.radius, p.radial_nodes, p.angular_nodes)
-    u, base_report, u_sq, f_sq, defect = _disk_pass(p, rule)
-    _, _, u_sq2, f_sq2, _ = _disk_pass(p, rule.refined())
-    shift = 0.0
-    if f_sq2 > 0:
-        shift = abs(f_sq - f_sq2) / f_sq2
-    if u_sq2 > 0:
-        shift = max(shift, abs(u_sq - u_sq2) / u_sq2)
+    u, base_report, u_scaled, f_scaled, defect = _disk_pass(p, rule)
+    _, _, u_scaled2, f_scaled2, _ = _disk_pass(p, rule.refined())
+    shift = max(_relative_change(f_scaled, f_scaled2), _relative_change(u_scaled, u_scaled2))
     if shift > 1e-6:
         raise QuadratureResolutionError(
             f"disk integrals move by {shift:.3e} under quadrature doubling; "
             f"increase radial/angular nodes"
         )
+    u_sq, f_sq = unscale(*u_scaled), unscale(*f_scaled)
     diameter = 2.0 * p.radius
     constant = math.exp(diameter**2) / math.factorial(p.k) / math.factorial(p.k)
     ratio = 0.0 if f_sq == 0 else u_sq / f_sq

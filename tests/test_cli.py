@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from focksolve import cli
+from focksolve.basis import HermiteCoeffs, index_array, to_hermite
 
 
 def write_problem(path, k=1, c=(0.0, 0.0), truncation=32, coeffs=None, basis="hermite"):
@@ -455,3 +456,173 @@ def test_readme_examples_solve_eval_and_disk(tmp_path):
     assert max(abs(complex(*map(float, row.split(",")[2:]))) for row in rows[1:]) <= 1e-10
     assert cli.run(["disk", "--input", str(EXAMPLES / "disk.json"), "--output", str(report)]) == 0
     assert json.loads(report.read_text())["report"]["bound_holds"] is True
+
+
+# ---------------------------------------------------------------------------
+# The column read and the row template against the row-by-row path they replace
+
+
+def _is_row(item) -> bool:
+    return (
+        isinstance(item, dict)
+        and bool(item)
+        and all(type(value) is int or type(value) is float for value in item.values())
+    )
+
+
+def reference_render(value, pad=""):
+    """The row-scanning writer: lists of rows through the C encoder, split at row boundaries."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{inner}{cli._SCALAR.encode(key)}: {reference_render(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(map(_is_row, value)):
+            keys = inner + "  "
+            encoder = json.JSONEncoder(
+                separators=(",\n" + keys, ": "), sort_keys=True, allow_nan=False
+            )
+            rows = encoder.encode(value)[2:-2].split("},\n" + keys + "{")
+            between = "\n" + inner + "},\n" + inner + "{\n" + keys
+            return f"[\n{inner}{{\n{keys}{between.join(rows)}\n{inner}}}\n{pad}]"
+        items = (inner + reference_render(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return cli._SCALAR.encode(value)
+
+
+def reference_parse_f(block, top, name="f"):
+    """The row-by-row parse: every row through _int and _complex, then the constructor."""
+    basis = cli._object(block).get("basis", "hermite")
+    coeffs = block.get("coeffs", [])
+    if basis == "hermite":
+        terms = {(cli._int(item, "m"), cli._int(item, "n")): cli._complex(item) for item in coeffs}
+    elif basis == "monomial":
+        poly = cli._parse_poly(coeffs)
+        terms = poly.terms
+    else:
+        raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
+    outside = (index_array(terms) > top).any(axis=1)
+    if outside.any():
+        past = list(terms)[int(outside.argmax())]
+        raise ValueError(f"{name} has support at index {past}, outside the box [0,{top}]²")
+    return HermiteCoeffs(terms, "raw") if basis == "hermite" else to_hermite(poly)
+
+
+def reference_coeff_block(u):
+    """The rows of u as objects, one dict per row."""
+    coeffs = [{"m": m, "n": n, "re": amp.real, "im": amp.imag} for (m, n), amp in u.to_raw().items()]
+    return {"basis": "hermite", "coeffs": coeffs}
+
+
+def _bits(amp):
+    if isinstance(amp, complex):
+        return amp.real.hex(), amp.imag.hex()
+    return amp
+
+
+def _outcome(parse, block, top):
+    """("ok", keys in order, amplitude bits) or ("error", exception type, text)."""
+    try:
+        f = parse(block, top)
+    except (KeyError, ValueError, TypeError) as exc:
+        return "error", type(exc).__name__, str(exc)
+    f = f[0] if isinstance(f, tuple) else f
+    return "ok", f.normalization, f.exact, [(repr(key), _bits(amp)) for key, amp in f.entries.items()]
+
+
+def assert_column_path_matches_reference(block, top):
+    got, want = _outcome(cli._parse_f, block, top), _outcome(reference_parse_f, block, top)
+    assert got == want
+    if got[0] == "ok":
+        # the echoed block writes the text of the block read in
+        _, echo = cli._parse_f(block, top)
+        assert cli._render({"f": echo}, "") == reference_render({"f": block})
+    return got
+
+
+def R(m, n, re, im=None, **extra):
+    row = {"m": m, "n": n, "re": re}
+    if im is not None:
+        row["im"] = im
+    return {**row, **extra}
+
+
+EDGE_BLOCKS = {
+    "plain": [R(0, 0, 1.0, 0.0), R(1, 2, -0.5, 2.5), R(3, 1, 0.0, -0.0)],
+    "signed zeros": [R(0, 0, 0.0, -0.0), R(1, 1, -0.0, 0.0), R(2, 0, 1.0, -0.0)],
+    "subnormal and huge": [R(0, 0, 5e-324, 1e300), R(1, 1, 1e-300, 0.0), R(2, 2, 1e-301, 0.0)],
+    "magnitude past float range": [R(0, 0, 1.0, 0.0), R(1, 0, 1.5e308, -1.5e308)],
+    "int parts": [R(0, 0, 1, 0), R(1, 1, 2, -3), R(2, 1, 2**60 + 1, 0.5), R(0, 2, 2**1023, 0)],
+    "int past float range": [R(0, 0, 1.0, 0.0), R(1, 0, 10**400, 0.0)],
+    "int just past float range": [R(0, 0, 2**1024 - 2**970, 0.0)],
+    "integral float m": [R(0, 0, 1.0, 0.0), R(2.0, 1, 1.0, 0.0)],
+    "bool re": [R(0, 0, True, 0.0)],
+    "bool m": [R(True, 0, 1.0, 0.0)],
+    "string re": [R(0, 0, "1", 0.0)],
+    "string m": [R("0", 0, 1.0, 0.0)],
+    "null im": [R(1, 0, 1.0, 0.0), {"m": 0, "n": 0, "re": 1.0, "im": None}],
+    "missing im": [R(0, 0, 1.0), R(1, 1, 2.0, 0.5)],
+    "extra key": [R(0, 0, 1.0, 0.0, note="x"), R(1, 1, 1.0, 0.0)],
+    "duplicate (m, n)": [R(0, 0, 1.0, 0.0), R(1, 1, 2.0, 0.0), R(0, 0, 3.0, 1.0)],
+    "non-dict row": [R(0, 0, 1.0, 0.0), [0, 0, 1.0, 0.0]],
+    "past top": [R(0, 0, 1.0, 0.0), R(40, 0, 1.0, 0.0), R(0, 50, 1.0, 0.0)],
+    "zero past top": [R(0, 0, 1.0, 0.0), R(40, 0, 0.0, 0.0)],
+    "index past int64": [R(0, 0, 1.0, 0.0), R(10**30, 0, 1.0, 0.0)],
+    "negative index": [R(0, 0, 1.0, 0.0), R(-1, 0, 1.0, 0.0)],
+    "negative and past top": [R(-1, 0, 1.0, 0.0), R(40, 0, 1.0, 0.0)],
+    "invalid after valid": [R(0, 0, 1.0, 0.0), R(1, 1, 1.0, 0.0), R(2, 2, "x", 0.0), R(3, 3, True, 0.0)],
+    "empty": [],
+    "not a list": {"m": 0, "n": 0, "re": 1.0, "im": 0.0},
+}
+# JSON texts: NaN and Infinity literals
+EDGE_TEXTS = {
+    "NaN": '[{"m": 0, "n": 0, "re": NaN, "im": 0.0}]',
+    "Infinity": '[{"m": 0, "n": 0, "re": 1.0, "im": -Infinity}, {"m": 1, "n": 0, "re": 1.0, "im": 0.0}]',
+    "NaN past top": '[{"m": 0, "n": 0, "re": NaN, "im": 0.0}, {"m": 40, "n": 0, "re": 1.0, "im": 0.0}]',
+}
+EDGE_CASES = {**EDGE_BLOCKS, **{name: json.loads(text) for name, text in EDGE_TEXTS.items()}}
+
+
+def _solve_file(tmp_path, capsys, tag):
+    out = tmp_path / f"{tag}.json"
+    code = cli.run(["solve", "--input", str(tmp_path / "p.json"), "--output", str(out)])
+    return code, capsys.readouterr().err, out.read_text() if out.exists() else None
+
+
+@pytest.mark.parametrize("basis", ["hermite", "monomial"])
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_column_path_matches_the_row_reference_on_edge_rows(tmp_path, capsys, monkeypatch, basis, name):
+    block = {"basis": basis, "note": [1, {"a": 2.5}], "coeffs": EDGE_CASES[name]}
+    assert_column_path_matches_reference(block, 11)
+    # through the command: the same output text, exit code and error text
+    (tmp_path / "p.json").write_text(
+        json.dumps({"k": 1, "c": {"re": 0.5, "im": -1.0}, "truncation": 12, "f": block})
+    )
+    got = _solve_file(tmp_path, capsys, "new")
+    monkeypatch.setattr(cli, "_parse_f", lambda block, top: (reference_parse_f(block, top), block))
+    monkeypatch.setattr(cli, "_render", reference_render)
+    monkeypatch.setattr(cli, "_coeff_block", reference_coeff_block)
+    assert got == _solve_file(tmp_path, capsys, "reference")
+
+
+def test_edge_rows_take_the_column_path_only_in_its_shape():
+    # the blocks above reach both paths: the column read accepts exactly these
+    accepted = {name for name, coeffs in EDGE_CASES.items() if cli._columns(coeffs, 11) is not None}
+    assert accepted == {"plain", "signed zeros", "subnormal and huge", "magnitude past float range", "int parts"}
+
+
+def test_coefficient_rows_write_the_text_of_row_objects():
+    values = [0.0, -0.0, 5e-324, -1e300, 0.1, 1.0, -2.5e-308]
+    entries = {(m, n): complex(values[m], values[n]) for m in range(7) for n in range(7)}
+    u = HermiteCoeffs(entries, "raw").to_orthonormal()
+    block = cli._coeff_block(u)
+    assert type(block["coeffs"]) is cli._Rows
+    want = reference_render({"u": reference_coeff_block(u), "k": 1})
+    assert cli._render({"u": block, "k": 1}, "") == want

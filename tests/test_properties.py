@@ -1,4 +1,4 @@
-"""Property tests: the chain kernel against the rational oracle, the solve map, fuzzed files."""
+"""Property tests: the chain kernel against the rational oracle, the solve map, fuzzed files, the column read."""
 
 import json
 import math
@@ -11,9 +11,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
-from focksolve.solver import _min_norm_bidiagonal, _solve_chain_exact, dense_data  # noqa: E402
+from focksolve.solver import _min_norm_bidiagonal, dense_data  # noqa: E402
 from test_basis import reference_to_orthonormal, reference_to_raw  # noqa: E402
-from test_solver import assert_matches_reference, chain_length, chain_origins  # noqa: E402
+from test_cli import assert_column_path_matches_reference  # noqa: E402
+from test_solver import (  # noqa: E402
+    assert_matches_reference,
+    chain_length,
+    chain_origins,
+    solve_chain_exact,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -39,7 +45,7 @@ def rational_chains(draw):
 @given(rational_chains())
 def test_float_chain_solve_matches_exact_oracle(case):
     couplings, weights, rhs, c = case
-    exact = _solve_chain_exact(couplings, weights, rhs, c)
+    exact = solve_chain_exact(couplings, weights, rhs, c)
     # orthonormal coordinates: u_j·√w_j, couplings √A_j
     sqw = [math.sqrt(w) for w in weights]
     sol = _min_norm_bidiagonal(
@@ -255,3 +261,45 @@ def test_array_conversions_match_the_loops_on_every_edge_pair():
                             (HermiteCoeffs.to_orthonormal, reference_to_orthonormal),
                         ):
                             assert _outcome(convert, u) == _outcome(reference, u), (entries, normalization)
+
+
+_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+    st.integers(-(2**70), 2**70),
+)
+# rare values, all but 2**1023 outside the column shape: NaN and infinite parts,
+# ints past the float range, non-numbers, and non-integral, negative, past-top
+# (top = 6) and past-int64 indices
+_unusual = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 2**1023, 2**1024 - 2**970, -(10**400), True, False, None,
+     "1", [1], {"re": 1.0}, 1.0, 2.5, -1, 7, 2**64]
+)
+
+
+def _rarely(draw, usual, odds=40):
+    return draw(_unusual if draw(st.integers(0, odds)) == 0 else usual)
+
+
+@st.composite
+def _rows(draw):
+    if draw(st.integers(0, 60)) == 0:
+        return draw(st.sampled_from([[0, 0, 1.0, 0.0], "row", 3, None]))
+    index = st.integers(0, 6)
+    row = {
+        "m": _rarely(draw, index),
+        "n": _rarely(draw, index),
+        "re": _rarely(draw, _parts),
+        "im": _rarely(draw, _parts),
+    }
+    if draw(st.integers(0, 40)) == 0:
+        del row[draw(st.sampled_from(["m", "n", "re", "im"]))]
+    if draw(st.integers(0, 40)) == 0:
+        row["extra"] = 1.0
+    return row
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(["hermite", "monomial"]), st.lists(_rows(), max_size=12))
+def test_column_path_matches_the_row_reference_on_random_blocks(basis, coeffs):
+    assert_column_path_matches_reference({"basis": basis, "coeffs": coeffs}, 6)

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from focksolve import (
@@ -18,7 +20,7 @@ from focksolve import (
     solve_disk,
     solve_scaled,
 )
-from focksolve import solver
+from focksolve import numerics, solver
 from focksolve.numerics import QuadratureResolutionError, _legendre
 from focksolve.solver import DISK_GRID_CELLS
 from test_numerics import reference_norm_sq, reference_project
@@ -166,6 +168,35 @@ def test_disk_solve_at_k_100():
     assert rep.bound_holds and rep.resolution_shift <= 1e-12
 
 
+def test_disk_solve_at_k_100_on_a_small_disk():
+    # on radius 0.5, ∫_U|u|² ≈ 3e−319 is subnormal: unscaled, the doubling check
+    # compared rounding and read a shift of 2.1e−3
+    p = DiskProblem(0j, 0.5, PolyZZbar.constant(1), 100, 0j, 100, radial_nodes=256, angular_nodes=8)
+    _, rep = solve_disk(p)
+    assert 0 < rep.u_sq_on_disk < sys.float_info.min
+    assert rep.f_sq_on_disk == pytest.approx(math.pi / 4, rel=1e-14)
+    assert rep.bound_holds and rep.resolution_shift <= 1e-12
+
+
+def _unscaled(values):
+    return np.ascontiguousarray(values, dtype=complex), 0
+
+
+@pytest.mark.parametrize("radius, k, truncation", [(1.0, 1, 16), (0.8, 2, 20), (2.0, 3, 24), (0.05, 4, 12)])
+def test_disk_reports_keep_the_bits_of_unscaled_integrals(monkeypatch, radius, k, truncation):
+    # a power-of-two scale is exact: where the integrals are normal floats, the
+    # report is the one computed without scaling, bit for bit
+    poly = PolyZZbar({(0, 0): ExactScalar(Fraction(1, 3)), (2, 1): ExactScalar(0, Fraction(-7, 4))})
+    p = DiskProblem(0.25 + 0.5j, radius, poly, k, 1 - 1j, truncation, radial_nodes=40, angular_nodes=24)
+    _, rep = solve_disk(p)
+    assert rep.u_sq_on_disk >= sys.float_info.min
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "scale_down", _unscaled)
+        patch.setattr(numerics, "scale_down", _unscaled)
+        _, want = solve_disk(p)
+    assert repr(dataclasses.asdict(rep)) == repr(dataclasses.asdict(want))
+
+
 @pytest.mark.parametrize(
     "radial, angular", [(100000, 64), (64, 10**7), (0, 64), (64, 0), (724, 1), (513, 512)]
 )
@@ -213,7 +244,9 @@ def test_disk_reports_match_per_node_reference(monkeypatch):
         u, rep = solve_disk(p)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "project", reference_project)
-            patch.setattr(solver, "quadrature_norm_sq", reference_norm_sq)
+            patch.setattr(
+                solver, "scaled_quadrature_norm_sq", lambda u, rule: (reference_norm_sq(u, rule), 0)
+            )
             want_u, want = solve_disk(p)
         assert set(u.entries) == set(want_u.entries)
         got, exp = dataclasses.asdict(rep), dataclasses.asdict(want)

@@ -27,7 +27,6 @@ from focksolve.solver import (
     _layout,
     _min_norm_bidiagonal,
     _norm,
-    _solve_chain_exact,
     _tail_weights,
     dense_data,
 )
@@ -90,6 +89,38 @@ def scalar_tail_weight(origin, k, L, c):
         if a > c2 and term <= 1e-17 * tau:
             return tau
         j += 1
+
+
+def solve_chain_exact(couplings, weights, rhs, c):
+    """Exact minimum-weighted-norm solution of one truncated chain: the rational oracle.
+
+    ``couplings[j]`` is A_j, ``weights[j]`` the factorial product
+    (m₀+jk)!·(n₀+jk)! carrying the squared-norm weight of position j, and
+    ``rhs`` the raw data amplitudes at the chain positions.  Forward
+    substitution from u₀ = 0 gives a particular solution p of the equations
+    c·u_j + A_j·u_{j+1} = f_j (j = 0..L−2); the homogeneous family is spanned
+    by h with h₀ = 1, h_{j+1} = −c·h_j/A_j.  The minimum-norm solution is
+    p − (⟨h, p⟩_w / ⟨h, h⟩_w)·h, exactly.
+    """
+    c = ExactScalar.coerce(c)
+    L = len(rhs)
+    if L == 1:
+        # No equations inside the chain; the minimum-norm choice is zero.
+        return [ExactScalar(0)]
+    p = [ExactScalar(0)]
+    h = [ExactScalar(1)]
+    for j in range(L - 1):
+        a = couplings[j]
+        p.append((rhs[j] - c * p[j]) / a)
+        h.append(-(c * h[j]) / a)
+    hp = ExactScalar(0)
+    hh = Fraction(0)
+    for j in range(L):
+        w = weights[j]
+        hp = hp + h[j].conjugate() * p[j] * w
+        hh += h[j].abs2() * w
+    t = -(hp / hh)
+    return [p[j] + t * h[j] for j in range(L)]
 
 
 def reference_solve(spec):
@@ -188,12 +219,12 @@ def test_decompose_couplings_and_weights():
 
 
 # ---------------------------------------------------------------------------
-# chain solves: _solve_chain_exact and _min_norm_bidiagonal
+# chain solves: solve_chain_exact and _min_norm_bidiagonal
 
 
 def test_solve_chain_exact_reference_case():
     _, couplings, weights, rhs = chain((0, 0), 1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    sol = _solve_chain_exact(couplings, weights, rhs, 1)
+    sol = solve_chain_exact(couplings, weights, rhs, 1)
     assert sol == [
         ExactScalar(Fraction(5, 9)),
         ExactScalar(Fraction(4, 9)),
@@ -210,12 +241,12 @@ def test_solve_chain_exact_reference_case():
 
 def test_solve_chain_zero_rhs():
     _, couplings, weights, rhs = chain((0, 0), 1, 3, HermiteCoeffs.zero())
-    assert _solve_chain_exact(couplings, weights, rhs, 0) == [ExactScalar(0)] * 4
+    assert solve_chain_exact(couplings, weights, rhs, 0) == [ExactScalar(0)] * 4
 
 
 def test_solve_chain_c0_forward_substitution():
     _, couplings, weights, rhs = chain((0, 0), 1, 2, HermiteCoeffs.basis_vector(0, 0, 1))
-    sol = _solve_chain_exact(couplings, weights, rhs, 0)
+    sol = solve_chain_exact(couplings, weights, rhs, 0)
     assert sol == [ExactScalar(0), ExactScalar(1), ExactScalar(0)]
 
 
@@ -303,7 +334,7 @@ def test_solve_chain_exact_random_chains():
         for origin in chain_origins(1, 6):
             _, couplings, weights, rhs = chain(origin, 1, 6, f)
             L = len(rhs)
-            sol = _solve_chain_exact(couplings, weights, rhs, c)
+            sol = solve_chain_exact(couplings, weights, rhs, c)
             cc = ExactScalar.coerce(c)
             for j in range(L - 1):
                 lhs = cc * sol[j] + couplings[j] * sol[j + 1]
