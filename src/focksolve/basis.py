@@ -16,6 +16,10 @@ Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
 * the numeric context stores orthonormal amplitudes (multiplying
   H_{m,n}/√(π·m!·n!)) as complex floats, which keeps stored magnitudes O(1);
   raw float amplitudes under/overflow once indices reach ≈ 85.
+
+Numeric vectors built from arrays go through one checked writer,
+``HermiteCoeffs._from_array``, and are read back through
+:meth:`HermiteCoeffs.arrays`; the per-entry constructor takes mappings.
 """
 
 from __future__ import annotations
@@ -181,19 +185,41 @@ class HermiteCoeffs:
         return cls({(m, n): amplitude}, normalization)
 
     @classmethod
-    def _trusted(cls, entries: dict, normalization: str) -> "HermiteCoeffs":
-        """Wrap ``entries`` unchecked: int-tuple keys, finite complex amplitudes of size ≥ 1e−300."""
+    def _from_array(cls, keys: list, values: np.ndarray, normalization: str) -> "HermiteCoeffs":
+        """The numeric vector of ``values`` at ``keys``, pruned and checked as the constructor does.
+
+        ``keys`` are distinct pairs of nonnegative ints.  The writer of every
+        numeric vector the library builds from arrays.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            sizes = np.hypot(values.real, values.imag)
+        # NaN fails both tests, so only a vector of finite sizes ≥ 1e−300 skips the masks
+        if not (sizes.min(initial=math.inf) >= _NUMERIC_PRUNE and sizes.max(initial=0.0) < math.inf):
+            bad = ~(sizes < _NUMERIC_PRUNE) & ~(sizes < math.inf)  # NaN or infinite
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
+            kept = sizes >= _NUMERIC_PRUNE
+            keys = [keys[i] for i in np.flatnonzero(kept).tolist()]
+            values = values[kept]
         self = cls.__new__(cls)
-        self.entries, self.normalization, self.exact = entries, normalization, False
+        self.entries = dict(zip(keys, values.tolist()))
+        self.normalization, self.exact = normalization, False
         return self
 
     # ---- structure ----------------------------------------------------------
 
-    def max_index(self) -> BasisIndex:
-        """Componentwise maximum of the support; (-1, -1) when empty."""
-        if not self.entries:
-            return (-1, -1)
-        return (max(m for m, _ in self.entries), max(n for _, n in self.entries))
+    def arrays(self) -> Tuple[list, np.ndarray, np.ndarray]:
+        """(keys, index, values): the keys, their :func:`index_array` and the amplitudes, in entry order.
+
+        The amplitudes are one complex array in the vector's own
+        normalization; exact ones are converted to floats.
+        """
+        keys = list(self.entries)
+        values = self.entries.values()
+        if self.exact:
+            values = [amp.to_complex() for amp in values]
+        return keys, index_array(keys), np.fromiter(values, complex, len(keys))
 
     def items(self):
         return sorted(self.entries.items())
@@ -209,41 +235,6 @@ class HermiteCoeffs:
 
     # ---- normalization ------------------------------------------------------
 
-    def _values(self) -> np.ndarray:
-        """The amplitudes as one complex array in entry order (exact ones converted)."""
-        values = self.entries.values()
-        if self.exact:
-            values = [amp.to_complex() for amp in values]
-        return np.fromiter(values, complex, len(self.entries))
-
-    @classmethod
-    def _from_array(cls, keys: list, values: np.ndarray, normalization: str) -> "HermiteCoeffs":
-        """The vector of ``values`` at ``keys``, pruned and checked as the constructor does."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            sizes = np.hypot(values.real, values.imag)
-        kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
-        bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
-        if not kept.all():
-            keys = [keys[i] for i in np.flatnonzero(kept).tolist()]
-            values = values[kept]
-        return cls._trusted(dict(zip(keys, values.tolist())), normalization)
-
-    def raw_values(self) -> Tuple[list, np.ndarray, np.ndarray]:
-        """(keys, index, values): the raw float amplitudes in entry order, unpruned and unchecked.
-
-        ``index`` is :func:`index_array` of the keys; orthonormal amplitudes
-        are divided as in :meth:`to_raw`.
-        """
-        keys = list(self.entries)
-        index = index_array(keys)
-        values = self._values()
-        if self.normalization == ORTHONORMAL:
-            values = _quotient(values, sqrt_norms(index))
-        return keys, index, values
-
     def to_orthonormal(self) -> "HermiteCoeffs":
         """Rescale to orthonormal amplitudes (floating point).
 
@@ -253,9 +244,8 @@ class HermiteCoeffs:
         """
         if self.normalization == ORTHONORMAL:
             return self
-        keys = list(self.entries)
-        norms = sqrt_norms(index_array(keys))
-        values = self._values()
+        keys, index, values = self.arrays()
+        norms = sqrt_norms(index)
         re, im = values.real, values.imag
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
@@ -272,9 +262,8 @@ class HermiteCoeffs:
         """
         if self.normalization == RAW:
             return self
-        keys = list(self.entries)
-        norms = sqrt_norms(index_array(keys))
-        amps = self._values()
+        keys, index, amps = self.arrays()
+        norms = sqrt_norms(index)
         values = _quotient(amps, norms)
         sizes = np.hypot(amps.real, amps.imag)
         floor = sizes.max(initial=0.0) * 2.0**-52

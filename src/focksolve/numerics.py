@@ -27,9 +27,14 @@ by the integrand.  Both rules are polar products whose weights depend on the
 radius alone, and H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), so projection
 and quadrature norms on a rule take an FFT in θ and walk the radii only.
 
+Synthesis and quadrature norms read the raw amplitudes from one
+offset-major array (:func:`_offset_major`); :func:`project` divides by
+(π·m!)·n! from the float factorial table of :mod:`focksolve.basis`.
+
 The finite-difference residual uses 4·∂∂̄ = Δ: the five-point discrete
 Laplacian over four, plus c, applied to a synthesized solution, is an
-independent order-h² check of the spectral solve at k = 1.
+independent order-h² check of the spectral solve at k = 1.  A residual that
+leaves the float range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import RAW, HermiteCoeffs
+from .basis import _FACTORIALS, _TOP, ORTHONORMAL, RAW, HermiteCoeffs, _quotient, sqrt_norms
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -209,28 +214,37 @@ def _radial_blocks(M: int, r: np.ndarray):
         yield alpha, np.array([next(walk)[1] for _ in range(M + 1 - alpha)])
 
 
+def _offset_major(u: HermiteCoeffs) -> np.ndarray:
+    """u's raw amplitudes by offset: coef[m < n, |m − n|, min(m, n)], zero off u's support.
+
+    H_{n+α,n} sits at [0, α, n] and its mirror H_{n,n+α} at [1, α, n], in a
+    (2, M + 1, M + 1) array for M the largest index.  Orthonormal amplitudes
+    are divided as in :meth:`HermiteCoeffs.to_raw`, but unpruned and unchecked.
+    """
+    _, index, values = u.arrays()
+    if u.normalization == ORTHONORMAL:
+        values = _quotient(values, sqrt_norms(index))
+    m, n = index[:, 0], index[:, 1]
+    size = int(index.max(initial=-1)) + 1
+    coef = np.zeros((2, size, size), dtype=complex)
+    coef[(m < n).astype(np.intp), np.abs(m - n), np.minimum(m, n)] = values
+    return coef
+
+
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
+    total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
     if not u.entries:
-        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    mmax, nmax = u.max_index()
-    keys, _, values = u.raw_values()
-    raw = dict(zip(keys, values.tolist()))
-
-    def coeff_at(m, n):
+        return total
+    lower, upper = _offset_major(u).tolist()
+    for (m, n), value in hermite_lower_walk(len(lower) - 1, z):
         # a raw amplitude that underflows cannot contribute; skipping it also
         # avoids 0·inf once H values leave the f64 range at extreme indices
-        return raw.get((m, n)) or None
-
-    total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    for (m, n), value in hermite_lower_walk(max(mmax, nmax), z):
-        coeff = coeff_at(m, n)
-        if coeff is not None:
-            total = total + coeff * value
-        if m != n:
-            mirror = coeff_at(n, m)
-            if mirror is not None:
-                total = total + mirror * np.conjugate(value)
+        a, b = lower[m - n][n], upper[m - n][n]
+        if a:
+            total = total + a * value
+        if b:
+            total = total + b * np.conjugate(value)
     return total
 
 
@@ -256,8 +270,11 @@ def project(
     Returns the raw coefficients and the signed Parseval defect
     (‖f‖² − coefficient mass)/‖f‖², both norms in the projection's weight.
     With ``check_parseval`` a defect above 1e−6 in magnitude raises
-    :class:`QuadratureResolutionError`.
+    :class:`QuadratureResolutionError`.  M past 170, where m! leaves the
+    float range, raises ``ValueError``.
     """
+    if M > _TOP:
+        raise ValueError(f"M = {M} is past {_TOP}, where m! leaves the float range")
     z, _ = rule.points_and_weights
     r, wr = rule.polar
     A = rule.angular_nodes
@@ -269,29 +286,33 @@ def project(
     norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
     spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
-    coeffs = {}
-    mass = 0.0
+    # ⟨H_{m,n}, f⟩ for m = n + α at [α, n, 0]; at [α, n, 1] its mirror ⟨H_{n,m}, f⟩
+    # from bin −α, since conj(H_{n,m}) = H_{m,n}
+    pairings = np.zeros((M + 1, M + 1, 2), dtype=complex)
     for alpha, rows in _radial_blocks(M, r):
-        lower = (rows @ spectrum[:, alpha % A]).tolist()
-        upper = (rows @ spectrum[:, -alpha % A]).tolist()
-        for n, (a, b) in enumerate(zip(lower, upper)):
-            m = n + alpha
-            weight = math.pi * math.factorial(m) * math.factorial(n)
-            a /= weight
-            coeffs[(m, n)] = a
-            mass += weight * abs(a) ** 2
-            if alpha:
-                # conj(H_{n,m}) = H_{m,n}: the mirror coefficient from bin −α
-                b /= weight
-                coeffs[(n, m)] = b
-                mass += weight * abs(b) ** 2
+        pairings[alpha, : M + 1 - alpha, 0] = rows @ spectrum[:, alpha % A]
+        pairings[alpha, : M + 1 - alpha, 1] = rows @ spectrum[:, -alpha % A]
+    # entries by α, then n, each H_{m,n} before its mirror; the diagonal has none
+    alpha, n, mirror = np.indices(pairings.shape)
+    held = (alpha + n <= M) & ((alpha > 0) | (mirror == 0))
+    m, n, mirror = (n + alpha)[held], n[held], mirror[held]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ‖H_{m,n}‖² = π·m!·n!, rounded as Python's float·int products round it
+        weights = (math.pi * _FACTORIALS[m]) * _FACTORIALS[n]
+        values = _quotient(pairings[held], weights)
+    # a sequential sum of Python floats: float ** 2 is libm's pow, which numpy's
+    # square does not match in every last bit
+    mass = 0.0
+    for weight, a in zip(weights.tolist(), values.tolist()):
+        mass += weight * abs(a) ** 2
     defect = (norm_sq - mass) / max(norm_sq, 1e-300)
     if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
             f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "
             f"rule R={rule.radial_nodes}, A={rule.angular_nodes} under-resolves"
         )
-    return HermiteCoeffs(coeffs, RAW), defect
+    keys = list(zip(np.where(mirror, n, m).tolist(), np.where(mirror, m, n).tolist()))
+    return HermiteCoeffs._from_array(keys, values, RAW), defect
 
 
 def scale_down(values) -> Tuple[np.ndarray, int]:
@@ -326,18 +347,11 @@ def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[f
     angles Parseval gives Σ_j |u|² = A·Σ_b |Σ_{α ≡ b mod A} G_α(r)|², summed
     from the spectrum scaled by :func:`scale_down`.
     """
-    if not u.entries:
-        return 0.0, 0
     r, wr = rule.polar
     A = rule.angular_nodes
-    _, index, values = u.raw_values()
-    m, n = index[:, 0], index[:, 1]
-    M = int(index.max())
-    # raw coefficients of H_{n+α,n} at [0, α, n] and of its mirror H_{n,n+α} at [1, α, n]
-    coef = np.zeros((2, M + 1, M + 1), dtype=complex)
-    coef[(m < n).astype(np.intp), np.abs(m - n), np.minimum(m, n)] = values
+    coef = _offset_major(u)
     spectrum = np.zeros((A, len(r)), dtype=complex)
-    for alpha, rows in _radial_blocks(M, r):
+    for alpha, rows in _radial_blocks(coef.shape[1] - 1, r):
         for bin_, c in ((alpha % A, coef[0, alpha]), (-alpha % A, coef[1, alpha])):
             # a zero coefficient must not meet an H value past float range: 0·inf
             live = np.flatnonzero(c)
@@ -350,14 +364,23 @@ def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[f
 def _laplacian_residual(
     u: HermiteCoeffs, f: HermiteCoeffs, c: complex, grid: GridSpec
 ):
+    """The interior nodes and the residual (Δ/4 + c)u − f there.
+
+    Values of u or f near the float limit overflow the stencil: a residual
+    that is not finite raises ``ValueError``.
+    """
     zz = grid.mesh()
-    uv = synthesize(u, zz)
-    fv = synthesize(f, zz)
-    h2 = grid.h * grid.h
-    lap = (
-        uv[2:, 1:-1] + uv[:-2, 1:-1] + uv[1:-1, 2:] + uv[1:-1, :-2] - 4.0 * uv[1:-1, 1:-1]
-    ) / h2
-    return zz[1:-1, 1:-1], lap / 4.0 + c * uv[1:-1, 1:-1] - fv[1:-1, 1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        uv = synthesize(u, zz)
+        fv = synthesize(f, zz)
+        h2 = grid.h * grid.h
+        lap = (
+            uv[2:, 1:-1] + uv[:-2, 1:-1] + uv[1:-1, 2:] + uv[1:-1, :-2] - 4.0 * uv[1:-1, 1:-1]
+        ) / h2
+        res = lap / 4.0 + c * uv[1:-1, 1:-1] - fv[1:-1, 1:-1]
+    if not np.isfinite(res).all():
+        raise ValueError("the finite-difference residual leaves the float range on this grid")
+    return zz[1:-1, 1:-1], res
 
 
 def fd_residual_k1(

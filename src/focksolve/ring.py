@@ -8,11 +8,13 @@ coefficient of π instead of a float.
 The three layers are
 
 * :class:`ExactScalar`, the coefficient field,
-* :class:`PolyZZbar`, sparse polynomials  Σ c_{a,b} z^a z̄^b,
+* :class:`PolyZZbar`, sparse polynomials  Σ c_{a,b} z^a z̄^b, whose Wirtinger
+  derivatives ∂^i ∂̄^j = ∂^i/∂z^i ∂^j/∂z̄^j are taken in closed form,
+  z^a z̄^b ↦ (a)_i·(b)_j·z^{a−i} z̄^{b−j}, in one pass over the terms,
 * :class:`WeightedGaussianFunction`, expressions  P · e^{−g}  with polynomial
-  P and a real polynomial weight exponent g, closed under the Wirtinger
-  derivatives ∂ = ∂/∂z and ∂̄ = ∂/∂z̄ via the product rule
-  ∂(P e^{−g}) = (∂P − P ∂g) e^{−g}.
+  P and a real polynomial weight exponent g, closed under ∂ and ∂̄ via the
+  product rule ∂(P e^{−g}) = (∂P − P ∂g) e^{−g}, applied one derivative at a
+  time: the direct differentiation that the identity verifiers certify.
 """
 
 from __future__ import annotations
@@ -229,31 +231,20 @@ class PolyZZbar:
 
     def dz(self) -> "PolyZZbar":
         """Wirtinger derivative ∂/∂z."""
-        out = {}
-        for (a, b), coeff in self.terms.items():
-            if a > 0:
-                out[(a - 1, b)] = coeff * a
-        poly = PolyZZbar.__new__(PolyZZbar)
-        poly.terms = out
-        return poly
+        return self.deriv(1, 0)
 
     def dzbar(self) -> "PolyZZbar":
         """Wirtinger derivative ∂/∂z̄."""
-        out = {}
-        for (a, b), coeff in self.terms.items():
-            if b > 0:
-                out[(a, b - 1)] = coeff * b
-        poly = PolyZZbar.__new__(PolyZZbar)
-        poly.terms = out
-        return poly
+        return self.deriv(0, 1)
 
     def deriv(self, ndz: int = 0, ndzbar: int = 0) -> "PolyZZbar":
-        """Apply ∂ ``ndz`` times and ∂̄ ``ndzbar`` times (they commute)."""
-        poly = self
-        for _ in range(ndz):
-            poly = poly.dz()
-        for _ in range(ndzbar):
-            poly = poly.dzbar()
+        """∂^ndz ∂̄^ndzbar in closed form: z^a z̄^b ↦ (a)_ndz·(b)_ndzbar·z^{a−ndz} z̄^{b−ndzbar}."""
+        poly = PolyZZbar.__new__(PolyZZbar)
+        poly.terms = {
+            (a - ndz, b - ndzbar): coeff * (math.perm(a, ndz) * math.perm(b, ndzbar))
+            for (a, b), coeff in self.terms.items()
+            if a >= ndz and b >= ndzbar
+        }
         return poly
 
     # ---- queries -----------------------------------------------------------

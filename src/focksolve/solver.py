@@ -28,7 +28,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -155,58 +155,6 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Chain solves
-
-
-def _min_norm_bidiagonal(
-    c: complex, sa: Sequence[float], rhs: Sequence[complex]
-) -> List[complex]:
-    """Minimum-2-norm solution of c·u_j + sa_j·u_{j+1} = rhs_j, j = 0..L−2.
-
-    Orthogonal factorization of the bidiagonal constraint matrix with Givens
-    rotations; O(L) and backward stable, no normal equations formed.  The
-    scalar oracle of :func:`_factor` and :func:`_lockstep_apply`.
-    """
-    L = len(rhs)
-    if L == 1:
-        return [0j]
-    n_eq = L - 1
-    cbar = complex(c).conjugate()
-    # QR of the (L × n_eq) lower-bidiagonal adjoint matrix.
-    r_diag = [0.0] * n_eq
-    r_super = [0j] * max(n_eq - 1, 0)
-    gamma = [0j] * n_eq
-    sigma = [0.0] * n_eq
-    alpha = cbar
-    for j in range(n_eq):
-        beta = sa[j]
-        r = math.hypot(abs(alpha), beta)
-        g = alpha / r
-        s = beta / r
-        r_diag[j] = r
-        gamma[j] = g
-        sigma[j] = s
-        if j + 1 < n_eq:
-            r_super[j] = s * cbar
-            alpha = g * cbar
-    # Forward substitution R^H y = rhs (R^H is lower bidiagonal).
-    y = [0j] * n_eq
-    for j in range(n_eq):
-        acc = rhs[j]
-        if j > 0:
-            acc = acc - r_super[j - 1].conjugate() * y[j - 1]
-        y[j] = acc / r_diag[j]
-    # u = Q [y; 0]: apply the conjugated rotations in reverse order.
-    u = list(y) + [0j]
-    for j in range(n_eq - 1, -1, -1):
-        vj = u[j]
-        vj1 = u[j + 1]
-        u[j] = gamma[j] * vj - sigma[j] * vj1
-        u[j + 1] = sigma[j] * vj + gamma[j].conjugate() * vj1
-    return u
-
-
-# ---------------------------------------------------------------------------
 # Certified solve: every chain of the box as one row of an array
 
 
@@ -296,12 +244,13 @@ def _factor(k: int, c_hex: Tuple[str, str], M: int) -> tuple:
 
     Returns the chains, √(1 + τ) (each edge coupling's divisor), √(τ/(1 + τ))
     (the tail's part of the edge size), the smallest pivot and the Givens
-    factor that :func:`_lockstep_apply` reads: :func:`_min_norm_bidiagonal`'s
-    for every chain at once, one column per step, with identity rotations
-    (g = 1, s = 0, r = 1) past a row's last equation.  Complex values are
-    (real, imaginary) pairs along axis −2, combined by the formulas of
-    Python's complex arithmetic, and the pivots come from math.hypot, so every
-    row rounds as the scalar oracle does.  Only the last (k, c, M) is kept; c
+    factor that :func:`_lockstep_apply` reads: the QR factor of each chain's
+    bidiagonal adjoint by Givens rotations, for every chain at once, one
+    column per step, with identity rotations (g = 1, s = 0, r = 1) past a
+    row's last equation.  Complex values are (real, imaginary) pairs along
+    axis −2, combined by the formulas of Python's complex arithmetic, and the
+    pivots come from math.hypot, so every row rounds as the scalar per-chain
+    Givens solve kept in the tests does.  Only the last (k, c, M) is kept; c
     is keyed by the ``float.hex`` of its parts, so that shifts apart only in
     the sign of a zero never share an entry.
     """
@@ -417,16 +366,10 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    keep = stored & ~(sizes < 1e-300)  # NaN is kept, to be refused below
+    keep = stored & ~(sizes < 1e-300)  # NaN is kept, for _from_array to refuse
     values = np.empty(np.count_nonzero(keep), dtype=complex)
     values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
     keys = list(zip(chains.m[keep].tolist(), chains.n[keep].tolist()))
-    # the HermiteCoeffs guarantee, checked at once: every |amplitude| finite
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(np.abs(values))
-    if not finite.all():
-        i = int(finite.argmin())
-        raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
 
     f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
@@ -441,17 +384,17 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
         tail_estimate=_norm(tails.tolist()) * sqrt_pi,
         min_pivot=min_pivot,
     )
-    return HermiteCoeffs._trusted(dict(zip(keys, values.tolist())), ORTHONORMAL), report
+    return HermiteCoeffs._from_array(keys, values, ORTHONORMAL), report
 
 
 def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
-    """Dense complex Gaussian orthonormal data on the certified box [0, margin]²."""
-    entries = {
-        (m, n): complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        for m in range(margin + 1)
-        for n in range(margin + 1)
-    }
-    return HermiteCoeffs(entries, ORTHONORMAL)
+    """Dense complex Gaussian orthonormal data on the certified box [0, margin]².
+
+    Entries run by m, then n, each drawing its real part before its imaginary part.
+    """
+    keys = [(m, n) for m in range(margin + 1) for n in range(margin + 1)]
+    parts = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * len(keys))])
+    return HermiteCoeffs._from_array(keys, parts.view(complex), ORTHONORMAL)
 
 
 def _check_sweep_box(M: int) -> None:

@@ -180,6 +180,18 @@ def test_eval_csv_export(tmp_path):
         assert abs(complex(re, im)) <= 1e-10
 
 
+def test_eval_of_an_overflowing_solution_exits_2(tmp_path, capsys):
+    # f = 2¹⁰²³ solves at exit 0; its solution overflows the five-point stencil
+    f = [{"m": 0, "n": 0, "re": 8.98846567431158e307, "im": 0.0}]
+    problem = write_problem(tmp_path / "p.json", c=(0.5, -1.0), truncation=12, coeffs=f)
+    solution = tmp_path / "s.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(solution)]) == 0
+    csv_path = tmp_path / "grid.csv"
+    assert cli.run(["eval", "--input", str(solution), "--output", str(csv_path)]) == 2
+    assert "residual leaves the float range" in json.loads(capsys.readouterr().err)["error"]
+    assert not csv_path.exists()
+
+
 def test_disk_command(tmp_path):
     payload = {
         "center": {"re": 0.0, "im": 0.0},

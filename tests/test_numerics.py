@@ -49,6 +49,33 @@ def reference_project(f, M, rule, check_parseval=False):
     return HermiteCoeffs(coeffs, "raw"), (norm_sq - mass) / max(norm_sq, 1e-300)
 
 
+def reference_synthesize(u, z):
+    """The dict walk that :func:`synthesize` replaces: raw amplitudes in a dict, looked up per (m, n).
+
+    Orthonormal amplitudes are divided by :func:`sqrt_norm` as Python's
+    ``complex / float`` divides.
+    """
+    if not u.entries:
+        return np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
+    scale = u.normalization == "orthonormal"
+    raw = {key: complex(amp) / sqrt_norm(*key) if scale else complex(amp) for key, amp in u.entries.items()}
+    mmax, nmax = max(m for m, _ in raw), max(n for _, n in raw)
+
+    def coeff_at(m, n):
+        return raw.get((m, n)) or None
+
+    total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
+    for (m, n), value in hermite_lower_walk(max(mmax, nmax), z):
+        coeff = coeff_at(m, n)
+        if coeff is not None:
+            total = total + coeff * value
+        if m != n:
+            mirror = coeff_at(n, m)
+            if mirror is not None:
+                total = total + mirror * np.conjugate(value)
+    return total
+
+
 def reference_norm_sq(u, rule):
     """Synthesize u on every node about the rule's centre, then sum w·|u|²."""
     z, w = rule.points_and_weights
@@ -135,6 +162,26 @@ def test_synthesize_examples():
     assert synthesize(ortho, 2.0 + 0j) == pytest.approx(3.0)
 
 
+SYNTHESIS_VECTORS = {
+    "dense": dense_data(random.Random(12), 12),
+    "raw": dense_data(random.Random(13), 9).to_raw(),
+    "exact": HermiteCoeffs({(1, 0): 2, (0, 3): Fraction(-1, 3), (4, 4): 1}, "raw"),
+    "mirror only": HermiteCoeffs({(1, 4): 1 - 1j, (0, 7): 0.5j, (2, 3): -2.0}, "raw"),
+    # raw amplitudes 1e−60/√(π·m!·n!) underflow to 0 and are skipped
+    "underflow": HermiteCoeffs({(0, 0): 1 + 0j, (150, 155): 1e-60j, (158, 152): -1e-60 + 0j}, "orthonormal"),
+    "empty": HermiteCoeffs.zero(),
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTHESIS_VECTORS))
+def test_synthesize_matches_the_dict_walk_bit_for_bit(name):
+    u = SYNTHESIS_VECTORS[name]
+    for z in (0.3 - 0.7j, -2.5 + 1.25j, np.array([[0.1 + 0.2j, -1.5 + 2j], [3 - 1j, 0j]])):
+        got, want = synthesize(u, z), reference_synthesize(u, z)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_project_examples():
     rule = QuadratureRule.full_plane(10, 21)
     got, _ = project(lambda z: np.ones_like(z), 3, rule)
@@ -148,6 +195,10 @@ def test_project_examples():
     got, _ = project(lambda z: z**2 * np.conjugate(z), 4, rule)
     assert got.entries[(1, 0)] == pytest.approx(2.0, rel=1e-12)
     assert got.entries[(2, 1)] == pytest.approx(1.0, rel=1e-12)
+
+    # past M = 170 the norms π·m!·n! leave the float range
+    with pytest.raises(ValueError, match="past 170"):
+        project(lambda z: np.ones_like(z), 171, rule)
 
 
 @pytest.mark.parametrize("rule, M", POLAR_CASES, ids=POLAR_IDS)
@@ -220,6 +271,9 @@ def test_fd_residual_examples():
     f00 = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j)
     assert fd_residual_k1(u11, f00, 0j, grid) <= 1e-10
     assert fd_residual_k1(HermiteCoeffs.zero(), HermiteCoeffs.zero(), 2 + 1j, grid) == 0.0
+    # values near the float limit overflow the stencil
+    with pytest.raises(ValueError, match="residual leaves the float range"):
+        fd_residual_k1(HermiteCoeffs.basis_vector(1, 1, 1e308 + 0j), f00, 0j, grid)
 
 
 def test_fd_residual_second_order():

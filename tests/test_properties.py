@@ -11,13 +11,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
-from focksolve.solver import _min_norm_bidiagonal, dense_data  # noqa: E402
+from focksolve.solver import dense_data  # noqa: E402
 from test_basis import reference_to_orthonormal, reference_to_raw  # noqa: E402
 from test_cli import assert_column_path_matches_reference  # noqa: E402
 from test_solver import (  # noqa: E402
     assert_matches_reference,
     chain_length,
     chain_origins,
+    min_norm_bidiagonal,
     solve_chain_exact,
 )
 
@@ -48,7 +49,7 @@ def test_float_chain_solve_matches_exact_oracle(case):
     exact = solve_chain_exact(couplings, weights, rhs, c)
     # orthonormal coordinates: u_j·√w_j, couplings √A_j
     sqw = [math.sqrt(w) for w in weights]
-    sol = _min_norm_bidiagonal(
+    sol = min_norm_bidiagonal(
         c.to_complex(), [math.sqrt(a) for a in couplings], [v.to_complex() * s for v, s in zip(rhs, sqw)]
     )
     want = [v.to_complex() * s for v, s in zip(exact, sqw)]

@@ -25,7 +25,6 @@ from focksolve.solver import (
     SWEEP_BOX_CELLS,
     _factor,
     _layout,
-    _min_norm_bidiagonal,
     _norm,
     _tail_weights,
     dense_data,
@@ -60,7 +59,7 @@ def float_chain_solve(couplings, weights, rhs, c):
     """Raw amplitudes of the Givens solve in orthonormal coordinates."""
     sqw = [math.sqrt(w) for w in weights]
     sa = [math.sqrt(a) for a in couplings]
-    sol = _min_norm_bidiagonal(complex(c), sa, [complex(v) * s for v, s in zip(rhs, sqw)])
+    sol = min_norm_bidiagonal(complex(c), sa, [complex(v) * s for v, s in zip(rhs, sqw)])
     return [x / s for x, s in zip(sol, sqw)]
 
 
@@ -123,11 +122,58 @@ def solve_chain_exact(couplings, weights, rhs, c):
     return [p[j] + t * h[j] for j in range(L)]
 
 
+def min_norm_bidiagonal(c, sa, rhs):
+    """Minimum-2-norm solution of c·u_j + sa_j·u_{j+1} = rhs_j, j = 0..L−2: the scalar Givens oracle.
+
+    Orthogonal factorization of the bidiagonal constraint matrix with Givens
+    rotations; O(L) and backward stable, no normal equations formed.  The
+    scalar oracle of ``solver._factor`` and ``solver._lockstep_apply``, which
+    run it for every chain at once.
+    """
+    L = len(rhs)
+    if L == 1:
+        return [0j]
+    n_eq = L - 1
+    cbar = complex(c).conjugate()
+    # QR of the (L × n_eq) lower-bidiagonal adjoint matrix.
+    r_diag = [0.0] * n_eq
+    r_super = [0j] * max(n_eq - 1, 0)
+    gamma = [0j] * n_eq
+    sigma = [0.0] * n_eq
+    alpha = cbar
+    for j in range(n_eq):
+        beta = sa[j]
+        r = math.hypot(abs(alpha), beta)
+        g = alpha / r
+        s = beta / r
+        r_diag[j] = r
+        gamma[j] = g
+        sigma[j] = s
+        if j + 1 < n_eq:
+            r_super[j] = s * cbar
+            alpha = g * cbar
+    # Forward substitution R^H y = rhs (R^H is lower bidiagonal).
+    y = [0j] * n_eq
+    for j in range(n_eq):
+        acc = rhs[j]
+        if j > 0:
+            acc = acc - r_super[j - 1].conjugate() * y[j - 1]
+        y[j] = acc / r_diag[j]
+    # u = Q [y; 0]: apply the conjugated rotations in reverse order.
+    u = list(y) + [0j]
+    for j in range(n_eq - 1, -1, -1):
+        vj = u[j]
+        vj1 = u[j + 1]
+        u[j] = gamma[j] * vj - sigma[j] * vj1
+        u[j + 1] = sigma[j] * vj + gamma[j].conjugate() * vj1
+    return u
+
+
 def reference_solve(spec):
     """The scalar per-chain pipeline that solve replaces: the reference of the lockstep kernel.
 
     One chain at a time: scalar τ, the edge coupling divided by √(1+τ) and
-    :func:`_min_norm_bidiagonal`.  Returns the orthonormal entries and the
+    :func:`min_norm_bidiagonal`.  Returns the orthonormal entries and the
     report fields as a dict.
     """
     f = spec.validate()
@@ -142,7 +188,7 @@ def reference_solve(spec):
         sa = chain_couplings((m0, n0), k, L)
         tau = scalar_tail_weight((m0, n0), k, L, c)
         damp = math.sqrt(1.0 + tau)
-        sol = _min_norm_bidiagonal(c, sa[:-1] + [sa[-1] / damp], rhs + [0j])
+        sol = min_norm_bidiagonal(c, sa[:-1] + [sa[-1] / damp], rhs + [0j])
         v = sol[-1]
         sol[-1] = v / damp
         share = 1.0 if tau == math.inf else tau / (1.0 + tau)
@@ -219,7 +265,7 @@ def test_decompose_couplings_and_weights():
 
 
 # ---------------------------------------------------------------------------
-# chain solves: solve_chain_exact and _min_norm_bidiagonal
+# chain solves: solve_chain_exact and min_norm_bidiagonal
 
 
 def test_solve_chain_exact_reference_case():
@@ -359,7 +405,7 @@ def test_solve_chain_exact_rhs_float_shift_uses_float_path():
 
 def test_min_norm_bidiagonal_single_equation():
     c = 2 - 1j
-    sol = _min_norm_bidiagonal(c, [3.0], [5 + 0j, 0j])
+    sol = min_norm_bidiagonal(c, [3.0], [5 + 0j, 0j])
     # u = conj(row)·f/‖row‖²
     denom = abs(c) ** 2 + 9.0
     assert sol[0] == pytest.approx(c.conjugate() * 5 / denom)
@@ -526,7 +572,7 @@ def test_tail_closure_matches_padded_chain(k, c):
         idx = [(m0 + j * k, n0 + j * k) for j in range(L + 1)]
         rhs = [f.entries.get(key, 0j) / sqrt_pi for key in idx[:L]]
         sa = chain_couplings((m0, n0), k, L + pad)
-        oracle = _min_norm_bidiagonal(c, sa, rhs + [0j] * (pad + 1))
+        oracle = min_norm_bidiagonal(c, sa, rhs + [0j] * (pad + 1))
         scale = math.sqrt(sum(abs(x) ** 2 for x in oracle))
         sol = [u.entries.get(key, 0j) / sqrt_pi for key in idx]
         assert max(abs(a - b) for a, b in zip(sol, oracle)) <= 1e-14 * scale
