@@ -19,7 +19,8 @@ Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
 
 Numeric vectors built from arrays go through one checked writer,
 ``HermiteCoeffs._from_array``, and are read back through
-:meth:`HermiteCoeffs.arrays`; the per-entry constructor takes mappings.
+:meth:`HermiteCoeffs.arrays` (:meth:`HermiteCoeffs.raw_values` for raw
+amplitudes); the per-entry constructor takes mappings.
 """
 
 from __future__ import annotations
@@ -193,13 +194,12 @@ class HermiteCoeffs:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             sizes = np.hypot(values.real, values.imag)
-        # NaN fails both tests, so only a vector of finite sizes ≥ 1e−300 skips the masks
-        if not (sizes.min(initial=math.inf) >= _NUMERIC_PRUNE and sizes.max(initial=0.0) < math.inf):
-            bad = ~(sizes < _NUMERIC_PRUNE) & ~(sizes < math.inf)  # NaN or infinite
-            if bad.any():
-                i = int(bad.argmax())
-                raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
-            kept = sizes >= _NUMERIC_PRUNE
+        kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
+        bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
+        if not kept.all():
             keys = [keys[i] for i in np.flatnonzero(kept).tolist()]
             values = values[kept]
         self = cls.__new__(cls)
@@ -250,6 +250,13 @@ class HermiteCoeffs:
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
         return HermiteCoeffs._from_array(keys, scaled, ORTHONORMAL)
+
+    def raw_values(self) -> Tuple[list, np.ndarray, np.ndarray]:
+        """:meth:`arrays` with the orthonormal amplitudes divided as in :meth:`to_raw`, unpruned."""
+        keys, index, values = self.arrays()
+        if self.normalization == ORTHONORMAL:
+            values = _quotient(values, sqrt_norms(index))
+        return keys, index, values
 
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).

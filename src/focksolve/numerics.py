@@ -28,8 +28,9 @@ radius alone, and H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), so projecti
 and quadrature norms on a rule take an FFT in θ and walk the radii only.
 
 Synthesis and quadrature norms read the raw amplitudes from one
-offset-major array (:func:`_offset_major`); :func:`project` divides by
-(π·m!)·n! from the float factorial table of :mod:`focksolve.basis`.
+offset-major array (:func:`_offset_major`), filled from
+:meth:`HermiteCoeffs.raw_values`; :func:`project` divides by (π·m!)·n!
+from the float factorial table of :mod:`focksolve.basis`.
 
 The finite-difference residual uses 4·∂∂̄ = Δ: the five-point discrete
 Laplacian over four, plus c, applied to a synthesized solution, is an
@@ -46,7 +47,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import _FACTORIALS, _TOP, ORTHONORMAL, RAW, HermiteCoeffs, _quotient, sqrt_norms
+from .basis import _FACTORIALS, _TOP, RAW, HermiteCoeffs
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -218,12 +219,10 @@ def _offset_major(u: HermiteCoeffs) -> np.ndarray:
     """u's raw amplitudes by offset: coef[m < n, |m − n|, min(m, n)], zero off u's support.
 
     H_{n+α,n} sits at [0, α, n] and its mirror H_{n,n+α} at [1, α, n], in a
-    (2, M + 1, M + 1) array for M the largest index.  Orthonormal amplitudes
-    are divided as in :meth:`HermiteCoeffs.to_raw`, but unpruned and unchecked.
+    (2, M + 1, M + 1) array for M the largest index, filled from
+    :meth:`HermiteCoeffs.raw_values`.
     """
-    _, index, values = u.arrays()
-    if u.normalization == ORTHONORMAL:
-        values = _quotient(values, sqrt_norms(index))
+    _, index, values = u.raw_values()
     m, n = index[:, 0], index[:, 1]
     size = int(index.max(initial=-1)) + 1
     coef = np.zeros((2, size, size), dtype=complex)
@@ -270,8 +269,10 @@ def project(
     Returns the raw coefficients and the signed Parseval defect
     (‖f‖² − coefficient mass)/‖f‖², both norms in the projection's weight.
     With ``check_parseval`` a defect above 1e−6 in magnitude raises
-    :class:`QuadratureResolutionError`.  M past 170, where m! leaves the
-    float range, raises ``ValueError``.
+    :class:`QuadratureResolutionError`.  Where π·m!·n! is past float range
+    (on the diagonal from m = n = 98) the coefficient is 0, and the defect
+    counts no mass for it.  M past 170, where m! leaves the float range,
+    raises ``ValueError``.
     """
     if M > _TOP:
         raise ValueError(f"M = {M} is past {_TOP}, where m! leaves the float range")
@@ -286,33 +287,29 @@ def project(
     norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
     spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
-    # ⟨H_{m,n}, f⟩ for m = n + α at [α, n, 0]; at [α, n, 1] its mirror ⟨H_{n,m}, f⟩
-    # from bin −α, since conj(H_{n,m}) = H_{m,n}
-    pairings = np.zeros((M + 1, M + 1, 2), dtype=complex)
+    F = _FACTORIALS.tolist()
+    keys, values, mass = [], [], 0.0
     for alpha, rows in _radial_blocks(M, r):
-        pairings[alpha, : M + 1 - alpha, 0] = rows @ spectrum[:, alpha % A]
-        pairings[alpha, : M + 1 - alpha, 1] = rows @ spectrum[:, -alpha % A]
-    # entries by α, then n, each H_{m,n} before its mirror; the diagonal has none
-    alpha, n, mirror = np.indices(pairings.shape)
-    held = (alpha + n <= M) & ((alpha > 0) | (mirror == 0))
-    m, n, mirror = (n + alpha)[held], n[held], mirror[held]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # ‖H_{m,n}‖² = π·m!·n!, rounded as Python's float·int products round it
-        weights = (math.pi * _FACTORIALS[m]) * _FACTORIALS[n]
-        values = _quotient(pairings[held], weights)
-    # a sequential sum of Python floats: float ** 2 is libm's pow, which numpy's
-    # square does not match in every last bit
-    mass = 0.0
-    for weight, a in zip(weights.tolist(), values.tolist()):
-        mass += weight * abs(a) ** 2
+        lower = (rows @ spectrum[:, alpha % A]).tolist()
+        upper = (rows @ spectrum[:, -alpha % A]).tolist()
+        for n, (a, b) in enumerate(zip(lower, upper)):
+            m = n + alpha
+            weight = (math.pi * F[m]) * F[n]
+            # conj(H_{n,m}) = H_{m,n}: the mirror coefficient from bin −α
+            for key, pairing in (((m, n), a), ((n, m), b)) if alpha else (((m, n), a),):
+                coeff = pairing / weight
+                keys.append(key)
+                values.append(coeff)
+                # an inf weight gives a 0 coefficient with no mass, not inf·0 = NaN
+                if weight < math.inf:
+                    mass += weight * abs(coeff) ** 2
     defect = (norm_sq - mass) / max(norm_sq, 1e-300)
     if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
             f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "
             f"rule R={rule.radial_nodes}, A={rule.angular_nodes} under-resolves"
         )
-    keys = list(zip(np.where(mirror, n, m).tolist(), np.where(mirror, m, n).tolist()))
-    return HermiteCoeffs._from_array(keys, values, RAW), defect
+    return HermiteCoeffs._from_array(keys, np.array(values, dtype=complex), RAW), defect
 
 
 def scale_down(values) -> Tuple[np.ndarray, int]:

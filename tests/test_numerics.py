@@ -196,6 +196,12 @@ def test_project_examples():
     assert got.entries[(1, 0)] == pytest.approx(2.0, rel=1e-12)
     assert got.entries[(2, 1)] == pytest.approx(1.0, rel=1e-12)
 
+    # from m = n = 98 on π·m!·n! is past float range; the defect stays a number
+    disk = QuadratureRule.disk(0j, 1.0, 64, 64)
+    _, d97 = project(lambda z: np.ones_like(z), 97, disk, check_parseval=False)
+    _, d98 = project(lambda z: np.ones_like(z), 98, disk, check_parseval=False)
+    assert 0 < d98 <= d97
+
     # past M = 170 the norms π·m!·n! leave the float range
     with pytest.raises(ValueError, match="past 170"):
         project(lambda z: np.ones_like(z), 171, rule)
