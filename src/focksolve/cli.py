@@ -6,7 +6,7 @@ solve    read a problem JSON, write the solution JSON with its report
 verify   run the exact identity suites, write a JSON report
 certify  sweep the solve bound over a shift grid and k range
 probe    empirical operator-norm probe of the solve map
-eval     export the finite-difference residual grid of a solution as CSV
+eval     export the finite-difference residual grid of a k = 1 solution as CSV
 disk     bounded-domain (disk) solve with its certification report
 
 Exit codes: 0 success (all checks passing where applicable), 1 a
@@ -161,6 +161,13 @@ def _object(value) -> dict:
     return value
 
 
+def _list(value) -> list:
+    """A JSON list; any other JSON value where a list belongs is invalid input."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return value
+
+
 def _int(block: dict, key: str, default: int | None = None) -> int:
     """Integer field ``key``, required without a default; only an integral JSON number is valid."""
     value = block[key] if default is None else block.get(key, default)
@@ -246,7 +253,7 @@ def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dic
     and echoed as it is.
     """
     basis = _object(block).get("basis", "hermite")
-    coeffs = block.get("coeffs", [])
+    coeffs = _list(block.get("coeffs", []))
     if basis not in ("hermite", "monomial"):
         raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
     columns = _columns(coeffs, top)
@@ -376,6 +383,9 @@ def cmd_probe(args) -> int:
 
 def cmd_eval(args) -> int:
     data = _load_json(args.input)
+    k = _int(data, "k", 1)
+    if k != 1:
+        raise ValueError(f"eval applies the k = 1 operator Δ/4 + c; the file has k = {k}")
     c = _complex(data.get("c", {}))
     u, _ = _parse_f(data["u"], MAX_U_INDEX, "u")
     f, _ = _parse_f(data["f"], MAX_U_INDEX)
@@ -398,7 +408,7 @@ def cmd_disk(args) -> int:
     problem = DiskProblem(
         center=center,
         radius=radius,
-        f_poly=_parse_poly(f_block.get("coeffs", [])),
+        f_poly=_parse_poly(_list(f_block.get("coeffs", []))),
         k=_int(data, "k"),
         c=_complex(data.get("c", {})),
         truncation=_int(data, "truncation", DEFAULT_TRUNCATION),

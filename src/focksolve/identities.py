@@ -34,8 +34,8 @@ from .ring import (
     ExactScalar,
     PolyZZbar,
     ScalarLike,
-    WeightedGaussianFunction,
     gaussian_pairing,
+    weighted_deriv,
     weighted_norm_sq,
 )
 
@@ -60,15 +60,14 @@ def gaussian_derivative_closed_form(j: int, i: int) -> PolyZZbar:
 
 def iterated_gaussian_derivative(j: int, i: int) -> PolyZZbar:
     """Oracle for the closed form: apply ∂̄ i times then ∂ j times to e^{−|z|²}."""
-    w = WeightedGaussianFunction(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent())
-    return w.deriv(j, i).poly
+    return weighted_deriv(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent(), j, i)
 
 
 def formal_adjoint_weighted(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     """e^{g} ∂^k ∂̄^k (φ e^{−g}), the weighted adjoint of ∂^k∂̄^k applied to φ."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return WeightedGaussianFunction(phi, g).deriv(k, k).poly
+    return weighted_deriv(phi, g, k, k)
 
 
 def commutator(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
@@ -93,7 +92,7 @@ def weight_identity_rhs_k1(phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     remaining five terms are the first-order cross terms of the double
     Leibniz expansion.  For g = |z|² the principal factor is the constant 1.
     """
-    q = WeightedGaussianFunction(PolyZZbar.constant(1), g).dzbar().dz().poly
+    q = weighted_deriv(PolyZZbar.constant(1), g, 1, 1)
     return (
         phi * q.deriv(1, 1)
         + phi.deriv(1, 0) * (q.deriv(0, 1) - g.deriv(1, 2))
@@ -235,13 +234,11 @@ def verify_weight_identity_k1(g: PolyZZbar, phi: PolyZZbar) -> VerificationRepor
     (the uncrossed part φ·∂∂̄(e^{g}∂∂̄e^{−g})) already matches, which happens
     exactly when the cross-term contribution of φ vanishes.
     """
-    if not g.is_real():
-        raise ValueError("weight exponent must be real-valued")
     lhs = commutator(1, phi, g)
     rhs = weight_identity_rhs_k1(phi, g)
     diff = lhs - rhs
     holds = diff.is_zero()
-    q = WeightedGaussianFunction(PolyZZbar.constant(1), g).dzbar().dz().poly
+    q = weighted_deriv(PolyZZbar.constant(1), g, 1, 1)
     principal = q.deriv(1, 1)
     return VerificationReport(
         identity_name="weight_commutator_k1",
@@ -309,6 +306,10 @@ def random_shift(rng: random.Random) -> ExactScalar:
 
 def run_identity_suite(k: int, trials: int, seed: int) -> list[VerificationReport]:
     """Seeded batch of the three Gaussian-weight checks for one k, φ of degree ≤ 4."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(f"identity-suite:{seed}:{k}")
     reports = []
     for _ in range(trials):
@@ -322,6 +323,8 @@ def run_identity_suite(k: int, trials: int, seed: int) -> list[VerificationRepor
 
 def run_weight_identity_suite(trials: int, seed: int) -> list[VerificationReport]:
     """Seeded batch of k = 1 commutator expansions; weight g and φ of degree ≤ 3."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(f"weight-identity:{seed}")
     reports = []
     for _ in range(trials):

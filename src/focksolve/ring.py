@@ -11,10 +11,10 @@ The three layers are
 * :class:`PolyZZbar`, sparse polynomials  Σ c_{a,b} z^a z̄^b, whose Wirtinger
   derivatives ∂^i ∂̄^j = ∂^i/∂z^i ∂^j/∂z̄^j are taken in closed form,
   z^a z̄^b ↦ (a)_i·(b)_j·z^{a−i} z̄^{b−j}, in one pass over the terms,
-* :class:`WeightedGaussianFunction`, expressions  P · e^{−g}  with polynomial
-  P and a real polynomial weight exponent g, closed under ∂ and ∂̄ via the
-  product rule ∂(P e^{−g}) = (∂P − P ∂g) e^{−g}, applied one derivative at a
-  time: the direct differentiation that the identity verifiers certify.
+* :func:`weighted_deriv`, the weighted derivative e^{g} ∂^i ∂̄^j (P · e^{−g})
+  of a polynomial P for a real polynomial weight exponent g, by the product
+  rule ∂(P e^{−g}) = (∂P − P ∂g) e^{−g}, applied one derivative at a time:
+  the direct differentiation that the identity verifiers certify.
 """
 
 from __future__ import annotations
@@ -302,59 +302,36 @@ class PolyZZbar:
         return f"PolyZZbar({self})"
 
 
-class WeightedGaussianFunction:
-    """Expression P(z, z̄) · e^{−g(z, z̄)} with a real polynomial exponent g.
+def weighted_deriv(poly: PolyZZbar, g: PolyZZbar, ndz: int = 0, ndzbar: int = 0) -> PolyZZbar:
+    """e^{g} ∂^ndz ∂̄^ndzbar (poly · e^{−g}) for a real polynomial weight exponent g.
 
-    Real-valuedness of g is enforced structurally; without it the adjoint
-    computations built on top of this class would be silently wrong.
+    Applies ∂̄ ``ndzbar`` times, then ∂ ``ndz`` times (they commute), each by
+    the product rule ∂(P e^{−g}) = (∂P − P ∂g) e^{−g}.  A complex g is
+    refused: the adjoint computations built on this would be silently wrong.
     """
-
-    __slots__ = ("poly", "weight_exponent")
-
-    def __init__(self, poly: PolyZZbar, weight_exponent: PolyZZbar):
-        if not weight_exponent.is_real():
-            raise ValueError("weight exponent must be a real-valued polynomial")
-        self.poly = poly
-        self.weight_exponent = weight_exponent
-
-    def dz(self) -> "WeightedGaussianFunction":
-        g = self.weight_exponent
-        return WeightedGaussianFunction(self.poly.dz() - self.poly * g.dz(), g)
-
-    def dzbar(self) -> "WeightedGaussianFunction":
-        g = self.weight_exponent
-        return WeightedGaussianFunction(self.poly.dzbar() - self.poly * g.dzbar(), g)
-
-    def deriv(self, ndz: int = 0, ndzbar: int = 0) -> "WeightedGaussianFunction":
-        """Apply ∂̄ ``ndzbar`` times, then ∂ ``ndz`` times (they commute)."""
-        out = self
-        for _ in range(ndzbar):
-            out = out.dzbar()
-        for _ in range(ndz):
-            out = out.dz()
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedGaussianFunction):
-            return NotImplemented
-        return self.poly == other.poly and self.weight_exponent == other.weight_exponent
-
-    def __repr__(self) -> str:
-        return f"({self.poly}) * exp(-({self.weight_exponent}))"
+    if not g.is_real():
+        raise ValueError("weight exponent must be a real-valued polynomial")
+    dg, dgbar = g.dz(), g.dzbar()
+    for _ in range(ndzbar):
+        poly = poly.dzbar() - poly * dgbar
+    for _ in range(ndz):
+        poly = poly.dz() - poly * dg
+    return poly
 
 
 def gaussian_pairing(p: PolyZZbar, q: PolyZZbar) -> ExactScalar:
     """Exact (1/π)·∫ p̄ q e^{−|z|²} dσ.
 
-    Uses the moment identity ∫ z^a z̄^b e^{−|z|²} dσ = π·a!·δ_{ab}, so the
-    value is Σ_a a!·[p̄ q]_{(a,a)}.  The returned scalar is the coefficient
-    of π; conjugate-linear in p, linear in q.
+    Uses the moment identity ∫ z^a z̄^b e^{−|z|²} dσ = π·a!·δ_{ab}: the terms
+    c·z^a z̄^b of p and d·z^{a′} z̄^{b′} of q pair to c̄·d·(b + a′)! when
+    a − b = a′ − b′, and to 0 otherwise, so p̄ q is never formed.  The
+    returned scalar is the coefficient of π; conjugate-linear in p, linear in q.
     """
-    prod = p.conjugate() * q
     total = ExactScalar(0)
-    for (a, b), coeff in prod.terms.items():
-        if a == b:
-            total = total + coeff * math.factorial(a)
+    for (a, b), c in p.terms.items():
+        for (a2, b2), d in q.terms.items():
+            if a - b == a2 - b2:
+                total = total + c.conjugate() * d * math.factorial(b + a2)
     return total
 
 

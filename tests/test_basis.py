@@ -17,13 +17,12 @@ from focksolve.basis import (
     sqrt_norms,
 )
 from focksolve.identities import formal_adjoint_weighted
-from focksolve.ring import WeightedGaussianFunction, gaussian_pairing, weighted_norm_sq
+from focksolve.ring import gaussian_pairing, weighted_deriv, weighted_norm_sq
 
 
 def oracle_hermite(m, n):
     """(−1)^{m+n} e^{|z|²} ∂^n ∂̄^m e^{−|z|²} by iterated weighted differentiation."""
-    w = WeightedGaussianFunction(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent())
-    return (-1) ** (m + n) * w.deriv(n, m).poly
+    return (-1) ** (m + n) * weighted_deriv(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent(), n, m)
 
 
 def reference_to_hermite(p):

@@ -74,18 +74,22 @@ def test_solve_missing_and_malformed_inputs(tmp_path, capsys):
             '{"k": 1, "c": {"re": "1e1"}, "f": {"coeffs": [{"m": 0, "n": 0, "re": 1.0}]}}',
             '{"k": 1, "f": {"coeffs": [{"m": 0, "n": 0, "re": "1", "im": "0"}]}}',
             '{"k": 1, "c": {"im": 1' + "0" * 400 + '}, "f": {"coeffs": []}}',
+            '{"k": 1, "f": {"coeffs": {}}}',
+            '{"k": 1, "f": {"basis": "monomial", "coeffs": {"m": 1}}}',
         ]
     ):
         (tmp_path / f"number{i}.json").write_text(text)
         assert cli.run(["solve", "--input", str(tmp_path / f"number{i}.json")]) == 2, text
     # every failure path emits a machine-readable reason
     errors = [json.loads(line)["error"] for line in capsys.readouterr().err.strip().splitlines()]
-    assert len(errors) == 13
+    assert len(errors) == 15
     assert "k = 2.5 is not an integer" in errors[4]
     assert "(m, n) = (1, 0)" in errors[6]
     assert "k = True is not an integer" in errors[7]
     assert "re = '1e1' is not a JSON number" in errors[10]
     assert "im is an integer past float range" in errors[12]
+    assert errors[13] == "TypeError: expected a JSON list, got {}"
+    assert errors[14] == "TypeError: expected a JSON list, got {'m': 1}"
 
 
 def test_unknown_flags_exit_2(tmp_path):
@@ -190,6 +194,30 @@ def test_eval_of_an_overflowing_solution_exits_2(tmp_path, capsys):
     assert cli.run(["eval", "--input", str(solution), "--output", str(csv_path)]) == 2
     assert "residual leaves the float range" in json.loads(capsys.readouterr().err)["error"]
     assert not csv_path.exists()
+
+
+def test_eval_of_a_solution_at_k_above_1_exits_2(tmp_path, capsys):
+    # eval applies Δ/4 + c, the k = 1 operator; a k = 2 solution has another residual
+    f = [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}, {"m": 1, "n": 1, "re": 0.5, "im": 0.0}]
+    problem = write_problem(tmp_path / "p.json", k=2, c=(1.0, 0.0), truncation=8, coeffs=f)
+    solution = tmp_path / "s.json"
+    assert cli.run(["solve", "--input", str(problem), "--output", str(solution)]) == 0
+    csv_path = tmp_path / "grid.csv"
+    assert cli.run(["eval", "--input", str(solution), "--output", str(csv_path)]) == 2
+    assert "the file has k = 2" in json.loads(capsys.readouterr().err)["error"]
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "disk"])
+def test_coefficient_blocks_that_are_not_lists_exit_2(tmp_path, capsys, command):
+    block = {"basis": "monomial", "coeffs": {"m": 1}}
+    payload = {"k": 1, "radius": 1.0, "u": block, "f": block}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.run([command, "--input", str(path), "--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "TypeError: expected a JSON list, got {'m': 1}"
+    assert not out.exists()
 
 
 def test_disk_command(tmp_path):
@@ -374,6 +402,9 @@ def test_disk_node_counts_past_the_grid_bound_exit_2(tmp_path, capsys):
         (["certify", "--k-min", "3", "--k-max", "1"], "k_min 3 is above k_max 1"),
         (["certify", "--truncation", "1448"], "truncation 1448"),
         (["probe", "--k", "1", "--truncation", "1448"], "truncation 1448"),
+        (["verify", "--trials", "0"], "trials must be at least 1"),
+        (["verify", "--trials", "-3"], "trials must be at least 1"),
+        (["verify", "--k", "0", "--trials", "0"], "k must be a positive integer"),
     ],
 )
 def test_sweeps_without_work_or_past_the_box_bound_exit_2(tmp_path, capsys, argv, message):
@@ -512,7 +543,7 @@ def reference_render(value, pad=""):
 def reference_parse_f(block, top, name="f"):
     """The row-by-row parse: every row through _int and _complex, then the constructor."""
     basis = cli._object(block).get("basis", "hermite")
-    coeffs = block.get("coeffs", [])
+    coeffs = cli._list(block.get("coeffs", []))
     if basis == "hermite":
         terms = {(cli._int(item, "m"), cli._int(item, "n")): cli._complex(item) for item in coeffs}
     elif basis == "monomial":

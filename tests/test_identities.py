@@ -21,7 +21,7 @@ from focksolve.identities import (
     iterated_gaussian_derivative,
     random_polynomial,
 )
-from focksolve.ring import WeightedGaussianFunction, gaussian_pairing
+from focksolve.ring import gaussian_pairing, weighted_deriv
 
 GAUSS = PolyZZbar.gaussian_exponent()
 
@@ -96,17 +96,9 @@ def commutator_expansion(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     remaining index set.  (Terms with (i, j) = (0, 0) vanish on their own:
     they differentiate the constant G_{00} = 1.)
     """
-    base = WeightedGaussianFunction(PolyZZbar.constant(1), g)
-    # gbar[i] = ∂̄^i e^{−g} as a weighted function; gfac[j][i] = e^{g}∂^j∂̄^i e^{−g}
-    gbar = [base]
-    for _ in range(k):
-        gbar.append(gbar[-1].dzbar())
-    gfac = []
-    for i in range(k + 1):
-        row = [gbar[i]]
-        for _ in range(k):
-            row.append(row[-1].dz())
-        gfac.append([row[j].poly for j in range(k + 1)])
+    # gfac[i][j] = G_{ji} = e^{g}∂^j∂̄^i e^{−g}
+    one = PolyZZbar.constant(1)
+    gfac = [[weighted_deriv(one, g, j, i) for j in range(k + 1)] for i in range(k + 1)]
 
     # phider[a][b] = ∂^a ∂̄^b φ for a, b ≤ 2k
     phider = [[None] * (2 * k + 1) for _ in range(2 * k + 1)]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from focksolve import ExactScalar, PolyZZbar, QuadratureRule
-from focksolve.identities import random_polynomial
-from focksolve.ring import WeightedGaussianFunction, gaussian_pairing, weighted_norm_sq
+from focksolve.identities import random_polynomial, verify_weight_identity_k1
+from focksolve.ring import gaussian_pairing, weighted_deriv, weighted_norm_sq
 
 
 def test_exact_scalar_arithmetic_is_exact():
@@ -58,15 +58,27 @@ def test_wirtinger_derivatives():
 
 def test_weighted_derivative_examples():
     g = PolyZZbar.gaussian_exponent()
-    one = WeightedGaussianFunction(PolyZZbar.constant(1), g)
-    assert one.deriv(ndzbar=1).poly == PolyZZbar({(1, 0): -1})
-    assert one.deriv(2).poly == PolyZZbar({(0, 2): 1})
-    assert one.deriv() == one
+    one = PolyZZbar.constant(1)
+    assert weighted_deriv(one, g, ndzbar=1) == PolyZZbar({(1, 0): -1})
+    assert weighted_deriv(one, g, 2) == PolyZZbar({(0, 2): 1})
+    assert weighted_deriv(one, g) == one
 
 
 def test_weight_exponent_must_be_real():
     with pytest.raises(ValueError):
-        WeightedGaussianFunction(PolyZZbar.constant(1), PolyZZbar.var_z())
+        weighted_deriv(PolyZZbar.constant(1), PolyZZbar.var_z())
+    with pytest.raises(ValueError):
+        verify_weight_identity_k1(PolyZZbar.var_z(), PolyZZbar.constant(1))
+
+
+def reference_gaussian_pairing(p, q):
+    """The pairing by its definition: form p̄·q, then sum a!·[p̄ q]_{(a,a)}."""
+    prod = p.conjugate() * q
+    total = ExactScalar(0)
+    for (a, b), coeff in prod.terms.items():
+        if a == b:
+            total = total + coeff * math.factorial(a)
+    return total
 
 
 def test_gaussian_pairing_examples():
@@ -75,6 +87,17 @@ def test_gaussian_pairing_examples():
     assert gaussian_pairing(one, one) == ExactScalar(1)
     assert gaussian_pairing(h11, h11) == ExactScalar(1)  # 2! − 2·1! + 0! = 1
     assert gaussian_pairing(PolyZZbar.var_z(), PolyZZbar.monomial(0, 1)) == ExactScalar(0)
+    # the termwise sum equals the product definition exactly
+    rng = random.Random(23)
+    zero = PolyZZbar.zero()
+    pairs = [(one, h11), (h11, h11), (zero, h11), (h11, zero), (zero, zero)]
+    for _ in range(8):
+        p, q = random_polynomial(rng, 4), random_polynomial(rng, 4)
+        weight = random_polynomial(rng, 3, real=True)
+        term = PolyZZbar.monomial(rng.randint(0, 4), rng.randint(0, 4), ExactScalar(rng.randint(-5, 5), 2))
+        pairs += [(p, q), (p, p), (weight, q), (weight, weight), (term, p), (p, term), (term, term), (zero, p)]
+    for p, q in pairs:
+        assert gaussian_pairing(p, q) == reference_gaussian_pairing(p, q)
 
 
 def test_gaussian_pairing_conjugate_symmetry():
