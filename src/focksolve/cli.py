@@ -57,6 +57,7 @@ from .basis import RAW, HermiteCoeffs, _complex_array, index_array, to_hermite
 from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
+    BOUND_TOL,
     DiskProblem,
     ProblemSpec,
     certify_sweep,
@@ -366,7 +367,8 @@ def cmd_probe(args) -> int:
         args.k, c, trials=args.trials, M=args.truncation, seed=args.seed
     )
     upper = 1.0 / math.factorial(args.k)
-    within = value <= upper + 1e-10
+    # relative, as SolveReport.bound_holds: past k = 14 the bound is below any absolute slack
+    within = value * math.factorial(args.k) <= 1.0 + BOUND_TOL
     payload = {
         "k": args.k,
         "c": {"re": c.real, "im": c.imag},

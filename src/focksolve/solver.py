@@ -10,9 +10,11 @@ from an origin (m₀, n₀) with m₀ < k or n₀ < k, the unknowns u_j at indic
 
 Each chain is solved for its minimum weighted-norm solution by an orthogonal
 (Givens) factorization in orthonormal coordinates, where the couplings
-become √A_j and every stored quantity stays O(1).  Past the box the data
-vanish, so each chain's infinite tail is fixed by its edge entry and the
-infinite minimum-norm problem closes exactly into a finite one.
+become √A_j and every stored quantity stays O(1).  With c = |c|·e^{iθ} and
+u_j = e^{ijθ}·v_j a chain becomes the real chain |c|·v_j + √A_j·v_{j+1} =
+e^{−i(j+1)θ}·f_j of the same norm, so the factor depends on |c| alone.  Past
+the box the data vanish, so each chain's infinite tail is fixed by its edge
+entry and the infinite minimum-norm problem closes exactly into a finite one.
 
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
@@ -239,82 +241,75 @@ def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> 
 
 
 @lru_cache(maxsize=1)
-def _factor(k: int, c_hex: Tuple[str, str], M: int) -> tuple:
-    """What a solve of (k, c, M) needs before it sees data, every array read-only.
+def _factor(k: int, rho: float, M: int) -> tuple:
+    """What a solve of (k, c, M) with |c| = rho needs before it sees data, every array read-only.
 
     Returns the chains, √(1 + τ) (each edge coupling's divisor), √(τ/(1 + τ))
     (the tail's part of the edge size), the smallest pivot and the Givens
-    factor that :func:`_lockstep_apply` reads: the QR factor of each chain's
-    bidiagonal adjoint by Givens rotations, for every chain at once, one
-    column per step, with identity rotations (g = 1, s = 0, r = 1) past a
-    row's last equation.  Complex values are (real, imaginary) pairs along
-    axis −2, combined by the formulas of Python's complex arithmetic, and the
-    pivots come from math.hypot, so every row rounds as the scalar per-chain
-    Givens solve kept in the tests does.  Only the last (k, c, M) is kept; c
-    is keyed by the ``float.hex`` of its parts, so that shifts apart only in
-    the sign of a zero never share an entry.
+    factor that :func:`_lockstep_apply` reads: the QR factor of each real
+    chain's bidiagonal transpose by Givens rotations, for every chain at
+    once, one column per step, with identity rotations (g = 1, s = 0, r = 1)
+    past a row's last equation.  The pivots come from math.hypot, so every
+    row rounds as the scalar per-chain Givens solve kept in the tests does.
+    Only the last (k, |c|, M) is kept; shifts of one modulus share it.
     """
-    c = complex(*map(float.fromhex, c_hex))
     chains = _layout(k, M)
     ids, edge = np.arange(len(chains.lengths)), chains.lengths
-    tau = _tail_weights(chains.m[ids, edge], chains.n[ids, edge], k, abs(c) * abs(c))
+    tau = _tail_weights(chains.m[ids, edge], chains.n[ids, edge], k, rho * rho)
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
     sa = chains.couplings.copy()
     sa[ids, edge - 1] /= damp
-    # longest chains first, so that the chains still running at step j are
-    # the first live[j] rows; (W, P) layout, so that a step reads contiguous rows
+    # longest chains first, so that the n chains still running at step j are
+    # the first n rows; (W, P) layout, so that a step reads contiguous rows
     order = np.argsort(-chains.lengths, kind="stable")
     eqs, sa = chains.eqs[order].T, np.ascontiguousarray(sa[order].T)
-    live = eqs.sum(axis=1)
-    width, rows = eqs.shape
-    flip = np.array([[-1.0], [1.0]])  # (x, y) ↦ (−x, y), applied to swapped pairs
-    cr, ci = c.real, -c.imag  # c̄
-    r = np.ones((width, rows))
-    g = np.zeros((width, 2, rows))
-    g[:, 0] = 1.0
-    alpha = np.empty((2, rows))
-    alpha[0], alpha[1] = cr, ci
-    flip_ci = flip * ci
-    for n, r_j, g_j, sa_j in zip(live.tolist(), r, g, sa):
-        alpha, r_j, g_j = alpha[:, :n], r_j[:n], g_j[:, :n]
-        r_j[:] = list(map(math.hypot, np.hypot(alpha[0], alpha[1]).tolist(), sa_j[:n].tolist()))
-        np.divide(alpha, r_j, out=g_j)
-        alpha = g_j * cr + g_j[::-1] * flip_ci
+    r, g = np.ones((2, *eqs.shape))
+    alpha = np.full(eqs.shape[1], rho)
+    for n, r_j, g_j, sa_j in zip(eqs.sum(axis=1).tolist(), r, g, sa):
+        r_j[:n] = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
+        alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
     s = sa / r
-    # conj(s·c̄), R's super-diagonal as R^H reads it; zero after a row's last equation
-    sup = s[:-1] * eqs[1:]
-    sup_re, sup_im = (sup * cr)[:, None], -(sup * ci)[:, None]
-    sup_swap = sup_im * flip  # conj(sup)·y = sup_re·y + sup_swap·swap(y)
-    g_re = g[:, :1].copy()
-    g_swap = g[:, 1:] * -flip  # (g_im, −g_im): conj(g)·p = g_re·p + g_swap·swap(p)
-    kernel = _read_only(order, np.argsort(order), r, s, sup_re, sup_swap, g_re, g_swap)
+    sup = s[:-1] * eqs[1:] * rho  # R's super-diagonal, zero after a row's last equation
+    kernel = _read_only(order, np.argsort(order), r, s, sup, g)
     return chains, *_read_only(damp, np.sqrt(share)), float(r[eqs].min()), kernel
 
 
-def _lockstep_apply(kernel: tuple, rhs: np.ndarray):
-    """Solve every row for the (P, W) right-hand sides: the real and imaginary (P, W + 1) u."""
-    order, back, r, s, sup_re, sup_swap, g_re, g_swap = kernel
-    rhs = np.stack([rhs[order].real.T, rhs[order].imag.T], axis=1)
+def _turns(c: complex, count: int) -> np.ndarray:
+    """turn[j] = (c/|c|)^j for j < count, each divided by its own modulus; all ones at c = 0."""
+    turns, unit = [1 + 0j], c / abs(c) if c else 1 + 0j
+    for _ in range(count - 1):
+        turn = turns[-1] * unit
+        turns.append(turn / abs(turn))
+    return np.array(turns)
+
+
+def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
+    """Solve every row for the (P, W) right-hand sides: the real and imaginary (P, W + 1) u.
+
+    Row j's data are turned by conj(turn[j+1]) and v_j back by turn[j], as
+    Python's complex multiply rounds; the real and imaginary parts of v are
+    two right-hand sides of the one real factor.
+    """
+    order, back, r, s, sup, g = kernel
+    f, tr, ti = rhs[order].T, turn.real[:, None], turn.imag[:, None]
+    rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
     width, rows = r.shape
-    # forward substitution R^H y = rhs
+    # forward substitution R^T y = rhs
     y = np.empty((width, 2, rows))
     prev = np.divide(rhs[0], r[0], out=y[0])
-    for y_j, rhs_j, t_re, t_swap, r_j in zip(y[1:], rhs[1:], sup_re, sup_swap, r[1:]):
-        prev = np.divide(rhs_j - (t_re * prev + t_swap * prev[::-1]), r_j, out=y_j)
-    # u = Q [y; 0]: the conjugated rotations in reverse order; p is u_{j+1}.
-    # The products with y need no earlier step and are taken all at once;
-    # g·y = g_re·y − g_swap·swap(y).
-    sy = s[:, None] * y
-    gy = g_re * y - g_swap * y[:, ::-1]
-    u = np.empty((width + 1, 2, rows))
+    for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
+        prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
+    # v = Q [y; 0]: the rotations in reverse order; p is v_{j+1}.  The
+    # products with y need no earlier step and are taken all at once.
+    sy, gy = s[:, None] * y, g[:, None] * y
+    v = np.empty((width + 1, 2, rows))
     p = np.zeros((2, rows))
-    steps = zip(u[:0:-1], sy[::-1], g_re[::-1], g_swap[::-1], gy[::-1], s[::-1])
-    for u_next, sy_j, g_re_j, g_swap_j, gy_j, s_j in steps:
-        np.add(sy_j, g_re_j * p + g_swap_j * p[::-1], out=u_next)
+    for v_next, sy_j, g_j, gy_j, s_j in zip(v[:0:-1], sy[::-1], g[::-1], gy[::-1], s[::-1]):
+        np.add(sy_j, g_j * p, out=v_next)
         p = gy_j - s_j * p
-    u[0] = p
-    return u[:, 0].T[back], u[:, 1].T[back]
+    v[0] = p
+    return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
 
 
 def _norm(values) -> float:
@@ -330,8 +325,9 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     infinite system.  Its tail past the box has mass |u_L|²·τ, so the
     infinite problem is the finite one in u_0..u_{L−1} and v = √(1+τ)·u_L,
     with the edge coupling divided by √(1+τ).  All chains are solved
-    together as the rows of one array, factored once per (k, c, M)
-    (:func:`_factor`) and applied to each data set.  The coefficients hold the box plus the one edge entry per chain that the
+    together as the rows of one array, factored once per (k, |c|, M)
+    (:func:`_factor`) and applied to each data set turned by the phase of c.
+    The coefficients hold the box plus the one edge entry per chain that the
     box equations see.  The residual is reported over the box equations,
     ``u_norm`` is the norm of the whole infinite-chain solution and
     ``tail_estimate`` the norm of its part past the stored entries.  Rows
@@ -340,7 +336,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     f, index = spec._checked()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
-    chains, damp, tail_share, min_pivot, kernel = _factor(k, (c.real.hex(), c.imag.hex()), M)
+    chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
     box, stored = chains.eqs, chains.stored
     rows, edge = np.arange(len(chains.lengths)), chains.lengths
 
@@ -354,7 +350,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     dense = dense.reshape(M + 2, M + 2)
     rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
 
-    u_re, u_im = _lockstep_apply(kernel, rhs)
+    u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, box.shape[1] + 1))
     sizes = np.hypot(u_re, u_im)
     tails = sizes[rows, edge] * tail_share
     u_norm = _norm(sizes[stored].tolist()) * sqrt_pi

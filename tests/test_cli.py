@@ -147,6 +147,16 @@ def test_probe_command(tmp_path):
     assert data["within_bound"] is True
 
 
+@pytest.mark.parametrize("value, code", [(100, 1), (1, 0)])
+def test_probe_bound_is_relative_past_k_14(tmp_path, monkeypatch, value, code):
+    # 1/15! ≈ 7.6e−13 is below an absolute slack of 1e−10
+    monkeypatch.setattr(cli, "operator_norm_probe", lambda *a, **kw: value / math.factorial(15))
+    out = tmp_path / "probe.json"
+    args = ["probe", "--k", "15", "--trials", "1", "--truncation", "17", "--output", str(out)]
+    assert cli.run(args) == code
+    assert json.loads(out.read_text())["within_bound"] is (code == 0)
+
+
 def test_certify_command_small(tmp_path):
     out = tmp_path / "certify.json"
     code = cli.run(

@@ -1,5 +1,6 @@
 """Chain layout, minimum-norm chain solves, and the certified solve."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -122,13 +123,58 @@ def solve_chain_exact(couplings, weights, rhs, c):
     return [p[j] + t * h[j] for j in range(L)]
 
 
+def real_min_norm_bidiagonal(rho, sa, rhs):
+    """Minimum-2-norm solution of rho·v_j + sa_j·v_{j+1} = rhs_j, j = 0..L−2, all real, rho ≥ 0.
+
+    Orthogonal factorization of the bidiagonal constraint matrix with Givens
+    rotations; O(L) and backward stable, no normal equations formed.
+    """
+    L = len(rhs)
+    if L == 1:
+        return [0.0]
+    n_eq = L - 1
+    # QR of the (L × n_eq) lower-bidiagonal transpose.
+    r_diag, gamma, sigma = [0.0] * n_eq, [0.0] * n_eq, [0.0] * n_eq
+    alpha = rho
+    for j in range(n_eq):
+        r = math.hypot(alpha, sa[j])
+        r_diag[j], gamma[j], sigma[j] = r, alpha / r, sa[j] / r
+        alpha = gamma[j] * rho
+    # Forward substitution R^T y = rhs, R's super-diagonal sigma·rho.
+    y = [0.0] * n_eq
+    for j in range(n_eq):
+        acc = rhs[j] - sigma[j - 1] * rho * y[j - 1] if j > 0 else rhs[j]
+        y[j] = acc / r_diag[j]
+    # v = Q [y; 0]: the rotations in reverse order.
+    v = y + [0.0]
+    for j in range(n_eq - 1, -1, -1):
+        vj, vj1 = v[j], v[j + 1]
+        v[j] = gamma[j] * vj - sigma[j] * vj1
+        v[j + 1] = sigma[j] * vj + gamma[j] * vj1
+    return v
+
+
 def min_norm_bidiagonal(c, sa, rhs):
     """Minimum-2-norm solution of c·u_j + sa_j·u_{j+1} = rhs_j, j = 0..L−2: the scalar Givens oracle.
 
-    Orthogonal factorization of the bidiagonal constraint matrix with Givens
-    rotations; O(L) and backward stable, no normal equations formed.  The
-    scalar oracle of ``solver._factor`` and ``solver._lockstep_apply``, which
-    run it for every chain at once.
+    With u_j = turn[j]·v_j, turn = ``solver._turns(c, L)``, the chain is the
+    real chain of |c| with data conj(turn[j+1])·rhs_j, solved for its real
+    and imaginary parts.  The scalar oracle of ``solver._factor`` and
+    ``solver._lockstep_apply``, which run it for every chain at once.
+    """
+    turns = [complex(t) for t in solver._turns(complex(c), len(rhs))]
+    data = [f * t.conjugate() for f, t in zip(rhs, turns[1:])] + [0j]
+    re = real_min_norm_bidiagonal(abs(c), sa, [x.real for x in data])
+    im = real_min_norm_bidiagonal(abs(c), sa, [x.imag for x in data])
+    return [complex(a, b) * t for a, b, t in zip(re, im, turns)]
+
+
+def complex_min_norm_bidiagonal(c, sa, rhs):
+    """Minimum-2-norm solution of c·u_j + sa_j·u_{j+1} = rhs_j by complex Givens rotations.
+
+    Orthogonal factorization of the bidiagonal constraint matrix; O(L) and
+    backward stable, no normal equations formed.  Kept as a reference for
+    the phase turn of :func:`min_norm_bidiagonal`, which it solves without.
     """
     L = len(rhs)
     if L == 1:
@@ -410,6 +456,35 @@ def test_min_norm_bidiagonal_single_equation():
     denom = abs(c) ** 2 + 9.0
     assert sol[0] == pytest.approx(c.conjugate() * 5 / denom)
     assert sol[1] == pytest.approx(3.0 * 5 / denom)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [1 + 1j, 24 + 1j, 0.3 - 2.9j, 1 + 0j, -1 + 0j, 1j, -1j, 0j]
+    + [1e-3 + 0j, -1e-3j, 6e-4 - 8e-4j, 1e6 + 0j, -1e6j, -6e5 + 8e5j],
+)
+def test_phase_turn_matches_complex_givens(c):
+    # the real chain of |c| on turned data against complex Givens rotations
+    # on the chain itself, with the edge coupling as given or, for c ≠ 0,
+    # 0 (τ = ∞; at c = 0 the last pivot would vanish)
+    rng = random.Random(f"turn:{c}")
+    edges = (1.0, 0.0) if c else (1.0,)
+    for k in (1, 2, 3):
+        for origin in ((0, 0), (0, 5), (2, 0)):
+            for L in (1, 2, 8, 30):
+                sa = chain_couplings(origin, k, L)
+                spike = [0j] * L
+                spike[rng.randrange(L)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                dense = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(L)]
+                for edge, rhs in itertools.product(edges, (dense, spike)):
+                    couplings = sa[:-1] + [sa[-1] * edge]
+                    want = complex_min_norm_bidiagonal(c, couplings, rhs + [0j])
+                    got = min_norm_bidiagonal(c, couplings, rhs + [0j])
+                    scale = max(map(abs, want))
+                    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+                    # the entries a solve keeps (|u| ≥ 1e−300) differ only below the bound
+                    kept = ({j for j, x in enumerate(sol) if abs(x) >= 1e-300} for sol in (got, want))
+                    assert all(abs(want[j]) <= 1e-14 * scale for j in set.symmetric_difference(*kept))
 
 
 # ---------------------------------------------------------------------------
@@ -764,20 +839,29 @@ def test_solve_is_independent_of_the_solves_before_it():
         assert_matches_reference(spec)
 
 
-def test_shifts_apart_only_in_the_sign_of_zero_share_no_factor():
+def test_shifts_of_one_modulus_share_a_factor():
+    # the factor is keyed by |c|: 0 and −0j share one, and so do ±1 and ±i
     f = dense_f(2, 12, 5)
-    specs = [ProblemSpec(k=2, c=c, truncation=12, f=f) for c in (0j, complex(0, -0.0))]
+    shifts = (0j, complex(0, -0.0), 1 + 0j, -1 + 0j, 1j, -1j)
+    specs = [ProblemSpec(k=2, c=c, truncation=12, f=f) for c in shifts]
     cold = [bits(cold_solve(spec)) for spec in specs]
-    misses = _factor.cache_info().misses
-    assert [bits(solve(spec)) for spec in specs + specs] == cold + cold
-    assert _factor.cache_info().misses == misses + 4
+    _factor.cache_clear()
+    assert [bits(solve(spec)) for spec in specs] == cold
+    assert _factor.cache_info().misses == 2
+
+
+def test_certify_sweep_factors_once_per_run_of_one_modulus():
+    # per k, the grid's runs of equal |c|: 0; 1, −1, i, −i; 1+i; 10, −10i; 1e6
+    _factor.cache_clear()
+    certify_sweep(1, 2, 2, 12, 0)
+    assert _factor.cache_info().misses == 10
 
 
 def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
-    chains, damp, tail_share, _, kernel = _factor(2, ((1.0).hex(), (1.0).hex()), 10)
+    chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
     arrays = [*chains, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(arrays) == 16
+    assert chains is _layout(2, 10) and len(arrays) == 14
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -788,8 +872,8 @@ def test_a_non_finite_solution_amplitude_raises(monkeypatch, part):
     # as the HermiteCoeffs constructor raises on the same amplitude
     apply = solver._lockstep_apply
 
-    def broken(factor, rhs):
-        u_re, u_im = apply(factor, rhs)
+    def broken(*args):
+        u_re, u_im = apply(*args)
         u_re[0, 0], u_im[0, 0] = (x / math.sqrt(math.pi) for x in part)
         return u_re, u_im
 
