@@ -17,10 +17,14 @@ Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
   H_{m,n}/√(π·m!·n!)) as complex floats, which keeps stored magnitudes O(1);
   raw float amplitudes under/overflow once indices reach ≈ 85.
 
-Numeric vectors built from arrays go through one checked writer,
-``HermiteCoeffs._from_array``, and are read back through
-:meth:`HermiteCoeffs.arrays` (:meth:`HermiteCoeffs.raw_values` for raw
-amplitudes); the per-entry constructor takes mappings.
+A numeric vector is stored as two read-only arrays in entry order, the
+(entries × 2) int64 ``index`` of its (m, n) pairs and its complex
+``values``; its ``entries`` mapping is a read-only view built on first
+access.  Numeric vectors built from arrays go through one checked writer,
+``HermiteCoeffs._from_array``, and every vector is read as arrays through
+:meth:`HermiteCoeffs.arrays`, which returns (index, values)
+(:meth:`HermiteCoeffs.raw_values` for raw amplitudes); the per-entry
+constructor takes mappings.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -46,6 +51,8 @@ _NUMERIC_PRUNE = 1e-300
 _FACTORIALS = np.array([float(math.factorial(i)) for i in range(171)])
 _FACTORIALS.setflags(write=False)
 _TOP = len(_FACTORIALS) - 1
+# index_array's stand-in for an index past int64
+_CLIP = 2**62
 
 
 def sqrt_norm(m: int, n: int) -> float:
@@ -87,8 +94,18 @@ def index_array(keys) -> np.ndarray:
     try:
         return np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys)).reshape(-1, 2)
     except OverflowError:
-        clip = 2**62
-        return np.array([(min(m, clip), min(n, clip)) for m, n in keys], np.int64).reshape(-1, 2)
+        return np.array([(min(m, _CLIP), min(n, _CLIP)) for m, n in keys], np.int64).reshape(-1, 2)
+
+
+def _key(index: np.ndarray, keys: list | None, i: int) -> BasisIndex:
+    """The (m, n) of row i: the caller's own key where one is kept, else the index row."""
+    return keys[i] if keys is not None else (int(index[i, 0]), int(index[i, 1]))
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -125,13 +142,17 @@ class HermiteCoeffs:
 
     ``entries`` maps (m, n) to an amplitude.  Exact amplitudes
     (:class:`ExactScalar`) require the raw normalization, since the
-    orthonormal rescaling by √(π·m!·n!) is irrational.  Zero entries are
-    pruned on construction: exact zeros in the exact context, magnitudes
-    below 1e−300 in the numeric context.  A float amplitude that is NaN, ±inf
-    or of a magnitude past float range raises ``ValueError``.
+    orthonormal rescaling by √(π·m!·n!) is irrational; an exact vector holds
+    its ``entries`` dict.  A numeric vector holds two read-only arrays in
+    entry order, ``index`` (entries × 2, int64) and complex ``values``;
+    its ``entries`` is a read-only view built from them on first access.
+    Zero entries are pruned on construction: exact zeros in the exact
+    context, magnitudes below 1e−300 in the numeric context.  A float
+    amplitude that is NaN, ±inf or of a magnitude past float range raises
+    ``ValueError``.
     """
 
-    __slots__ = ("entries", "normalization", "exact")
+    __slots__ = ("_entries", "_index", "_values", "_keys", "normalization", "exact")
 
     def __init__(self, entries: Mapping[BasisIndex, object] = (), normalization: str = RAW):
         if normalization not in (RAW, ORTHONORMAL):
@@ -171,9 +192,19 @@ class HermiteCoeffs:
             raise TypeError("cannot mix exact and floating amplitudes")
         if saw_exact and normalization != RAW:
             raise TypeError("exact amplitudes are stored in raw normalization only")
-        self.entries = clean
         self.normalization = normalization
         self.exact = saw_exact
+        if saw_exact:
+            self._entries, self._index, self._values, self._keys = clean, None, None, None
+        else:
+            index = index_array(clean)
+            values = np.fromiter(clean.values(), complex, len(clean))
+            self._store(index, values, list(clean) if index.max(initial=0) >= _CLIP else None)
+
+    def _store(self, index: np.ndarray, values: np.ndarray, keys) -> None:
+        """Hold ``index`` and ``values`` read-only, and no dict until ``entries`` is read."""
+        self._index, self._values = _read_only(index, values)
+        self._entries, self._keys = None, keys
 
     # ---- constructors -------------------------------------------------------
 
@@ -186,11 +217,18 @@ class HermiteCoeffs:
         return cls({(m, n): amplitude}, normalization)
 
     @classmethod
-    def _from_array(cls, keys: list, values: np.ndarray, normalization: str) -> "HermiteCoeffs":
-        """The numeric vector of ``values`` at ``keys``, pruned and checked as the constructor does.
+    def _from_array(
+        cls, index: np.ndarray, values: np.ndarray, normalization: str, keys: list | None = None
+    ) -> "HermiteCoeffs":
+        """The numeric vector of ``values`` at the rows of ``index``, pruned and checked.
 
-        ``keys`` are distinct pairs of nonnegative ints.  The writer of every
-        numeric vector the library builds from arrays.
+        ``index`` is an (entries × 2) int64 array of distinct nonnegative
+        pairs.  Pruning and the refusal of a non-finite amplitude are the
+        per-entry constructor's.  ``keys``, where given, are the caller's own
+        (m, n) pairs in the same order, to name an index that
+        :func:`index_array` clipped in an error: such an index has an
+        infinite norm, so no vector rescaled from it is finite.  The writer
+        of every numeric vector the library builds from arrays.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             sizes = np.hypot(values.real, values.imag)
@@ -198,28 +236,40 @@ class HermiteCoeffs:
         bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(f"non-finite amplitude {values[i].item()} at index {keys[i]}")
+            key = _key(index, keys, i)
+            raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
         if not kept.all():
-            keys = [keys[i] for i in np.flatnonzero(kept).tolist()]
-            values = values[kept]
+            index, values = index[kept], values[kept]
         self = cls.__new__(cls)
-        self.entries = dict(zip(keys, values.tolist()))
         self.normalization, self.exact = normalization, False
+        self._store(index, values, None)
         return self
 
     # ---- structure ----------------------------------------------------------
 
-    def arrays(self) -> Tuple[list, np.ndarray, np.ndarray]:
-        """(keys, index, values): the keys, their :func:`index_array` and the amplitudes, in entry order.
+    @property
+    def entries(self) -> Mapping[BasisIndex, object]:
+        """(m, n) → amplitude in entry order: an exact vector's dict, else a read-only view."""
+        if self._entries is None:
+            index = self._index
+            keys = self._keys or zip(index[:, 0].tolist(), index[:, 1].tolist())
+            self._entries = MappingProxyType(dict(zip(keys, self._values.tolist())))
+        return self._entries
 
-        The amplitudes are one complex array in the vector's own
-        normalization; exact ones are converted to floats.
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(index, values): the (m, n) pairs as :func:`index_array` gives them and the amplitudes.
+
+        Both are in entry order.  The amplitudes are one complex array in
+        the vector's own normalization; exact ones are converted to floats.
+        A numeric vector returns its own read-only arrays.
         """
-        keys = list(self.entries)
-        values = self.entries.values()
-        if self.exact:
-            values = [amp.to_complex() for amp in values]
-        return keys, index_array(keys), np.fromiter(values, complex, len(keys))
+        if not self.exact:
+            return self._index, self._values
+        values = (amp.to_complex() for amp in self._entries.values())
+        return index_array(self._entries), np.fromiter(values, complex, len(self._entries))
+
+    def __len__(self) -> int:
+        return len(self._entries) if self.exact else len(self._values)
 
     def items(self):
         return sorted(self.entries.items())
@@ -244,19 +294,19 @@ class HermiteCoeffs:
         """
         if self.normalization == ORTHONORMAL:
             return self
-        keys, index, values = self.arrays()
+        index, values = self.arrays()
         norms = sqrt_norms(index)
         re, im = values.real, values.imag
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
-        return HermiteCoeffs._from_array(keys, scaled, ORTHONORMAL)
+        return HermiteCoeffs._from_array(index, scaled, ORTHONORMAL, self._exact_keys(index))
 
-    def raw_values(self) -> Tuple[list, np.ndarray, np.ndarray]:
+    def raw_values(self) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`arrays` with the orthonormal amplitudes divided as in :meth:`to_raw`, unpruned."""
-        keys, index, values = self.arrays()
+        index, values = self.arrays()
         if self.normalization == ORTHONORMAL:
             values = _quotient(values, sqrt_norms(index))
-        return keys, index, values
+        return index, values
 
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).
@@ -269,7 +319,7 @@ class HermiteCoeffs:
         """
         if self.normalization == RAW:
             return self
-        keys, index, amps = self.arrays()
+        index, amps = self.arrays()
         norms = sqrt_norms(index)
         values = _quotient(amps, norms)
         sizes = np.hypot(amps.real, amps.imag)
@@ -279,12 +329,16 @@ class HermiteCoeffs:
         )
         if unheld.any():
             i = int(unheld.argmax())
-            m, n = keys[i]
+            m, n = _key(index, self._exact_keys(index), i)
             raise ValueError(
                 f"the raw amplitude at index ({m}, {n}) leaves the float range: "
                 f"√(π·m!·n!) = {float(norms[i]):.3e}"
             )
-        return HermiteCoeffs._from_array(keys, values, RAW)
+        return HermiteCoeffs._from_array(index, values, RAW)
+
+    def _exact_keys(self, index: np.ndarray) -> list | None:
+        """The keys as the caller gave them where :func:`index_array` clipped one, else None."""
+        return list(self.entries) if index.max(initial=0) >= _CLIP else None
 
     # ---- linear structure -----------------------------------------------------
 
@@ -321,7 +375,7 @@ def to_hermite(p: PolyZZbar) -> HermiteCoeffs:
 
 def to_monomial(u: HermiteCoeffs) -> PolyZZbar:
     """Exact evaluation of Σ a_{m,n} H_{m,n} as a polynomial in (z, z̄)."""
-    if not u.exact and u.entries:
+    if not u.exact and len(u):
         raise TypeError("to_monomial requires exact amplitudes")
     if u.normalization != RAW:
         raise TypeError("to_monomial requires raw normalization")

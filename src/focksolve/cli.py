@@ -197,11 +197,21 @@ def _complex(block: dict) -> complex:
     return complex(_real(block.get("re", 0.0), "re"), _real(block.get("im", 0.0), "im"))
 
 
+def _keyed_rows(coeffs: list):
+    """Yield ((m, n), row) per coefficient row; a second row at one (m, n) is invalid input."""
+    seen = set()
+    for item in coeffs:
+        key = (_int(item, "m"), _int(item, "n"))
+        if key in seen:
+            raise ValueError(f"two coefficient rows at (m, n) = {key}")
+        seen.add(key)
+        yield key, item
+
+
 def _parse_poly(coeffs: list) -> PolyZZbar:
     """Monomial coefficients, each float taken exactly at its binary value."""
     terms = {}
-    for item in coeffs:
-        key = (_int(item, "m"), _int(item, "n"))
+    for key, item in _keyed_rows(coeffs):
         value = _complex(item)
         if not cmath.isfinite(value):
             raise ValueError(f"monomial coefficient {value} at (m, n) = {key} is not finite")
@@ -210,16 +220,17 @@ def _parse_poly(coeffs: list) -> PolyZZbar:
 
 
 def _columns(coeffs, top: int):
-    """(rows, keys, values) of a coefficient block in the column shape, else None.
+    """(rows, index, values) of a coefficient block in the column shape, else None.
 
     The shape: a non-empty list of objects with exactly the keys m, n, re
     and im; m and n exact ints in [0, ``top``], no two rows at one (m, n); re
     and im exact ints or floats, each finite as a float.  ``rows`` is the
-    block as :class:`_Rows`, ``keys`` the (m, n) pairs in row order and
-    ``values`` complex(re, im) as one array, every part as :func:`_real`
-    reads it.  Every check runs on a whole column, and the indices are
-    checked before any part is converted.  A block outside the shape is read
-    row by row, which raises the errors of an invalid one.
+    block as :class:`_Rows`, ``index`` the (m, n) pairs in row order as one
+    (rows × 2) int64 array and ``values`` complex(re, im) as one array,
+    every part as :func:`_real` reads it.  Every check runs on a whole
+    column, and the indices are checked before any part is converted.  A
+    block outside the shape is read row by row, which raises the errors of
+    an invalid one.
     """
     if type(coeffs) is not list or set(map(type, coeffs)) != {dict} or set(map(len, coeffs)) != {4}:
         return None
@@ -237,10 +248,9 @@ def _columns(coeffs, top: int):
         values = _complex_array(np.array(re, float), np.array(im, float))
     except OverflowError:
         return None
-    keys = list(zip(m, n))
-    if not np.isfinite(values).all() or len(set(keys)) < len(keys):
+    if not np.isfinite(values).all() or len(set(zip(m, n))) < len(rows):
         return None
-    return rows, keys, values
+    return rows, np.array([m, n], np.int64).T, values
 
 
 def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dict]:
@@ -259,11 +269,11 @@ def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dic
         raise ValueError(f"unknown basis {basis!r} (expected 'hermite' or 'monomial')")
     columns = _columns(coeffs, top)
     if basis == "hermite" and columns is not None:
-        _, keys, values = columns
-        f = HermiteCoeffs._from_array(keys, values, RAW)
+        _, index, values = columns
+        f = HermiteCoeffs._from_array(index, values, RAW)
     else:
         if basis == "hermite":
-            terms = {(_int(item, "m"), _int(item, "n")): _complex(item) for item in coeffs}
+            terms = {key: _complex(item) for key, item in _keyed_rows(coeffs)}
         else:
             poly = _parse_poly(coeffs)
             terms = poly.terms
@@ -286,8 +296,11 @@ def _check_writable(k: int, truncation: int) -> None:
 
 def _coeff_block(u: HermiteCoeffs) -> dict:
     """The raw amplitudes of a numeric ``u`` as rows sorted by (m, n)."""
-    rows = _Rows((amp.imag, m, n, amp.real) for (m, n), amp in u.to_raw().items())
-    return {"basis": "hermite", "coeffs": rows}
+    index, values = u.to_raw().arrays()
+    order = np.lexsort((index[:, 1], index[:, 0]))
+    m, n, values = index[order, 0], index[order, 1], values[order]
+    columns = (values.imag.tolist(), m.tolist(), n.tolist(), values.real.tolist())
+    return {"basis": "hermite", "coeffs": _Rows(zip(*columns))}
 
 
 def cmd_solve(args) -> int:

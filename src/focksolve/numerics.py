@@ -47,7 +47,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import _FACTORIALS, _TOP, RAW, HermiteCoeffs
+from .basis import _FACTORIALS, _TOP, RAW, HermiteCoeffs, index_array
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -222,7 +222,7 @@ def _offset_major(u: HermiteCoeffs) -> np.ndarray:
     (2, M + 1, M + 1) array for M the largest index, filled from
     :meth:`HermiteCoeffs.raw_values`.
     """
-    _, index, values = u.raw_values()
+    index, values = u.raw_values()
     m, n = index[:, 0], index[:, 1]
     size = int(index.max(initial=-1)) + 1
     coef = np.zeros((2, size, size), dtype=complex)
@@ -233,7 +233,7 @@ def _offset_major(u: HermiteCoeffs) -> np.ndarray:
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
     total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    if not u.entries:
+    if not len(u):
         return total
     lower, upper = _offset_major(u).tolist()
     for (m, n), value in hermite_lower_walk(len(lower) - 1, z):
@@ -309,7 +309,8 @@ def project(
             f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "
             f"rule R={rule.radial_nodes}, A={rule.angular_nodes} under-resolves"
         )
-    return HermiteCoeffs._from_array(keys, np.array(values, dtype=complex), RAW), defect
+    values = np.array(values, dtype=complex)
+    return HermiteCoeffs._from_array(index_array(keys), values, RAW), defect
 
 
 def scale_down(values) -> Tuple[np.ndarray, int]:

@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs, index_array
+from .basis import ORTHONORMAL, HermiteCoeffs, _read_only, index_array
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -96,10 +96,6 @@ class ProblemSpec:
 
     def validate(self) -> HermiteCoeffs:
         """Check the problem; return f in orthonormal amplitudes, each one finite."""
-        return self._checked()[0]
-
-    def _checked(self) -> Tuple[HermiteCoeffs, np.ndarray]:
-        """:meth:`validate`, plus the keys of the returned f as one (entries × 2) array."""
         if not _finite(self.c):
             raise ValueError(f"shift c = {self.c} is not finite")
         if self.k < 1:
@@ -113,7 +109,8 @@ class ProblemSpec:
                 f"exceed the float range"
             )
         margin = self.truncation - self.k
-        index = index_array(self.f.entries)
+        # an exact f converts its amplitudes only once its support is checked
+        index = index_array(self.f.entries) if self.f.exact else self.f.arrays()[0]
         outside = (index > margin).any(axis=1)
         if outside.any():
             m, n = list(self.f.entries)[int(np.argmax(outside))]
@@ -124,11 +121,9 @@ class ProblemSpec:
         # HermiteCoeffs rejects non-finite amplitudes; an exact amplitude can
         # still overflow on its way to a float
         try:
-            f = self.f.to_orthonormal()
+            return self.f.to_orthonormal()
         except OverflowError as exc:
             raise ValueError(f"f has an amplitude that overflows a float: {exc}") from None
-        # an exact amplitude under the pruning floor drops out of the rescaled f
-        return f, index if len(f.entries) == len(index) else index_array(f.entries)
 
 
 @dataclass
@@ -175,18 +170,13 @@ class _Chains(NamedTuple):
     eqs: np.ndarray  # (P, W) bool: box equations
     stored: np.ndarray  # (P, W + 1) bool: box positions and the edge entry
     couplings: np.ndarray  # (P, W) √A_j on the equations, 0 past them
+    gather: np.ndarray  # (P, W) m·(M+2) + n on the equations, (M+2)² − 1 past them
 
 
 def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
     """(x)_k = x!/(x−k)! as floats for start ≤ x < stop; inf past float range."""
     perms = (math.perm(x, k) for x in range(start, stop))
     return np.array([float(p) if p <= sys.float_info.max else math.inf for p in perms])
-
-
-def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=4)
@@ -211,7 +201,9 @@ def _layout(k: int, M: int) -> _Chains:
     # past float range the product overflows before its root
     wide = couplings == math.inf
     couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
-    return _Chains(*_read_only(m, n, lengths, eqs, steps <= lengths[:, None], couplings))
+    # flat positions in the (M + 2)² data grid, whose last cell stays zero
+    gather = np.where(eqs, m[:, :-1] * (M + 2) + n[:, :-1], (M + 2) ** 2 - 1)
+    return _Chains(*_read_only(m, n, lengths, eqs, steps <= lengths[:, None], couplings, gather))
 
 
 def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> np.ndarray:
@@ -333,7 +325,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     ``tail_estimate`` the norm of its part past the stored entries.  Rows
     share no arithmetic, so no output bit depends on the chain order.
     """
-    f, index = spec._checked()
+    index, amps = spec.validate().arrays()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
     chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
@@ -342,13 +334,11 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
-    amps = np.fromiter(f.entries.values(), complex, len(f.entries))
     data = np.empty_like(amps)
     data.real, data.imag = amps.real / sqrt_pi, amps.imag / sqrt_pi
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
-    dense = dense.reshape(M + 2, M + 2)
-    rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
+    rhs = dense[chains.gather]
 
     u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, box.shape[1] + 1))
     sizes = np.hypot(u_re, u_im)
@@ -365,7 +355,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     keep = stored & ~(sizes < 1e-300)  # NaN is kept, for _from_array to refuse
     values = np.empty(np.count_nonzero(keep), dtype=complex)
     values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
-    keys = list(zip(chains.m[keep].tolist(), chains.n[keep].tolist()))
+    index = np.stack([chains.m[keep], chains.n[keep]], axis=1)
 
     f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
@@ -380,7 +370,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
         tail_estimate=_norm(tails.tolist()) * sqrt_pi,
         min_pivot=min_pivot,
     )
-    return HermiteCoeffs._from_array(keys, values, ORTHONORMAL), report
+    return HermiteCoeffs._from_array(index, values, ORTHONORMAL), report
 
 
 def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
@@ -388,9 +378,10 @@ def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
 
     Entries run by m, then n, each drawing its real part before its imaginary part.
     """
-    keys = [(m, n) for m in range(margin + 1) for n in range(margin + 1)]
-    parts = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * len(keys))])
-    return HermiteCoeffs._from_array(keys, parts.view(complex), ORTHONORMAL)
+    side = margin + 1
+    index = np.stack(np.divmod(np.arange(side * side), side), axis=1)
+    parts = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * side * side)])
+    return HermiteCoeffs._from_array(index, parts.view(complex), ORTHONORMAL)
 
 
 def _check_sweep_box(M: int) -> None:

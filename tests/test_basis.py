@@ -302,3 +302,48 @@ def test_to_raw_raises_where_a_raw_amplitude_leaves_float_range():
     # an amplitude below 2⁻⁵² of the largest is rounding and is pruned
     raw = HermiteCoeffs({(0, 0): 1.0 + 0j, (168, 168): 1e-17 + 0j}, "orthonormal").to_raw()
     assert list(raw.entries) == [(0, 0)]
+
+
+def entry_bits(u):
+    """Keys in entry order with the bits of each amplitude, signed zeros included."""
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in u.entries.items()]
+
+
+def test_array_rescaling_round_trips_match_the_per_entry_arithmetic():
+    # zeros of both signs, subnormal, huge and tiny parts, in every position
+    values = [0.0, -0.0, 5e-324, -1e300, 0.1, 1.0, -2.5e-308]
+    entries = {(m, n): complex(values[m], values[n]) for m in range(7) for n in range(7)}
+    raw = HermiteCoeffs(entries, "raw")
+    ortho = raw.to_orthonormal()
+    assert entry_bits(ortho) == entry_bits(reference_to_orthonormal(raw))
+    back = ortho.to_raw()
+    assert entry_bits(back) == entry_bits(reference_to_raw(ortho))
+    assert entry_bits(back.to_orthonormal()) == entry_bits(reference_to_orthonormal(back))
+
+
+def test_numeric_vectors_hold_arrays_and_a_read_only_view():
+    u = HermiteCoeffs({(2, 1): -0.5j, (0, 0): 1.0, (1, 3): 1e-301}, "orthonormal")
+    # no dict until entries is read
+    assert u._entries is None and len(u) == 2
+    index, values = u.arrays()
+    assert index.tolist() == [[2, 1], [0, 0]] and values.tolist() == [-0.5j, 1.0 + 0j]
+    for array in (index, values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    view = u.entries
+    assert dict(view) == {(2, 1): -0.5j, (0, 0): 1.0 + 0j} and u.entries is view
+    with pytest.raises(TypeError):
+        u.entries[(0, 0)] = 2.0
+    # exact vectors keep their dict
+    exact = HermiteCoeffs({(1, 1): Fraction(1, 2)})
+    assert type(exact.entries) is dict and len(exact) == 1
+
+
+def test_an_index_past_int64_keeps_the_callers_key():
+    u = HermiteCoeffs({(0, 0): 1.0, (10**30, 0): 1.0}, "orthonormal")
+    assert list(u.entries) == [(0, 0), (10**30, 0)]
+    assert u.arrays()[0].tolist() == [[0, 0], [2**62, 0]]
+    with pytest.raises(ValueError, match=r"index \(10{30}, 0\) leaves the float range"):
+        u.to_raw()
+    with pytest.raises(ValueError, match=r"at index \(10{30}, 0\)"):
+        HermiteCoeffs({(10**30, 0): 1.0}).to_orthonormal()

@@ -230,6 +230,24 @@ def test_coefficient_blocks_that_are_not_lists_exit_2(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, basis, key",
+    [("solve", "hermite", (0, 0)), ("solve", "monomial", (1, 0)), ("disk", "monomial", (1, 0))],
+)
+def test_two_rows_at_one_index_exit_2(tmp_path, capsys, command, basis, key):
+    # the later row used to replace the earlier: f_norm read 5·√π, exit 0
+    rows = [{"m": key[0], "n": key[1], "re": re, "im": 0.0} for re in (1.0, 5.0)]
+    payload = {"k": 1, "c": {"re": 1.0, "im": 0.0}, "truncation": 4, "radius": 0.5}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**payload, "f": {"basis": basis, "coeffs": rows}}))
+    out = tmp_path / "out"
+    assert cli.run([command, "--input", str(path), "--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"ValueError: two coefficient rows at (m, n) = {key}"
+    )
+    assert not out.exists()
+
+
 def test_disk_command(tmp_path):
     payload = {
         "center": {"re": 0.0, "im": 0.0},
@@ -551,11 +569,19 @@ def reference_render(value, pad=""):
 
 
 def reference_parse_f(block, top, name="f"):
-    """The row-by-row parse: every row through _int and _complex, then the constructor."""
+    """The row-by-row parse: every row through _int and _complex, then the constructor.
+
+    A second row at one (m, n) is refused where it is read.
+    """
     basis = cli._object(block).get("basis", "hermite")
     coeffs = cli._list(block.get("coeffs", []))
     if basis == "hermite":
-        terms = {(cli._int(item, "m"), cli._int(item, "n")): cli._complex(item) for item in coeffs}
+        terms = {}
+        for item in coeffs:
+            key = (cli._int(item, "m"), cli._int(item, "n"))
+            if key in terms:
+                raise ValueError(f"two coefficient rows at (m, n) = {key}")
+            terms[key] = cli._complex(item)
     elif basis == "monomial":
         poly = cli._parse_poly(coeffs)
         terms = poly.terms

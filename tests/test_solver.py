@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from focksolve import (
     solve,
     solver,
 )
-from focksolve.basis import apply_operator
+from focksolve.basis import apply_operator, index_array
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
     SWEEP_BOX_CELLS,
@@ -861,7 +862,7 @@ def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
     chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
     arrays = [*chains, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(arrays) == 14
+    assert chains is _layout(2, 10) and len(arrays) == 15
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -921,3 +922,75 @@ def test_sweep_box_bound_admits_its_edge():
 def test_certify_sweep_rejects_an_empty_sweep(trials, k_min, k_max):
     with pytest.raises(ValueError):
         certify_sweep(k_min, k_max, trials, 8, 0)
+
+
+# ---------------------------------------------------------------------------
+# array storage against the dict-backed solve it replaced
+
+
+def dict_backed_solve(spec):
+    """solve with its data read through ``f.entries`` and its solution written as a dict.
+
+    The right-hand side is gathered by (m, n) pairs from a dense grid, and
+    the solution is the dict of key tuples and Python complexes that the
+    constructor's prune rule keeps.  Returns that dict and the report.
+    """
+    f = spec.validate()
+    k, M, c = spec.k, spec.truncation, complex(spec.c)
+    chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
+    box, stored = chains.eqs, chains.stored
+    rows, edge = np.arange(len(chains.lengths)), chains.lengths
+    sqrt_pi = math.sqrt(math.pi)
+    index = index_array(f.entries)
+    amps = np.fromiter(f.entries.values(), complex, len(f.entries))
+    data = np.empty_like(amps)
+    data.real, data.imag = amps.real / sqrt_pi, amps.imag / sqrt_pi
+    dense = np.zeros((M + 2) * (M + 2), dtype=complex)
+    dense[index[:, 0] * (M + 2) + index[:, 1]] = data
+    dense = dense.reshape(M + 2, M + 2)
+    rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
+    u_re, u_im = solver._lockstep_apply(kernel, rhs, solver._turns(c, box.shape[1] + 1))
+    sizes = np.hypot(u_re, u_im)
+    tails = sizes[rows, edge] * tail_share
+    u_norm = _norm(sizes[stored].tolist()) * sqrt_pi
+    u_re[rows, edge] /= damp
+    u_im[rows, edge] /= damp
+    sizes[rows, edge] = np.hypot(u_re[rows, edge], u_im[rows, edge])
+    u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
+    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
+    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
+    keep = stored & ~(sizes < 1e-300)
+    values = np.empty(np.count_nonzero(keep), dtype=complex)
+    values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
+    keys = list(zip(chains.m[keep].tolist(), chains.n[keep].tolist()))
+    entries = {key: v for key, v in zip(keys, values.tolist()) if 1e-300 <= abs(v) < math.inf}
+    f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
+    ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
+    report = solver.SolveReport(
+        residual_norm=_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
+        f_norm=f_norm,
+        u_norm=u_norm,
+        bound_ratio=ratio,
+        bound_holds=ratio <= 1.0 + solver.BOUND_TOL,
+        truncation=M,
+        chain_count=len(rows),
+        tail_estimate=_norm(tails.tolist()) * sqrt_pi,
+        min_pivot=min_pivot,
+    )
+    return entries, report
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", CERTIFICATION_C_GRID + (0.01 + 0j,))
+def test_array_solve_matches_the_dict_backed_solve_bit_for_bit(k, c):
+    rng = random.Random(f"{k}:{c}")
+    for M in (32, 48):
+        m, n = rng.randrange(M - k + 1), rng.randrange(M - k + 1)
+        # a real amplitude: at the axis shifts the solution has parts of ±0.0
+        single = HermiteCoeffs({(m, n): complex(rng.gauss(0, 1), 0.0)}, "raw")
+        for f in (dense_data(rng, M - k), single):
+            spec = ProblemSpec(k=k, c=c, truncation=M, f=f)
+            u, report = solve(spec)
+            assert u._entries is None
+            entries, want = dict_backed_solve(spec)
+            assert bits((u, report)) == bits((SimpleNamespace(entries=entries), want))
