@@ -241,8 +241,10 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     factor that :func:`_lockstep_apply` reads: the QR factor of each real
     chain's bidiagonal transpose by Givens rotations, for every chain at
     once, one column per step, with identity rotations (g = 1, s = 0, r = 1)
-    past a row's last equation.  The pivots come from math.hypot, so every
-    row rounds as the scalar per-chain Givens solve kept in the tests does.
+    past a row's last equation.  The kernel is (order, its inverse, r, R's
+    super-diagonal, the (W, 2, P) rotations (g, −s)).  The pivots come from
+    math.hypot, so every row rounds as the scalar per-chain Givens solve
+    kept in the tests does.
     Only the last (k, |c|, M) is kept; shifts of one modulus share it.
     """
     chains = _layout(k, M)
@@ -263,7 +265,7 @@ def _factor(k: int, rho: float, M: int) -> tuple:
         alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
     s = sa / r
     sup = s[:-1] * eqs[1:] * rho  # R's super-diagonal, zero after a row's last equation
-    kernel = _read_only(order, np.argsort(order), r, s, sup, g)
+    kernel = _read_only(order, np.argsort(order), r, sup, np.stack([g, -s], axis=1))
     return chains, *_read_only(damp, np.sqrt(share)), float(r[eqs].min()), kernel
 
 
@@ -281,9 +283,14 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
 
     Row j's data are turned by conj(turn[j+1]) and v_j back by turn[j], as
     Python's complex multiply rounds; the real and imaginary parts of v are
-    two right-hand sides of the one real factor.
+    two right-hand sides of the one real factor.  The rotations are applied
+    in reverse with p = v_{j+1} carried down: step j takes
+    (v_{j+1}, p) = (s·y_j, g·y_j) + (g, −s)·p, one multiply and one add
+    over both outputs, from the factor's stored (g, −s).  Negation is exact
+    and IEEE defines x − y as x + (−y), so g·y_j + (−s)·p rounds as
+    g·y_j − s·p does, signed zeros included.
     """
-    order, back, r, s, sup, g = kernel
+    order, back, r, sup, rot = kernel
     f, tr, ti = rhs[order].T, turn.real[:, None], turn.imag[:, None]
     rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
     width, rows = r.shape
@@ -292,20 +299,27 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
     prev = np.divide(rhs[0], r[0], out=y[0])
     for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
         prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
-    # v = Q [y; 0]: the rotations in reverse order; p is v_{j+1}.  The
-    # products with y need no earlier step and are taken all at once.
-    sy, gy = s[:, None] * y, g[:, None] * y
-    v = np.empty((width + 1, 2, rows))
-    p = np.zeros((2, rows))
-    for v_next, sy_j, g_j, gy_j, s_j in zip(v[:0:-1], sy[::-1], g[::-1], gy[::-1], s[::-1]):
-        np.add(sy_j, g_j * p, out=v_next)
-        p = gy_j - s_j * p
-    v[0] = p
+    # v = Q [y; 0].  The products with y need no earlier step and are taken
+    # all at once: (−s·y, g·y), then the first negated to s·y.  Step j
+    # overwrites them with (v_{j+1}, p).
+    sgy = rot[:, ::-1, None] * y[:, None]
+    np.negative(sgy[:, 0], out=sgy[:, 0])
+    p, turned = np.zeros((2, rows)), np.empty((2, 2, rows))
+    for sgy_j, rot_j in zip(sgy[::-1], rot[::-1, :, None]):
+        p = np.add(sgy_j, np.multiply(rot_j, p, out=turned), out=sgy_j)[1]
+    v = np.concatenate([sgy[:1, 1], sgy[:, 0]])
     return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
 
 
 def _norm(values) -> float:
-    """Euclidean norm of complex values, free of intermediate over- and underflow."""
+    """Euclidean norm, free of intermediate over- and underflow.
+
+    A float array (the report's magnitudes) goes to math.hypot as it is,
+    which takes each |x| itself; complex values and iterables go through
+    ``abs`` first.  Both give the bits of math.hypot over the magnitudes.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return math.hypot(*values.tolist())
     return math.hypot(*map(abs, values))
 
 
@@ -343,7 +357,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, box.shape[1] + 1))
     sizes = np.hypot(u_re, u_im)
     tails = sizes[rows, edge] * tail_share
-    u_norm = _norm(sizes[stored].tolist()) * sqrt_pi
+    u_norm = _norm(sizes[stored]) * sqrt_pi
     u_re[rows, edge] /= damp
     u_im[rows, edge] /= damp
     sizes[rows, edge] = np.hypot(u_re[rows, edge], u_im[rows, edge])
@@ -355,19 +369,20 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     keep = stored & ~(sizes < 1e-300)  # NaN is kept, for _from_array to refuse
     values = np.empty(np.count_nonzero(keep), dtype=complex)
     values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
-    index = np.stack([chains.m[keep], chains.n[keep]], axis=1)
+    index = np.empty((len(values), 2), dtype=np.int64)
+    index[:, 0], index[:, 1] = chains.m[keep], chains.n[keep]
 
-    f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
+    f_norm = _norm(np.hypot(data.real, data.imag)) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = SolveReport(
-        residual_norm=_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
+        residual_norm=_norm(np.hypot(res_re, res_im)[box]) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + BOUND_TOL,
         truncation=M,
         chain_count=len(rows),
-        tail_estimate=_norm(tails.tolist()) * sqrt_pi,
+        tail_estimate=_norm(tails) * sqrt_pi,
         min_pivot=min_pivot,
     )
     return HermiteCoeffs._from_array(index, values, ORTHONORMAL), report
@@ -462,15 +477,30 @@ def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> Lis
 
 @dataclass
 class ScaledProblem:
-    """Solve posed in the variable w = λ(z − z₀); ``base`` holds the w-space data."""
+    """Solve posed in the variable w = λ(z − z₀); ``base`` holds the w-space data.
+
+    λ and z₀ must be finite, λ positive, and λ^{2k} and λ^{−2k} normal
+    floats: they scale the shift, the norms and the bound constant.
+    """
 
     lam: float
     z0: complex
     base: ProblemSpec
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        lam, k = float(self.lam), self.base.k
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"lambda = {lam} must be positive and finite")
+        if not _finite(self.z0):
+            raise ValueError(f"z0 = {self.z0} is not finite")
+        try:
+            normal = min(lam ** (2 * k), lam ** (-2 * k)) >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValueError(
+                f"lambda = {lam} with k = {k}: lambda^(±2k) leaves the normal float range"
+            )
 
 
 @dataclass

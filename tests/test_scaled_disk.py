@@ -80,6 +80,35 @@ def test_scaled_rejects_bad_lambda():
         ScaledProblem(lam=0.0, z0=0j, base=base_spec())
 
 
+@pytest.mark.parametrize(
+    "lam, z0, match",
+    [
+        (math.inf, 0j, "lambda = inf must be positive and finite"),
+        (math.nan, 0j, "lambda = nan must be positive and finite"),
+        (1e10, 0j, r"lambda = 10000000000.0 with k = 20: .* normal float range"),
+        (1e-200, 0j, "lambda = 1e-200 with k = 20: .* normal float range"),
+        (1.0, complex(math.inf, 0), r"z0 = \(inf\+0j\) is not finite"),
+        (1.0, complex(0, math.nan), r"z0 = nanj is not finite"),
+    ],
+    ids=["lambda-inf", "lambda-nan", "lambda-1e10", "lambda-1e-200", "z0-inf", "z0-nan"],
+)
+def test_scaled_rejects_non_finite_or_out_of_range_input(lam, z0, match):
+    # k = 20: λ^{40} overflows at λ = 1e10 and underflows to 0 at λ = 1e−200
+    f = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j)
+    with pytest.raises(ValueError, match=match):
+        ScaledProblem(lam=lam, z0=z0, base=base_spec(k=20, c=1 + 0j, truncation=32, f=f))
+
+
+def test_scaled_lambda_bound_admits_its_edge():
+    # k = 1: λ = 2^±511 puts λ^{∓2} on the smallest normal float; at 2^±511.5 it is subnormal
+    for lam in (2.0**511, 2.0**-511):
+        _, rep = solve_scaled(ScaledProblem(lam=lam, z0=0j, base=base_spec()))
+        assert rep.bound_holds
+    for lam in (2.0**511.5, 2.0**-511.5):
+        with pytest.raises(ValueError, match="normal float range"):
+            ScaledProblem(lam=lam, z0=0j, base=base_spec())
+
+
 def test_disk_zero_data():
     p = DiskProblem(center=0j, radius=1.0, f_poly=PolyZZbar.zero(), k=1, c=0j, truncation=8)
     u, rep = solve_disk(p)

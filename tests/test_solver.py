@@ -862,7 +862,7 @@ def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
     chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
     arrays = [*chains, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(arrays) == 15
+    assert chains is _layout(2, 10) and len(arrays) == 14
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -925,15 +925,48 @@ def test_certify_sweep_rejects_an_empty_sweep(trials, k_min, k_max):
 
 
 # ---------------------------------------------------------------------------
-# array storage against the dict-backed solve it replaced
+# array storage, kernel and norms against the dict-backed solve they replaced
+
+
+def reference_lockstep_apply(kernel, rhs, turn):
+    """solver._lockstep_apply with its reverse sweep as four ufuncs a step.
+
+    It reads the factor's (g, −s) and takes s back by an exact negation, then
+    sets v_{j+1} = s·y_j + g·p and p = g·y_j − s·p, as the kernel did before
+    its two-ufunc step.
+    """
+    order, back, r, sup, rot = kernel
+    g, s = rot[:, 0], -rot[:, 1]
+    f, tr, ti = rhs[order].T, turn.real[:, None], turn.imag[:, None]
+    rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
+    width, rows = r.shape
+    y = np.empty((width, 2, rows))
+    prev = np.divide(rhs[0], r[0], out=y[0])
+    for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
+        prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
+    sy, gy = s[:, None] * y, g[:, None] * y
+    v = np.empty((width + 1, 2, rows))
+    p = np.zeros((2, rows))
+    for v_next, sy_j, g_j, gy_j, s_j in zip(v[:0:-1], sy[::-1], g[::-1], gy[::-1], s[::-1]):
+        np.add(sy_j, g_j * p, out=v_next)
+        p = gy_j - s_j * p
+    v[0] = p
+    return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
+
+
+def reference_norm(values):
+    """solver._norm as it was: ``abs`` on every value, floats included."""
+    return math.hypot(*map(abs, values))
 
 
 def dict_backed_solve(spec):
     """solve with its data read through ``f.entries`` and its solution written as a dict.
 
-    The right-hand side is gathered by (m, n) pairs from a dense grid, and
-    the solution is the dict of key tuples and Python complexes that the
-    constructor's prune rule keeps.  Returns that dict and the report.
+    The right-hand side is gathered by (m, n) pairs from a dense grid, the
+    rows are solved by :func:`reference_lockstep_apply`, the report norms
+    are :func:`reference_norm` of Python float lists, and the solution is
+    the dict of key tuples and Python complexes that the constructor's
+    prune rule keeps.  Returns that dict and the report.
     """
     f = spec.validate()
     k, M, c = spec.k, spec.truncation, complex(spec.c)
@@ -949,10 +982,10 @@ def dict_backed_solve(spec):
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     dense = dense.reshape(M + 2, M + 2)
     rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
-    u_re, u_im = solver._lockstep_apply(kernel, rhs, solver._turns(c, box.shape[1] + 1))
+    u_re, u_im = reference_lockstep_apply(kernel, rhs, solver._turns(c, box.shape[1] + 1))
     sizes = np.hypot(u_re, u_im)
     tails = sizes[rows, edge] * tail_share
-    u_norm = _norm(sizes[stored].tolist()) * sqrt_pi
+    u_norm = reference_norm(sizes[stored].tolist()) * sqrt_pi
     u_re[rows, edge] /= damp
     u_im[rows, edge] /= damp
     sizes[rows, edge] = np.hypot(u_re[rows, edge], u_im[rows, edge])
@@ -964,20 +997,35 @@ def dict_backed_solve(spec):
     values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
     keys = list(zip(chains.m[keep].tolist(), chains.n[keep].tolist()))
     entries = {key: v for key, v in zip(keys, values.tolist()) if 1e-300 <= abs(v) < math.inf}
-    f_norm = _norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
+    f_norm = reference_norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = solver.SolveReport(
-        residual_norm=_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
+        residual_norm=reference_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + solver.BOUND_TOL,
         truncation=M,
         chain_count=len(rows),
-        tail_estimate=_norm(tails.tolist()) * sqrt_pi,
+        tail_estimate=reference_norm(tails.tolist()) * sqrt_pi,
         min_pivot=min_pivot,
     )
     return entries, report
+
+
+def edge_data(rng, margin):
+    """Parts of ±0.0, the smallest subnormal and ±1e300 at distinct random box indices."""
+    parts = [(1e300, -0.0), (-1e300, 0.0), (5e-324, -1.0), (-0.0, 2.5), (-1.0, -5e-324)]
+    cells = rng.sample(range((margin + 1) ** 2), len(parts))
+    keys = [divmod(cell, margin + 1) for cell in cells]
+    return HermiteCoeffs({key: complex(*part) for key, part in zip(keys, parts)}, "orthonormal")
+
+
+def assert_matches_the_dict_backed_solve(spec):
+    u, report = solve(spec)
+    assert u._entries is None
+    entries, want = dict_backed_solve(spec)
+    assert bits((u, report)) == bits((SimpleNamespace(entries=entries), want))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -988,9 +1036,16 @@ def test_array_solve_matches_the_dict_backed_solve_bit_for_bit(k, c):
         m, n = rng.randrange(M - k + 1), rng.randrange(M - k + 1)
         # a real amplitude: at the axis shifts the solution has parts of ±0.0
         single = HermiteCoeffs({(m, n): complex(rng.gauss(0, 1), 0.0)}, "raw")
-        for f in (dense_data(rng, M - k), single):
-            spec = ProblemSpec(k=k, c=c, truncation=M, f=f)
-            u, report = solve(spec)
-            assert u._entries is None
-            entries, want = dict_backed_solve(spec)
-            assert bits((u, report)) == bits((SimpleNamespace(entries=entries), want))
+        for f in (dense_data(rng, M - k), single, edge_data(rng, M - k)):
+            assert_matches_the_dict_backed_solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+
+
+def test_array_solve_matches_the_dict_backed_solve_at_256():
+    f = dense_f(1, 256, 400)
+    assert_matches_the_dict_backed_solve(ProblemSpec(k=1, c=1 + 1j, truncation=256, f=f))
+
+
+@pytest.mark.parametrize("values", [[3.0, -4.0, -0.0, 5e-324], [1e300, -1e300, 1.0], []])
+def test_norm_of_a_float_array_matches_the_abs_path(values):
+    # math.hypot takes |x| of each float itself, so the array path drops the abs map
+    assert _norm(np.array(values)).hex() == reference_norm(values).hex()
