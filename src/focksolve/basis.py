@@ -22,9 +22,8 @@ A numeric vector is stored as two read-only arrays in entry order, the
 ``values``; its ``entries`` mapping is a read-only view built on first
 access.  Numeric vectors built from arrays go through one checked writer,
 ``HermiteCoeffs._from_array``, and every vector is read as arrays through
-:meth:`HermiteCoeffs.arrays`, which returns (index, values)
-(:meth:`HermiteCoeffs.raw_values` for raw amplitudes); the per-entry
-constructor takes mappings.
+:meth:`HermiteCoeffs.arrays`, which returns (index, values) in the vector's
+own normalization; the per-entry constructor takes mappings.
 """
 
 from __future__ import annotations
@@ -300,13 +299,6 @@ class HermiteCoeffs:
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
         return HermiteCoeffs._from_array(index, scaled, ORTHONORMAL, self._exact_keys(index))
-
-    def raw_values(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`arrays` with the orthonormal amplitudes divided as in :meth:`to_raw`, unpruned."""
-        index, values = self.arrays()
-        if self.normalization == ORTHONORMAL:
-            values = _quotient(values, sqrt_norms(index))
-        return index, values
 
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).

@@ -1,21 +1,18 @@
 """Pointwise evaluation, quadrature projection, and finite-difference checks.
 
-Evaluation of the complex Hermite basis rests on the two coupled recurrences
+Evaluation walks the orthonormal ψ_{m,n} = H_{m,n}/√(π·m!·n!), without the
+Gaussian factor, so that every caller keeps its own weights.  Along each
+offset α = m − n the diagonal three-term recurrence of H_{m,n}, scaled by
+the norms, reads
 
-    H_{m+1,n} = z·H_{m,n} − n·H_{m,n−1}
-    H_{m,n+1} = z̄·H_{m,n} − m·H_{m−1,n}
+    √((n+1)(n+1+α))·ψ_{n+1+α,n+1} = (|z|² − (2n+α+1))·ψ_{n+α,n} − √(n(n+α))·ψ_{n+α−1,n−1}
 
-starting from H_{0,0} = 1.  Composing one step of each gives the diagonal
-three-term form
-
-    H_{m+1,n+1} = (|z|² − (m+n+1))·H_{m,n} − m·n·H_{m−1,n−1},
-
-which walks the index lattice along (1, 1) from the pure powers H_{α,0} = z^α
-(and mirrors by conjugation, H_{n,m} = conj(H_{m,n})).  The diagonal form is
-used for floating evaluation: in the oscillatory region the row-by-row walk
-cancels catastrophically (eight lost digits near |z|² ≈ 20 at index 20),
-while the diagonal walk is the classical stable three-term recurrence and
-stays within a few ulp of the exact value.
+from ψ_{α,0} = ψ_{α−1,0}·z/√α, ψ_{0,0} = 1/√π, and mirrors by conjugation,
+ψ_{n,m} = conj(ψ_{m,n}) (Gil, Segura & Temme, *Numerical Methods for
+Special Functions*, ch. 4).  In the oscillatory region a row-by-row walk
+cancels catastrophically (eight lost digits near |z|² ≈ 20 at index 20);
+the diagonal walk is stable, and its values stay in float range at indices
+where H_{m,n} and π·m!·n! do not.
 
 Full-plane integrals against e^{−|z|²} are done in polar form with t = r²
 (dσ = ½ dt dθ): Gauss-Laguerre in t absorbs the
@@ -24,13 +21,13 @@ polynomials, so polynomial-times-Gaussian integrals are exact at finite node
 counts.  Disk integrals keep the plain area measure: Gauss-Legendre in r with
 the explicit r dr factor, uniform nodes in θ, and any Gaussian factor carried
 by the integrand.  Both rules are polar products whose weights depend on the
-radius alone, and H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), so projection
+radius alone, and ψ_{n+α,n}(r·e^{iθ}) = e^{iαθ}·ψ_{n+α,n}(r), so projection
 and quadrature norms on a rule take an FFT in θ and walk the radii only.
 
-Synthesis and quadrature norms read the raw amplitudes from one
-offset-major array (:func:`_offset_major`), filled from
-:meth:`HermiteCoeffs.raw_values`; :func:`project` divides by (π·m!)·n!
-from the float factorial table of :mod:`focksolve.basis`.
+:func:`synthesize`, :func:`project` and the quadrature norms share the one
+walk.  Synthesis and quadrature norms read u's orthonormal amplitudes from
+one offset-major array (:func:`_offset_major`), and :func:`project` returns
+orthonormal coefficients, so no raw amplitude is formed.
 
 The finite-difference residual uses 4·∂∂̄ = Δ: the five-point discrete
 Laplacian over four, plus c, applied to a synthesized solution, is an
@@ -47,7 +44,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import _FACTORIALS, _TOP, RAW, HermiteCoeffs, index_array
+from .basis import ORTHONORMAL, HermiteCoeffs
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -185,65 +182,71 @@ class GridSpec:
         return xx + 1j * yy
 
 
-def hermite_lower_walk(M: int, z):
-    """Yield ((m, n), H_{m,n}(z)) over the triangle 0 ≤ n ≤ m ≤ M.
+def _orthonormal_walk(z, lengths):
+    """Yield ((m, n), ψ_{m,n}(z)) for m = n + α, α = 0, 1, … and n < lengths[α].
 
-    Walks each diagonal offset α = m − n with the stable three-term
-    recurrence; the upper triangle follows by conjugation since the
-    coefficients of H_{m,n} are real and symmetric under index swap.
+    ψ_{m,n} = H_{m,n}/√(π·m!·n!), without the Gaussian factor.  Each offset
+    starts from ψ_{α,0} = ψ_{α−1,0}·z/√α, ψ_{0,0} = 1/√π, and steps the
+    three-term recurrence with its coefficients computed once per offset.
     Works for scalar z or numpy arrays, with O(1) live values per offset.
     """
     t = np.real(z * np.conjugate(z))
-    for alpha in range(M + 1):
-        x = z**alpha
-        yield (alpha, 0), x
-        x_prev = 0.0 * x
-        for n in range(M - alpha):
-            x_prev, x = x, (t - (2 * n + alpha + 1)) * x - (n * (n + alpha)) * x_prev
-            yield (n + 1 + alpha, n + 1), x
+    start = np.full(np.shape(z), 1.0 / math.sqrt(math.pi))
+    for alpha, length in enumerate(lengths):
+        if alpha:
+            start = start * z / math.sqrt(alpha)
+        if not length:
+            continue
+        yield (alpha, 0), start
+        n = np.arange(length - 1)
+        steps = zip(
+            (2 * n + alpha + 1).tolist(),
+            np.sqrt(n * (n + alpha)).tolist(),
+            np.sqrt((n + 1) * (n + 1 + alpha)).tolist(),
+        )
+        x_prev, x = 0.0, start
+        for m, (shift, down, up) in enumerate(steps, alpha + 1):
+            x_prev, x = x, ((t - shift) * x - down * x_prev) / up
+            yield (m, m - alpha), x
 
 
-def _radial_blocks(M: int, r: np.ndarray):
-    """Yield (α, rows) for α = 0..M, with rows[n] = H_{n+α,n}(r) on real radii r.
+def _radial_blocks(r: np.ndarray, lengths):
+    """Yield (α, rows) for each offset α, with rows[n] = ψ_{n+α,n}(r) for n < lengths[α].
 
-    In polar form H_{n+α,n}(r·e^{iθ}) = e^{iαθ}·H_{n+α,n}(r), and the walk keeps
+    In polar form ψ_{n+α,n}(r·e^{iθ}) = e^{iαθ}·ψ_{n+α,n}(r), and the walk keeps
     real points real, so each offset's rows carry its angular dependence in
     e^{iαθ}.  One offset is held at a time: O(M·R) memory.
     """
-    walk = hermite_lower_walk(M, r)
-    for alpha in range(M + 1):
-        yield alpha, np.array([next(walk)[1] for _ in range(M + 1 - alpha)])
+    walk = _orthonormal_walk(r, lengths)
+    for alpha, length in enumerate(lengths):
+        yield alpha, np.array([next(walk)[1] for _ in range(length)]).reshape(length, len(r))
 
 
-def _offset_major(u: HermiteCoeffs) -> np.ndarray:
-    """u's raw amplitudes by offset: coef[m < n, |m − n|, min(m, n)], zero off u's support.
+def _offset_major(u: HermiteCoeffs):
+    """(coef, lengths): u's orthonormal amplitudes by offset, and how far each offset reaches.
 
-    H_{n+α,n} sits at [0, α, n] and its mirror H_{n,n+α} at [1, α, n], in a
-    (2, M + 1, M + 1) array for M the largest index, filled from
-    :meth:`HermiteCoeffs.raw_values`.
+    ψ_{n+α,n} sits at coef[0, α, n] and its mirror ψ_{n,n+α} at coef[1, α, n],
+    in a (2, M + 1, M + 1) array for M the largest index, zero off u's
+    support; lengths[α] is one past the largest n of u's support on offset α.
     """
-    index, values = u.raw_values()
+    index, values = u.to_orthonormal().arrays()
     m, n = index[:, 0], index[:, 1]
     size = int(index.max(initial=-1)) + 1
+    alpha, low = np.abs(m - n), np.minimum(m, n)
     coef = np.zeros((2, size, size), dtype=complex)
-    coef[(m < n).astype(np.intp), np.abs(m - n), np.minimum(m, n)] = values
-    return coef
+    coef[(m < n).astype(np.intp), alpha, low] = values
+    lengths = np.zeros(size, dtype=np.intp)
+    np.maximum.at(lengths, alpha, low + 1)
+    return coef, lengths.tolist()
 
 
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
     total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    if not len(u):
-        return total
-    lower, upper = _offset_major(u).tolist()
-    for (m, n), value in hermite_lower_walk(len(lower) - 1, z):
-        # a raw amplitude that underflows cannot contribute; skipping it also
-        # avoids 0·inf once H values leave the f64 range at extreme indices
-        a, b = lower[m - n][n], upper[m - n][n]
-        if a:
-            total = total + a * value
-        if b:
-            total = total + b * np.conjugate(value)
+    coef, lengths = _offset_major(u)
+    lower, upper = coef.tolist()
+    for (m, n), value in _orthonormal_walk(z, lengths):
+        total = total + lower[m - n][n] * value + upper[m - n][n] * np.conjugate(value)
     return total
 
 
@@ -253,29 +256,24 @@ def project(
     rule: QuadratureRule,
     check_parseval: bool = True,
 ) -> Tuple[HermiteCoeffs, float]:
-    """Quadrature projection a_{m,n} = ⟨H_{m,n}, f⟩ / (π·m!·n!) onto indices ≤ M.
+    """Quadrature projection onto the orthonormal ψ_{m,n} = H_{m,n}/√(π·m!·n!), indices ≤ M.
 
-    A full-plane rule projects f in the weight e^{−|z|²}.  A disk rule
+    Returns orthonormal coefficients b_{m,n} = ⟨ψ_{m,n}, f⟩ for any M.  A
+    full-plane rule projects f in the weight e^{−|z|²}.  A disk rule
     projects the zero extension of f off the disk in the weight centered on
-    the disk, e^{−|z−z₀|²}, onto H_{m,n}(z − z₀).  For polynomial f of degree
+    the disk, e^{−|z−z₀|²}, onto ψ_{m,n}(z − z₀).  For polynomial f of degree
     ≤ d, a full-plane rule with R ≥ d + M + 1 and A ≥ 2(d + M) + 1 reproduces
     the exact basis change to rounding.
 
     f is evaluated once on the rule's nodes.  On each radius the angular sum
-    Σ_j f·e^{∓iαθ_j} of the pairing with H_{n+α,n} (or its mirror H_{n,n+α})
+    Σ_j f·e^{∓iαθ_j} of the pairing with ψ_{n+α,n} (or its mirror ψ_{n,n+α})
     is bin ±α mod A of the FFT of f along θ, exactly, so the walk runs over
     the R radii only: O(RA log A + M²R) work, aliasing as in the node sum.
 
-    Returns the raw coefficients and the signed Parseval defect
-    (‖f‖² − coefficient mass)/‖f‖², both norms in the projection's weight.
-    With ``check_parseval`` a defect above 1e−6 in magnitude raises
-    :class:`QuadratureResolutionError`.  Where π·m!·n! is past float range
-    (on the diagonal from m = n = 98) the coefficient is 0, and the defect
-    counts no mass for it.  M past 170, where m! leaves the float range,
-    raises ``ValueError``.
+    Also returns the signed Parseval defect (‖f‖² − Σ|b|²)/‖f‖², ‖f‖ in the
+    projection's weight.  With ``check_parseval`` a defect above 1e−6 in
+    magnitude raises :class:`QuadratureResolutionError`.
     """
-    if M > _TOP:
-        raise ValueError(f"M = {M} is past {_TOP}, where m! leaves the float range")
     z, _ = rule.points_and_weights
     r, wr = rule.polar
     A = rule.angular_nodes
@@ -287,30 +285,24 @@ def project(
     norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
     spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
-    F = _FACTORIALS.tolist()
-    keys, values, mass = [], [], 0.0
-    for alpha, rows in _radial_blocks(M, r):
-        lower = (rows @ spectrum[:, alpha % A]).tolist()
-        upper = (rows @ spectrum[:, -alpha % A]).tolist()
-        for n, (a, b) in enumerate(zip(lower, upper)):
-            m = n + alpha
-            weight = (math.pi * F[m]) * F[n]
-            # conj(H_{n,m}) = H_{m,n}: the mirror coefficient from bin −α
-            for key, pairing in (((m, n), a), ((n, m), b)) if alpha else (((m, n), a),):
-                coeff = pairing / weight
-                keys.append(key)
-                values.append(coeff)
-                # an inf weight gives a 0 coefficient with no mass, not inf·0 = NaN
-                if weight < math.inf:
-                    mass += weight * abs(coeff) ** 2
+    index, values = [], []
+    for alpha, rows in _radial_blocks(r, range(M + 1, 0, -1)):
+        n = np.arange(M + 1 - alpha)
+        index.append(np.stack((n + alpha, n), axis=1))
+        values.append(rows @ spectrum[:, alpha % A])
+        if alpha:
+            # conj(ψ_{n,m}) = ψ_{m,n}: the mirror coefficients from bin −α
+            index.append(np.stack((n, n + alpha), axis=1))
+            values.append(rows @ spectrum[:, -alpha % A])
+    values = np.concatenate(values)
+    mass = float(np.sum(values.real**2 + values.imag**2))
     defect = (norm_sq - mass) / max(norm_sq, 1e-300)
     if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
             f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "
             f"rule R={rule.radial_nodes}, A={rule.angular_nodes} under-resolves"
         )
-    values = np.array(values, dtype=complex)
-    return HermiteCoeffs._from_array(index_array(keys), values, RAW), defect
+    return HermiteCoeffs._from_array(np.concatenate(index), values, ORTHONORMAL), defect
 
 
 def scale_down(values) -> Tuple[np.ndarray, int]:
@@ -341,20 +333,17 @@ def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[f
     """(q, x) with q·2^x the quadrature of |u|², q computed without subnormal squares.
 
     No node values are formed.  On a radius u(r·e^{iθ}) = Σ_α G_α(r)·e^{iαθ},
-    where G_α(r) sums a_{m,n}·H_{m,n}(r) over m − n = α, and on A uniform
+    where G_α(r) sums b_{m,n}·ψ_{m,n}(r) over m − n = α, and on A uniform
     angles Parseval gives Σ_j |u|² = A·Σ_b |Σ_{α ≡ b mod A} G_α(r)|², summed
     from the spectrum scaled by :func:`scale_down`.
     """
     r, wr = rule.polar
     A = rule.angular_nodes
-    coef = _offset_major(u)
+    coef, lengths = _offset_major(u)
     spectrum = np.zeros((A, len(r)), dtype=complex)
-    for alpha, rows in _radial_blocks(coef.shape[1] - 1, r):
-        for bin_, c in ((alpha % A, coef[0, alpha]), (-alpha % A, coef[1, alpha])):
-            # a zero coefficient must not meet an H value past float range: 0·inf
-            live = np.flatnonzero(c)
-            if live.size:
-                spectrum[bin_] += c[live] @ rows[live]
+    for alpha, rows in _radial_blocks(r, lengths):
+        spectrum[alpha % A] += coef[0, alpha, : len(rows)] @ rows
+        spectrum[-alpha % A] += coef[1, alpha, : len(rows)] @ rows
     spectrum, e = scale_down(spectrum)
     return float(A * np.dot(wr, np.sum(spectrum.real**2 + spectrum.imag**2, axis=0))), 2 * e
 

@@ -69,7 +69,8 @@ DISK_GRID_CELLS = 2**21
 
 #: Box cells a certification or probe trial may allocate: it draws (M − k + 1)²
 #: data entries and lays out (chains × (M//k + 1)), about 2·(M + 1)² cells, so
-#: (M + 1)² is bounded; that admits truncations up to M = 1447.
+#: (M + 1)² is bounded; that admits truncations up to M = 1447.  A disk solve's
+#: projection walks as many cells, and its truncation has the same bound.
 SWEEP_BOX_CELLS = 2**21
 
 
@@ -400,7 +401,7 @@ def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
 
 
 def _check_sweep_box(M: int) -> None:
-    """Reject a truncation past :data:`SWEEP_BOX_CELLS` before any trial allocates."""
+    """Reject a truncation past :data:`SWEEP_BOX_CELLS` before any trial or disk pass allocates."""
     if (M + 1) ** 2 > SWEEP_BOX_CELLS:
         raise ValueError(
             f"truncation {M} gives (M + 1)² = {(M + 1) ** 2} box cells, "
@@ -581,7 +582,8 @@ class DiskProblem:
     ``f_poly`` is exact polynomial data in the global variable z.  The
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
     The disk quadrature rule on U has the given radial and angular node counts,
-    bounded by :data:`DISK_GRID_CELLS` in its doubled form.
+    bounded by :data:`DISK_GRID_CELLS` in its doubled form, and the truncation
+    by :data:`SWEEP_BOX_CELLS`.
     """
 
     center: complex
@@ -602,6 +604,7 @@ class DiskProblem:
                 f"radial_nodes {R} and angular_nodes {A} must be positive with "
                 f"4·R·A + 4·R² = {cells} at most {DISK_GRID_CELLS}"
             )
+        _check_sweep_box(self.truncation)
         # past radius ≈ 13.32 the certified constant e^{(2·radius)²} overflows a float
         if not 0 < self.radius <= 13:
             raise ValueError(f"radius {self.radius} must be positive and at most 13")

@@ -214,6 +214,7 @@ def test_criterion_10_basis_numerics_coherence():
 
     raw = u.to_raw()
     got, _ = project(lambda z: synthesize(raw, z), 20, rule)
+    got = got.to_raw()
     num = 0.0
     den = 0.0
     for key in set(got.entries) | set(raw.entries):

@@ -402,6 +402,24 @@ def test_solution_past_the_writable_index_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_disk_solution_whose_raw_amplitude_underflows_exits_2(tmp_path, capsys):
+    # the data keeps its coefficients from (98, 98) on, so u reaches (162, 162),
+    # whose raw amplitude u/√(π·162!·162!) is below the float range
+    payload = {
+        "radius": 0.3,
+        "k": 3,
+        "c": {"re": 10.0, "im": 0.0},
+        "truncation": 160,
+        "f": {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
+    }
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    assert cli.run(["disk", "--input", str(problem), "--output", str(out)]) == 2
+    assert "raw amplitude at index (162, 162)" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_solution_at_the_writable_index_is_written(tmp_path):
     problem = write_problem(tmp_path / "p.json", c=(1.0, 0.0), truncation=169)
     out = tmp_path / "o.json"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from focksolve import HermiteCoeffs, QuadratureRule, project, synthesize
+from focksolve import ExactScalar, HermiteCoeffs, QuadratureRule, project, synthesize
 from focksolve.basis import hermite_polynomial, sqrt_norm
 from focksolve.numerics import (
     DISK,
@@ -16,10 +16,29 @@ from focksolve.numerics import (
     fd_residual_k1,
     fd_residual_rows,
     _legendre,
-    hermite_lower_walk,
+    _orthonormal_walk,
     quadrature_norm_sq,
 )
 from focksolve.solver import dense_data
+
+
+def hermite_lower_walk(M: int, z):
+    """Yield ((m, n), H_{m,n}(z)) over the triangle 0 ≤ n ≤ m ≤ M: the raw diagonal walk.
+
+    Walks each diagonal offset α = m − n with the unscaled three-term
+    recurrence H_{m+1,n+1} = (|z|² − (m+n+1))·H_{m,n} − m·n·H_{m−1,n−1} from
+    H_{α,0} = z^α; the upper triangle follows by conjugation.  The oracle of
+    the orthonormal walk of :mod:`focksolve.numerics`, for indices where the
+    raw values stay in float range.
+    """
+    t = np.real(z * np.conjugate(z))
+    for alpha in range(M + 1):
+        x = z**alpha
+        yield (alpha, 0), x
+        x_prev = 0.0 * x
+        for n in range(M - alpha):
+            x_prev, x = x, (t - (2 * n + alpha + 1)) * x - (n * (n + alpha)) * x_prev
+            yield (n + 1 + alpha, n + 1), x
 
 
 def reference_project(f, M, rule, check_parseval=False):
@@ -50,7 +69,7 @@ def reference_project(f, M, rule, check_parseval=False):
 
 
 def reference_synthesize(u, z):
-    """The dict walk that :func:`synthesize` replaces: raw amplitudes in a dict, looked up per (m, n).
+    """The raw walk: raw amplitudes in a dict, looked up per (m, n).
 
     Orthonormal amplitudes are divided by :func:`sqrt_norm` as Python's
     ``complex / float`` divides.
@@ -77,9 +96,9 @@ def reference_synthesize(u, z):
 
 
 def reference_norm_sq(u, rule):
-    """Synthesize u on every node about the rule's centre, then sum w·|u|²."""
+    """Synthesize u on every node about the rule's centre by the raw walk, then sum w·|u|²."""
     z, w = rule.points_and_weights
-    values = synthesize(u, z - rule.center)
+    values = reference_synthesize(u, z - rule.center)
     return float(np.real(np.sum(w * values * np.conjugate(values))))
 
 
@@ -99,14 +118,22 @@ def smooth_data(z):
     return polynomial + np.exp(-0.4 * z.real) * np.cos(z.imag)
 
 
-def eval_table(M, z):
-    """H_{m,n}(z) for 0 ≤ m, n ≤ M: the diagonal walk plus its conjugate mirror."""
+def eval_table(M, z, walk=hermite_lower_walk):
+    """H_{m,n}(z) for 0 ≤ m, n ≤ M: the diagonal walk plus its conjugate mirror.
+
+    ``walk`` is the raw walk, or :func:`orthonormal_walk` for ψ_{m,n}(z).
+    """
     values = {}
-    for (m, n), value in hermite_lower_walk(M, z):
+    for (m, n), value in walk(M, z):
         values[(m, n)] = value
         if m != n:
             values[(n, m)] = np.conjugate(value)
     return values
+
+
+def orthonormal_walk(M, z):
+    """ψ_{m,n}(z) = H_{m,n}(z)/√(π·m!·n!) over the triangle 0 ≤ n ≤ m ≤ M."""
+    return _orthonormal_walk(z, range(M + 1, 0, -1))
 
 
 def test_eval_table_examples():
@@ -121,27 +148,26 @@ def test_eval_table_matches_polynomials_up_to_20():
     # terms (oscillation), where no f64 evaluation is pointwise-relatively
     # accurate, so the comparison there uses the term-magnitude scale; at
     # moderate indices the plain relative tolerance applies.
-    from fractions import Fraction
-
-    from focksolve import ExactScalar
-
     rng = random.Random(6)
     points = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(25)]
     points = [z if abs(z) <= 4 else 4 * z / abs(z) for z in points]
+    # the orthonormal walk is checked the same way, as ψ_{m,n}·√(π·m!·n!)
     for z in points:
         table = eval_table(20, z)
+        psi = eval_table(20, z, orthonormal_walk)
         exact_z = ExactScalar(Fraction(z.real), Fraction(z.imag))
         for m in range(21):
             for n in range(21):
                 poly = hermite_polynomial((m, n))
                 direct = poly.evaluate_exact(exact_z).to_complex()
-                err = abs(table[(m, n)] - direct)
-                if m <= 12 and n <= 12:
-                    assert err <= 1e-10 * max(abs(direct), 1.0)
                 majorant = sum(
                     abs(c.to_complex()) * abs(z) ** (a + b) for (a, b), c in poly.terms.items()
                 )
-                assert err <= 1e-12 * max(majorant, 1.0)
+                for value in (table[(m, n)], psi[(m, n)] * sqrt_norm(m, n)):
+                    err = abs(value - direct)
+                    if m <= 12 and n <= 12:
+                        assert err <= 1e-10 * max(abs(direct), 1.0)
+                    assert err <= 1e-12 * max(majorant, 1.0)
 
 
 def test_eval_table_vectorized_matches_scalar():
@@ -167,55 +193,95 @@ SYNTHESIS_VECTORS = {
     "raw": dense_data(random.Random(13), 9).to_raw(),
     "exact": HermiteCoeffs({(1, 0): 2, (0, 3): Fraction(-1, 3), (4, 4): 1}, "raw"),
     "mirror only": HermiteCoeffs({(1, 4): 1 - 1j, (0, 7): 0.5j, (2, 3): -2.0}, "raw"),
-    # raw amplitudes 1e−60/√(π·m!·n!) underflow to 0 and are skipped
+    # raw amplitudes 1e−60/√(π·m!·n!) underflow to 0; the orthonormal ones do not
     "underflow": HermiteCoeffs({(0, 0): 1 + 0j, (150, 155): 1e-60j, (158, 152): -1e-60 + 0j}, "orthonormal"),
     "empty": HermiteCoeffs.zero(),
 }
 
 
+def exact_amplitude(u, key):
+    """u's amplitude at key as an exact raw amplitude: an orthonormal one divided by sqrt_norm exactly."""
+    amp = u.entries[key]
+    if u.exact:
+        return amp
+    norm = Fraction(sqrt_norm(*key)) if u.normalization == "orthonormal" else 1
+    return ExactScalar(Fraction(amp.real) / norm, Fraction(amp.imag) / norm)
+
+
 @pytest.mark.parametrize("name", list(SYNTHESIS_VECTORS))
-def test_synthesize_matches_the_dict_walk_bit_for_bit(name):
+def test_synthesize_matches_the_exact_sum(name):
+    # Oracle: exact rational Σ a·H at each point, a the raw amplitudes; the
+    # error is measured against the term majorant Σ |a|·Σ |coefficient|·|z|^degree
     u = SYNTHESIS_VECTORS[name]
     for z in (0.3 - 0.7j, -2.5 + 1.25j, np.array([[0.1 + 0.2j, -1.5 + 2j], [3 - 1j, 0j]])):
-        got, want = synthesize(u, z), reference_synthesize(u, z)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = synthesize(u, z)
+        # a complex scalar at a scalar point, an array of z's shape at an array
+        assert isinstance(got, np.ndarray if isinstance(z, np.ndarray) else complex)
+        assert np.shape(got) == np.shape(z)
+        for point, value in zip(np.ravel(z).tolist(), np.ravel(got).tolist()):
+            exact_z = ExactScalar(Fraction(point.real), Fraction(point.imag))
+            exact, majorant = ExactScalar(0), 0.0
+            for key in u.entries:
+                amp = exact_amplitude(u, key)
+                poly = hermite_polynomial(key)
+                exact = exact + amp * poly.evaluate_exact(exact_z)
+                majorant += abs(amp.to_complex()) * sum(
+                    abs(c.to_complex()) * abs(point) ** (a + b) for (a, b), c in poly.terms.items()
+                )
+            assert abs(value - exact.to_complex()) <= 2e-15 * majorant
+
+
+def test_synthesize_far_out_walks_each_offset_only_over_the_support():
+    # at z = 100 H_{170,0} = 1e340 and ψ_{170,170} ≈ 1e373 overflow, but
+    # ψ_{170,0} ≈ 1e186 does not, and u's support on offset 0 ends at n = 0
+    u = HermiteCoeffs({(0, 0): 1 + 0j, (170, 0): 1e-100 + 0j}, "orthonormal")
+    with np.errstate(all="raise"):
+        got = synthesize(u, 100 + 0j)
+    want = 1 / math.sqrt(math.pi) + 1e-100 * 100.0**85 * 100.0**85 / sqrt_norm(170, 0)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_project_examples():
     rule = QuadratureRule.full_plane(10, 21)
     got, _ = project(lambda z: np.ones_like(z), 3, rule)
+    got = got.to_raw()
     assert got.entries[(0, 0)] == pytest.approx(1.0, rel=1e-13)
     assert all(abs(v) < 1e-12 for k, v in got.entries.items() if k != (0, 0))
 
     got, _ = project(lambda z: (z * np.conjugate(z)), 3, rule)
+    got = got.to_raw()
     assert got.entries[(0, 0)] == pytest.approx(1.0, rel=1e-12)
     assert got.entries[(1, 1)] == pytest.approx(1.0, rel=1e-12)
 
     got, _ = project(lambda z: z**2 * np.conjugate(z), 4, rule)
+    got = got.to_raw()
     assert got.entries[(1, 0)] == pytest.approx(2.0, rel=1e-12)
     assert got.entries[(2, 1)] == pytest.approx(1.0, rel=1e-12)
 
-    # from m = n = 98 on π·m!·n! is past float range; the defect stays a number
+    # from m = n = 98 on π·m!·n! is past float range; the orthonormal
+    # coefficients there are kept and counted in the defect
     disk = QuadratureRule.disk(0j, 1.0, 64, 64)
     _, d97 = project(lambda z: np.ones_like(z), 97, disk, check_parseval=False)
     _, d98 = project(lambda z: np.ones_like(z), 98, disk, check_parseval=False)
     assert 0 < d98 <= d97
-
-    # past M = 170 the norms π·m!·n! leave the float range
-    with pytest.raises(ValueError, match="past 170"):
-        project(lambda z: np.ones_like(z), 171, rule)
+    got, d160 = project(lambda z: np.ones_like(z), 160, disk, check_parseval=False)
+    assert got.entries[(98, 98)] == pytest.approx(3.385e-3, rel=1e-3)
+    assert 0 < d160 < d97
+    # past M = 170, where m! leaves the float range, the values stay finite
+    got, d300 = project(lambda z: np.ones_like(z), 300, disk, check_parseval=False)
+    assert np.isfinite(got.arrays()[1]).all() and 0 < d300 < d160
 
 
 @pytest.mark.parametrize("rule, M", POLAR_CASES, ids=POLAR_IDS)
 def test_project_matches_per_node_reference(rule, M):
     got, defect = project(smooth_data, M, rule, check_parseval=False)
     want, want_defect = reference_project(smooth_data, M, rule)
+    assert got.normalization == "orthonormal"
     assert set(got.entries) == set(want.entries)
     ortho = {key: amp * sqrt_norm(*key) for key, amp in want.entries.items()}
     scale = max(map(abs, ortho.values()))
     for key, amp in got.entries.items():
-        assert abs(amp * sqrt_norm(*key) - ortho[key]) <= 1e-14 * scale
+        assert abs(amp - ortho[key]) <= 1e-14 * scale
     assert abs(defect - want_defect) <= 1e-14
 
 
@@ -257,6 +323,7 @@ def test_project_synthesize_identity():
     d = 14
     rule = QuadratureRule.full_plane(d + 8 + 1, 2 * (d + 8) + 1)
     got, defect = project(lambda z: synthesize(u, z), 8, rule)
+    got = got.to_raw()
     assert abs(defect) <= 1e-10
     for key in entries:
         assert got.entries[key] == pytest.approx(entries[key], rel=1e-10, abs=1e-12)

@@ -22,7 +22,7 @@ from focksolve import (
 )
 from focksolve import numerics, solver
 from focksolve.numerics import QuadratureResolutionError, _legendre
-from focksolve.solver import DISK_GRID_CELLS
+from focksolve.solver import DISK_GRID_CELLS, SWEEP_BOX_CELLS
 from test_numerics import reference_norm_sq, reference_project
 
 
@@ -247,6 +247,20 @@ def test_disk_rejects_node_counts_past_the_grid_bound(radial, angular):
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_disk_rejects_a_truncation_past_the_box_bound():
+    # rejected in the constructor, before any projection walks (M + 1)² cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="box cells"):
+            DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, 0j, truncation=1448)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert 1448**2 <= SWEEP_BOX_CELLS < 1449**2
+    assert DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, 0j, truncation=1447).truncation == 1447
 
 
 def test_disk_grid_bound_admits_its_edge():
