@@ -1,4 +1,4 @@
-"""Complex Hermite basis of L²(ℂ, e^{−|z|²}) and the index-shift operator actions.
+"""Complex Hermite basis of L²(ℂ, e^{−|z|²}): polynomials, norms and coefficient vectors.
 
 The basis elements are the complex Hermite polynomials
 
@@ -7,7 +7,9 @@ The basis elements are the complex Hermite polynomials
 orthogonal under ⟨f, g⟩ = ∫ f̄ g e^{−|z|²} dσ with ‖H_{m,n}‖² = π·m!·n!.
 The operator ∂^k∂̄^k lowers both indices by k with falling-factorial scaling,
 and its weighted adjoint raises both indices by k with amplitude one; these
-two shifts are what make the solver's chain decomposition possible.
+two shifts are what make the solver's chain decomposition possible.  The
+solver applies them chain by chain; their entrywise actions on a vector are
+the tests' reference oracles (``tests/oracles.py``).
 
 Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
 
@@ -332,21 +334,6 @@ class HermiteCoeffs:
         """The keys as the caller gave them where :func:`index_array` clipped one, else None."""
         return list(self.entries) if index.max(initial=0) >= _CLIP else None
 
-    # ---- linear structure -----------------------------------------------------
-
-    def plus(self, other: "HermiteCoeffs") -> "HermiteCoeffs":
-        if self.normalization != other.normalization:
-            raise ValueError("normalization mismatch")
-        out = dict(self.entries)
-        for key, amp in other.entries.items():
-            out[key] = out[key] + amp if key in out else amp
-        return HermiteCoeffs(out, self.normalization)
-
-    def scaled(self, scalar) -> "HermiteCoeffs":
-        return HermiteCoeffs(
-            {key: amp * scalar for key, amp in self.entries.items()}, self.normalization
-        )
-
 
 def to_hermite(p: PolyZZbar) -> HermiteCoeffs:
     """Exact change of basis from monomials to Hermite coefficients.
@@ -375,52 +362,3 @@ def to_monomial(u: HermiteCoeffs) -> PolyZZbar:
     for (m, n), amp in u.entries.items():
         total = total + amp * hermite_polynomial((m, n))
     return total
-
-
-def _root_product(a: int, b: int) -> float:
-    """√(a·b) for integers; √a·√b where the product's conversion to float overflows."""
-    try:
-        return math.sqrt(a * b)
-    except OverflowError:
-        return math.sqrt(a) * math.sqrt(b)
-
-
-def lower(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
-    """Action of ∂^k∂̄^k: H_{m,n} ↦ (m)_k (n)_k H_{m−k,n−k}, zero when m<k or n<k."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    out: dict = {}
-    for (m, n), amp in u.entries.items():
-        if m < k or n < k:
-            continue
-        if u.normalization == RAW:
-            factor = math.perm(m, k) * math.perm(n, k)
-        else:
-            factor = _root_product(math.perm(m, k), math.perm(n, k))
-        value = amp * factor
-        key = (m - k, n - k)
-        out[key] = out[key] + value if key in out else value
-    return HermiteCoeffs(out, u.normalization)
-
-
-def raise_(k: int, u: HermiteCoeffs) -> HermiteCoeffs:
-    """Weighted adjoint action: H_{m,n} ↦ H_{m+k,n+k}, amplitude preserved (raw)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    out: dict = {}
-    for (m, n), amp in u.entries.items():
-        if u.normalization == RAW:
-            value = amp
-        else:
-            value = amp * _root_product(math.perm(m + k, k), math.perm(n + k, k))
-        out[(m + k, n + k)] = value
-    return HermiteCoeffs(out, u.normalization)
-
-
-def apply_operator(k: int, c, u: HermiteCoeffs) -> HermiteCoeffs:
-    """(∂^k∂̄^k + c) u = lower(k, u) + c·u, linear and context-preserving."""
-    if u.exact:
-        c = ExactScalar.coerce(c)
-    elif isinstance(c, (int, Fraction, ExactScalar)):
-        c = ExactScalar.coerce(c).to_complex()
-    return lower(k, u).plus(u.scaled(c))

@@ -40,29 +40,6 @@ from .ring import (
 )
 
 
-def gaussian_derivative_closed_form(j: int, i: int) -> PolyZZbar:
-    """Closed form of e^{|z|²} ∂^j ∂̄^i e^{−|z|²}.
-
-    Equals Σ_n (−1)^{n+i} C(j,n) · i!/(i−j+n)! · z^{i−j+n} z̄^n over
-    n with 0 ≤ n ≤ j and i−j+n ≥ 0.  Must agree with iterated product-rule
-    differentiation; that equality is the correctness test.
-    """
-    if i < 0 or j < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    terms = {}
-    for n in range(max(0, j - i), j + 1):
-        coeff = (-1) ** (n + i) * math.comb(j, n) * (
-            math.factorial(i) // math.factorial(i - j + n)
-        )
-        terms[(i - j + n, n)] = coeff
-    return PolyZZbar(terms)
-
-
-def iterated_gaussian_derivative(j: int, i: int) -> PolyZZbar:
-    """Oracle for the closed form: apply ∂̄ i times then ∂ j times to e^{−|z|²}."""
-    return weighted_deriv(PolyZZbar.constant(1), PolyZZbar.gaussian_exponent(), j, i)
-
-
 def formal_adjoint_weighted(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
     """e^{g} ∂^k ∂̄^k (φ e^{−g}), the weighted adjoint of ∂^k∂̄^k applied to φ."""
     if k < 1:

@@ -24,15 +24,18 @@ by the integrand.  Both rules are polar products whose weights depend on the
 radius alone, and ψ_{n+α,n}(r·e^{iθ}) = e^{iαθ}·ψ_{n+α,n}(r), so projection
 and quadrature norms on a rule take an FFT in θ and walk the radii only.
 
-:func:`synthesize`, :func:`project` and the quadrature norms share the one
-walk.  Synthesis and quadrature norms read u's orthonormal amplitudes from
-one offset-major array (:func:`_offset_major`), and :func:`project` returns
-orthonormal coefficients, so no raw amplitude is formed.
+:func:`synthesize`, :func:`project` and :func:`scaled_quadrature_norm_sq`
+share the one walk.  Synthesis and the quadrature norm read u's orthonormal
+amplitudes from one flat offset-major array (:func:`_offset_major`), whose
+size follows u's support, and :func:`project` returns orthonormal
+coefficients, so no raw amplitude is formed.  The quadrature norm comes as a
+scaled sum and its power of two; :func:`unscale` gives the float.
 
 The finite-difference residual uses 4·∂∂̄ = Δ: the five-point discrete
 Laplacian over four, plus c, applied to a synthesized solution, is an
-independent order-h² check of the spectral solve at k = 1.  A residual that
-leaves the float range raises ``ValueError``.
+independent order-h² check of the spectral solve at k = 1.
+:func:`fd_residual_rows` returns its samples on a grid's interior.  A
+residual that leaves the float range raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -223,30 +226,34 @@ def _radial_blocks(r: np.ndarray, lengths):
 
 
 def _offset_major(u: HermiteCoeffs):
-    """(coef, lengths): u's orthonormal amplitudes by offset, and how far each offset reaches.
+    """(coef, lengths, start): u's orthonormal amplitudes by offset, and each offset's reach and place.
 
-    ψ_{n+α,n} sits at coef[0, α, n] and its mirror ψ_{n,n+α} at coef[1, α, n],
-    in a (2, M + 1, M + 1) array for M the largest index, zero off u's
-    support; lengths[α] is one past the largest n of u's support on offset α.
+    lengths[α] is one past the largest n of u's support on offset α, for α up
+    to the largest offset.  Offset α takes lengths[α] consecutive entries
+    from start[α] = Σ_{β<α} lengths[β] of one (2, Σ lengths) array:
+    ψ_{n+α,n} sits at coef[0, start[α] + n] and its mirror ψ_{n,n+α} at
+    coef[1, start[α] + n], zero off u's support: Σ lengths entries, not
+    (M + 1)² for M the largest index.
     """
     index, values = u.to_orthonormal().arrays()
     m, n = index[:, 0], index[:, 1]
-    size = int(index.max(initial=-1)) + 1
     alpha, low = np.abs(m - n), np.minimum(m, n)
-    coef = np.zeros((2, size, size), dtype=complex)
-    coef[(m < n).astype(np.intp), alpha, low] = values
-    lengths = np.zeros(size, dtype=np.intp)
+    lengths = np.zeros(int(alpha.max(initial=-1)) + 1, dtype=np.intp)
     np.maximum.at(lengths, alpha, low + 1)
-    return coef, lengths.tolist()
+    start = np.concatenate(([0], np.cumsum(lengths)))
+    coef = np.zeros((2, int(start[-1])), dtype=complex)
+    coef[(m < n).astype(np.intp), start[alpha] + low] = values
+    return coef, lengths.tolist(), start.tolist()
 
 
 def synthesize(u: HermiteCoeffs, z) -> complex:
     """Pointwise value Σ a_{m,n} H_{m,n}(z); linear in u, works on arrays."""
     total = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    coef, lengths = _offset_major(u)
+    coef, lengths, start = _offset_major(u)
     lower, upper = coef.tolist()
     for (m, n), value in _orthonormal_walk(z, lengths):
-        total = total + lower[m - n][n] * value + upper[m - n][n] * np.conjugate(value)
+        i = start[m - n] + n
+        total = total + lower[i] * value + upper[i] * np.conjugate(value)
     return total
 
 
@@ -324,11 +331,6 @@ def unscale(value: float, exponent: int) -> float:
         return float(np.ldexp(value, exponent))
 
 
-def quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> float:
-    """The rule's quadrature of |u|² about its centre: Σ w·|synthesize(u, z − z₀)|²."""
-    return unscale(*scaled_quadrature_norm_sq(u, rule))
-
-
 def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[float, int]:
     """(q, x) with q·2^x the quadrature of |u|², q computed without subnormal squares.
 
@@ -339,11 +341,12 @@ def scaled_quadrature_norm_sq(u: HermiteCoeffs, rule: QuadratureRule) -> Tuple[f
     """
     r, wr = rule.polar
     A = rule.angular_nodes
-    coef, lengths = _offset_major(u)
+    coef, lengths, start = _offset_major(u)
     spectrum = np.zeros((A, len(r)), dtype=complex)
     for alpha, rows in _radial_blocks(r, lengths):
-        spectrum[alpha % A] += coef[0, alpha, : len(rows)] @ rows
-        spectrum[-alpha % A] += coef[1, alpha, : len(rows)] @ rows
+        block = coef[:, start[alpha] : start[alpha + 1]]
+        spectrum[alpha % A] += block[0] @ rows
+        spectrum[-alpha % A] += block[1] @ rows
     spectrum, e = scale_down(spectrum)
     return float(A * np.dot(wr, np.sum(spectrum.real**2 + spectrum.imag**2, axis=0))), 2 * e
 
@@ -368,21 +371,6 @@ def _laplacian_residual(
     if not np.isfinite(res).all():
         raise ValueError("the finite-difference residual leaves the float range on this grid")
     return zz[1:-1, 1:-1], res
-
-
-def fd_residual_k1(
-    u: HermiteCoeffs, f: HermiteCoeffs, c: complex, grid: GridSpec
-) -> float:
-    """Max-norm residual of (Δ/4 + c)u − f on interior grid points.
-
-    A boundary layer of width h is excluded (the stencil needs interior
-    points).  Exact to rounding when u synthesizes to a polynomial of degree
-    ≤ 2 in (x, y); otherwise O(h²).
-    """
-    _, res = _laplacian_residual(u, f, complex(c), grid)
-    if res.size == 0:
-        raise ValueError("grid interior is empty")
-    return float(np.max(np.abs(res)))
 
 
 def fd_residual_rows(

@@ -123,9 +123,6 @@ class ExactScalar:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-_ONE = ExactScalar(1)
-
-
 def _accumulate(out: dict, key: tuple, coeff: ExactScalar) -> None:
     """out[key] += coeff, dropping the key when the sum is zero."""
     if key in out:
@@ -262,23 +259,6 @@ class PolyZZbar:
         total = 0j
         for (a, b), coeff in self.terms.items():
             total = total + coeff.to_complex() * z**a * zbar**b
-        return total
-
-    def evaluate_exact(self, z: ExactScalar) -> ExactScalar:
-        """Exact rational evaluation at a Gaussian-rational point."""
-        z = ExactScalar.coerce(z)
-        zbar = z.conjugate()
-        max_a = max((a for a, _ in self.terms), default=0)
-        max_b = max((b for _, b in self.terms), default=0)
-        zpow = [_ONE]
-        for _ in range(max_a):
-            zpow.append(zpow[-1] * z)
-        zbpow = [_ONE]
-        for _ in range(max_b):
-            zbpow.append(zbpow[-1] * zbar)
-        total = ExactScalar(0)
-        for (a, b), coeff in self.terms.items():
-            total = total + coeff * zpow[a] * zbpow[b]
         return total
 
     def __eq__(self, other) -> bool:

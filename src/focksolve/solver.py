@@ -312,16 +312,13 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
     return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
 
 
-def _norm(values) -> float:
-    """Euclidean norm, free of intermediate over- and underflow.
+def _norm(values: np.ndarray) -> float:
+    """Euclidean norm of a float64 array of magnitudes, free of intermediate over- and underflow.
 
-    A float array (the report's magnitudes) goes to math.hypot as it is,
-    which takes each |x| itself; complex values and iterables go through
-    ``abs`` first.  Both give the bits of math.hypot over the magnitudes.
+    math.hypot takes each |x| itself, so the report's magnitude arrays go in
+    as they are.
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return math.hypot(*values.tolist())
-    return math.hypot(*map(abs, values))
+    return math.hypot(*values.tolist())
 
 
 def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:

@@ -28,9 +28,9 @@ from focksolve import (
     solve_scaled,
     synthesize,
 )
-from focksolve.identities import gaussian_derivative_closed_form, iterated_gaussian_derivative
-from focksolve.numerics import GridSpec, fd_residual_k1, quadrature_norm_sq
+from focksolve.numerics import GridSpec, scaled_quadrature_norm_sq, unscale
 from focksolve.solver import dense_data
+from oracles import fd_residual_k1, gaussian_derivative_closed_form, iterated_gaussian_derivative
 
 SEED = 42
 
@@ -208,7 +208,7 @@ def test_criterion_9_finite_difference_cross_check():
 def test_criterion_10_basis_numerics_coherence():
     u = dense_data(random.Random(f"parseval:{SEED}"), 20)
     rule = QuadratureRule.full_plane(61, 121)
-    quad = quadrature_norm_sq(u, rule)
+    quad = unscale(*scaled_quadrature_norm_sq(u, rule))
     coeff = sum(abs(amp) ** 2 for amp in u.entries.values())
     parseval_rel = abs(quad - coeff) / coeff
 

@@ -7,17 +7,10 @@ from fractions import Fraction
 import pytest
 
 from focksolve import ExactScalar, HermiteCoeffs, PolyZZbar, to_hermite, to_monomial
-from focksolve.basis import (
-    apply_operator,
-    hermite_polynomial,
-    index_array,
-    lower,
-    raise_,
-    sqrt_norm,
-    sqrt_norms,
-)
+from focksolve.basis import hermite_polynomial, index_array, sqrt_norm, sqrt_norms
 from focksolve.identities import formal_adjoint_weighted
 from focksolve.ring import gaussian_pairing, weighted_deriv, weighted_norm_sq
+from oracles import apply_operator, lower, raise_
 
 
 def oracle_hermite(m, n):

@@ -17,11 +17,10 @@ from focksolve.basis import hermite_polynomial
 from focksolve.identities import (
     commutator,
     formal_adjoint_weighted,
-    gaussian_derivative_closed_form,
-    iterated_gaussian_derivative,
     random_polynomial,
 )
 from focksolve.ring import gaussian_pairing, weighted_deriv
+from oracles import gaussian_derivative_closed_form, iterated_gaussian_derivative
 
 GAUSS = PolyZZbar.gaussian_exponent()
 

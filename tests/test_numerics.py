@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,14 @@ from focksolve.numerics import (
     DISK,
     GridSpec,
     QuadratureResolutionError,
-    fd_residual_k1,
     fd_residual_rows,
     _legendre,
     _orthonormal_walk,
-    quadrature_norm_sq,
+    scaled_quadrature_norm_sq,
+    unscale,
 )
 from focksolve.solver import dense_data
+from oracles import evaluate_exact, fd_residual_k1
 
 
 def hermite_lower_walk(M: int, z):
@@ -159,7 +161,7 @@ def test_eval_table_matches_polynomials_up_to_20():
         for m in range(21):
             for n in range(21):
                 poly = hermite_polynomial((m, n))
-                direct = poly.evaluate_exact(exact_z).to_complex()
+                direct = evaluate_exact(poly, exact_z).to_complex()
                 majorant = sum(
                     abs(c.to_complex()) * abs(z) ** (a + b) for (a, b), c in poly.terms.items()
                 )
@@ -224,7 +226,7 @@ def test_synthesize_matches_the_exact_sum(name):
             for key in u.entries:
                 amp = exact_amplitude(u, key)
                 poly = hermite_polynomial(key)
-                exact = exact + amp * poly.evaluate_exact(exact_z)
+                exact = exact + amp * evaluate_exact(poly, exact_z)
                 majorant += abs(amp.to_complex()) * sum(
                     abs(c.to_complex()) * abs(point) ** (a + b) for (a, b), c in poly.terms.items()
                 )
@@ -239,6 +241,20 @@ def test_synthesize_far_out_walks_each_offset_only_over_the_support():
         got = synthesize(u, 100 + 0j)
     want = 1 / math.sqrt(math.pi) + 1e-100 * 100.0**85 * 100.0**85 / sqrt_norm(170, 0)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_synthesize_memory_follows_the_support_not_the_largest_index():
+    # a table with a row per offset and a column per index would hold 1401² entries
+    u = HermiteCoeffs({(0, 0): 1 + 0j, (1400, 0): 1e-3 + 0j}, "orthonormal")
+    tracemalloc.start()
+    try:
+        got = synthesize(u, 0.5 + 0.25j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # ψ_{1400,0}(z) = z^1400/√(π·1400!) underflows to zero, leaving ψ_{0,0} = 1/√π
+    assert (got.real.hex(), got.imag) == ((1 / math.sqrt(math.pi)).hex(), 0.0)
 
 
 def test_project_examples():
@@ -291,8 +307,8 @@ def test_quadrature_norm_sq_matches_synthesis(rule, M):
     exact = HermiteCoeffs({(1, 0): 2, (0, 3): Fraction(-1, 3), (M, M - 1): 1}, "raw")
     for v in (u, u.to_raw(), exact):
         want = reference_norm_sq(v, rule)
-        assert quadrature_norm_sq(v, rule) == pytest.approx(want, rel=1e-13)
-    assert quadrature_norm_sq(HermiteCoeffs.zero(), rule) == 0.0
+        assert unscale(*scaled_quadrature_norm_sq(v, rule)) == pytest.approx(want, rel=1e-13)
+    assert unscale(*scaled_quadrature_norm_sq(HermiteCoeffs.zero(), rule)) == 0.0
 
 
 def test_polar_structure_builds_the_nodes():
@@ -334,7 +350,7 @@ def test_project_synthesize_identity():
 def test_parseval_quadrature_vs_coefficients():
     u = dense_data(random.Random(15), 9)
     rule = QuadratureRule.full_plane(32, 48)
-    quad = quadrature_norm_sq(u, rule)
+    quad = unscale(*scaled_quadrature_norm_sq(u, rule))
     assert quad == pytest.approx(sum(abs(amp) ** 2 for amp in u.entries.values()), rel=1e-10)
 
 

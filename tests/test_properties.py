@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
 from focksolve.solver import dense_data  # noqa: E402
+from oracles import plus, scaled  # noqa: E402
 from test_basis import reference_to_orthonormal, reference_to_raw  # noqa: E402
 from test_cli import assert_column_path_matches_reference  # noqa: E402
 from test_solver import (  # noqa: E402
@@ -78,10 +79,10 @@ def test_solve_is_linear_and_bounded(k, M, c, seeds, alpha, beta):
     spec = lambda f: ProblemSpec(k=k, c=c, truncation=M, f=f)  # noqa: E731
     u1, rep1 = solve(spec(f1))
     u2, rep2 = solve(spec(f2))
-    uc, _ = solve(spec(f1.scaled(alpha).plus(f2.scaled(beta))))
+    uc, _ = solve(spec(plus(scaled(f1, alpha), scaled(f2, beta))))
     for rep in (rep1, rep2):
         assert rep.bound_ratio <= 1 + 1e-10
-    expect = u1.scaled(alpha).plus(u2.scaled(beta))
+    expect = plus(scaled(u1, alpha), scaled(u2, beta))
     keys = set(uc.entries) | set(expect.entries)
     err = math.sqrt(sum(abs(uc.entries.get(key, 0j) - expect.entries.get(key, 0j)) ** 2 for key in keys))
     assert err <= 1e-12 * (abs(alpha) * rep1.u_norm + abs(beta) * rep2.u_norm)

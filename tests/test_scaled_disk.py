@@ -270,7 +270,7 @@ def test_disk_grid_bound_admits_its_edge():
 
 
 def test_disk_reports_match_per_node_reference(monkeypatch):
-    # the polar project and quadrature_norm_sq against the per-node walk and synthesis
+    # the polar project and scaled_quadrature_norm_sq against the per-node walk and synthesis
     poly = PolyZZbar(
         {
             (0, 0): ExactScalar(Fraction(1, 2), Fraction(-1)),
