@@ -19,10 +19,11 @@ Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
   H_{m,n}/√(π·m!·n!)) as complex floats, which keeps stored magnitudes O(1);
   raw float amplitudes under/overflow once indices reach ≈ 85.
 
-A numeric vector is stored as two read-only arrays in entry order, the
-(entries × 2) int64 ``index`` of its (m, n) pairs and its complex
-``values``; its ``entries`` mapping is a read-only view built on first
-access.  Numeric vectors built from arrays go through one checked writer,
+Every vector is stored as two read-only arrays in entry order, the
+(entries × 2) int64 ``index`` of its (m, n) pairs and its ``values``
+(complex, or ``object`` holding the exact amplitudes); its ``entries``
+mapping is a read-only view built on first access.  Numeric vectors built
+from arrays go through one checked writer,
 ``HermiteCoeffs._from_array``, and every vector is read as arrays through
 :meth:`HermiteCoeffs.arrays`, which returns (index, values) in the vector's
 own normalization; the per-entry constructor takes mappings.
@@ -52,8 +53,6 @@ _NUMERIC_PRUNE = 1e-300
 _FACTORIALS = np.array([float(math.factorial(i)) for i in range(171)])
 _FACTORIALS.setflags(write=False)
 _TOP = len(_FACTORIALS) - 1
-# index_array's stand-in for an index past int64
-_CLIP = 2**62
 
 
 def sqrt_norm(m: int, n: int) -> float:
@@ -87,20 +86,12 @@ def sqrt_norms(index: np.ndarray) -> np.ndarray:
 
 
 def index_array(keys) -> np.ndarray:
-    """The (m, n) keys as one (entries × 2) int64 array; an index past int64 reads as 2⁶².
-
-    Every index from 2⁶² on is far outside any box and has an infinite norm,
-    so the clipped array serves every check and conversion alike.
-    """
+    """The (m, n) keys as one (entries × 2) int64 array; a key past int64 raises ``ValueError``."""
     try:
         return np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys)).reshape(-1, 2)
     except OverflowError:
-        return np.array([(min(m, _CLIP), min(n, _CLIP)) for m, n in keys], np.int64).reshape(-1, 2)
-
-
-def _key(index: np.ndarray, keys: list | None, i: int) -> BasisIndex:
-    """The (m, n) of row i: the caller's own key where one is kept, else the index row."""
-    return keys[i] if keys is not None else (int(index[i, 0]), int(index[i, 1]))
+        past = next(key for key in keys if not -(2**63) <= min(key) <= max(key) < 2**63)
+        raise ValueError(f"basis index {past} is past the int64 range") from None
 
 
 def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -143,17 +134,17 @@ class HermiteCoeffs:
 
     ``entries`` maps (m, n) to an amplitude.  Exact amplitudes
     (:class:`ExactScalar`) require the raw normalization, since the
-    orthonormal rescaling by √(π·m!·n!) is irrational; an exact vector holds
-    its ``entries`` dict.  A numeric vector holds two read-only arrays in
-    entry order, ``index`` (entries × 2, int64) and complex ``values``;
-    its ``entries`` is a read-only view built from them on first access.
+    orthonormal rescaling by √(π·m!·n!) is irrational.  Every vector holds
+    two read-only arrays in entry order, ``index`` (entries × 2, int64) and
+    its values, complex or ``object`` holding the exact amplitudes; its
+    ``entries`` is a read-only view built from them on first access.
     Zero entries are pruned on construction: exact zeros in the exact
     context, magnitudes below 1e−300 in the numeric context.  A float
-    amplitude that is NaN, ±inf or of a magnitude past float range raises
-    ``ValueError``.
+    amplitude that is NaN, ±inf or of a magnitude past float range, and an
+    index that is not integral or is past int64, raise ``ValueError``.
     """
 
-    __slots__ = ("_entries", "_index", "_values", "_keys", "normalization", "exact")
+    __slots__ = ("_entries", "index", "_values", "normalization", "exact")
 
     def __init__(self, entries: Mapping[BasisIndex, object] = (), normalization: str = RAW):
         if normalization not in (RAW, ORTHONORMAL):
@@ -187,7 +178,12 @@ class HermiteCoeffs:
                 saw_exact = True
             # int-tuple keys are kept as given: rebuilding each costs a third of the loop
             if type(key) is not tuple or type(m) is not int or type(n) is not int:
-                key = (int(m), int(n))
+                try:
+                    key = (int(m), int(n))
+                except (OverflowError, ValueError):  # an infinite or NaN float
+                    key = None
+                if key != (m, n):
+                    raise ValueError(f"non-integral basis index ({m}, {n})")
             clean[key] = amp
         if saw_exact and saw_float:
             raise TypeError("cannot mix exact and floating amplitudes")
@@ -195,17 +191,13 @@ class HermiteCoeffs:
             raise TypeError("exact amplitudes are stored in raw normalization only")
         self.normalization = normalization
         self.exact = saw_exact
-        if saw_exact:
-            self._entries, self._index, self._values, self._keys = clean, None, None, None
-        else:
-            index = index_array(clean)
-            values = np.fromiter(clean.values(), complex, len(clean))
-            self._store(index, values, list(clean) if index.max(initial=0) >= _CLIP else None)
+        values = np.fromiter(clean.values(), object if saw_exact else complex, len(clean))
+        self._store(index_array(clean), values)
 
-    def _store(self, index: np.ndarray, values: np.ndarray, keys) -> None:
+    def _store(self, index: np.ndarray, values: np.ndarray) -> None:
         """Hold ``index`` and ``values`` read-only, and no dict until ``entries`` is read."""
-        self._index, self._values = _read_only(index, values)
-        self._entries, self._keys = None, keys
+        self.index, self._values = _read_only(index, values)
+        self._entries = None
 
     # ---- constructors -------------------------------------------------------
 
@@ -218,18 +210,13 @@ class HermiteCoeffs:
         return cls({(m, n): amplitude}, normalization)
 
     @classmethod
-    def _from_array(
-        cls, index: np.ndarray, values: np.ndarray, normalization: str, keys: list | None = None
-    ) -> "HermiteCoeffs":
+    def _from_array(cls, index: np.ndarray, values: np.ndarray, normalization: str) -> "HermiteCoeffs":
         """The numeric vector of ``values`` at the rows of ``index``, pruned and checked.
 
         ``index`` is an (entries × 2) int64 array of distinct nonnegative
         pairs.  Pruning and the refusal of a non-finite amplitude are the
-        per-entry constructor's.  ``keys``, where given, are the caller's own
-        (m, n) pairs in the same order, to name an index that
-        :func:`index_array` clipped in an error: such an index has an
-        infinite norm, so no vector rescaled from it is finite.  The writer
-        of every numeric vector the library builds from arrays.
+        per-entry constructor's.  The writer of every numeric vector the
+        library builds from arrays.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             sizes = np.hypot(values.real, values.imag)
@@ -237,40 +224,39 @@ class HermiteCoeffs:
         bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
         if bad.any():
             i = int(bad.argmax())
-            key = _key(index, keys, i)
+            key = tuple(index[i].tolist())
             raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
         if not kept.all():
             index, values = index[kept], values[kept]
         self = cls.__new__(cls)
         self.normalization, self.exact = normalization, False
-        self._store(index, values, None)
+        self._store(index, values)
         return self
 
     # ---- structure ----------------------------------------------------------
 
     @property
     def entries(self) -> Mapping[BasisIndex, object]:
-        """(m, n) → amplitude in entry order: an exact vector's dict, else a read-only view."""
+        """(m, n) → amplitude in entry order, a read-only view."""
         if self._entries is None:
-            index = self._index
-            keys = self._keys or zip(index[:, 0].tolist(), index[:, 1].tolist())
+            keys = zip(self.index[:, 0].tolist(), self.index[:, 1].tolist())
             self._entries = MappingProxyType(dict(zip(keys, self._values.tolist())))
         return self._entries
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(index, values): the (m, n) pairs as :func:`index_array` gives them and the amplitudes.
+        """(index, values): the vector's own read-only ``index`` and its amplitudes.
 
         Both are in entry order.  The amplitudes are one complex array in
         the vector's own normalization; exact ones are converted to floats.
-        A numeric vector returns its own read-only arrays.
+        A numeric vector returns its own read-only values.
         """
-        if not self.exact:
-            return self._index, self._values
-        values = (amp.to_complex() for amp in self._entries.values())
-        return index_array(self._entries), np.fromiter(values, complex, len(self._entries))
+        if self.exact:
+            values = (amp.to_complex() for amp in self._values)
+            return self.index, np.fromiter(values, complex, len(self))
+        return self.index, self._values
 
     def __len__(self) -> int:
-        return len(self._entries) if self.exact else len(self._values)
+        return len(self._values)
 
     def items(self):
         return sorted(self.entries.items())
@@ -300,7 +286,7 @@ class HermiteCoeffs:
         re, im = values.real, values.imag
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = _complex_array(re * norms - im * 0.0, re * 0.0 + im * norms)
-        return HermiteCoeffs._from_array(index, scaled, ORTHONORMAL, self._exact_keys(index))
+        return HermiteCoeffs._from_array(index, scaled, ORTHONORMAL)
 
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).
@@ -323,16 +309,12 @@ class HermiteCoeffs:
         )
         if unheld.any():
             i = int(unheld.argmax())
-            m, n = _key(index, self._exact_keys(index), i)
+            m, n = index[i].tolist()
             raise ValueError(
                 f"the raw amplitude at index ({m}, {n}) leaves the float range: "
                 f"√(π·m!·n!) = {float(norms[i]):.3e}"
             )
         return HermiteCoeffs._from_array(index, values, RAW)
-
-    def _exact_keys(self, index: np.ndarray) -> list | None:
-        """The keys as the caller gave them where :func:`index_array` clipped one, else None."""
-        return list(self.entries) if index.max(initial=0) >= _CLIP else None
 
 
 def to_hermite(p: PolyZZbar) -> HermiteCoeffs:

@@ -40,6 +40,7 @@ residual that leaves the float range raises ``ValueError``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -87,8 +88,10 @@ class QuadratureRule:
             raise ValueError("node counts must be positive")
         if self.domain not in (FULL_PLANE, DISK):
             raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == DISK and self.radius <= 0:
-            raise ValueError("disk radius must be positive")
+        if self.domain == DISK and not 0 < self.radius < math.inf:
+            raise ValueError(f"disk radius {self.radius} must be positive and finite")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center {self.center} is not finite")
 
     @classmethod
     def full_plane(cls, radial_nodes: int, angular_nodes: int) -> "QuadratureRule":
@@ -265,7 +268,7 @@ def project(
 ) -> Tuple[HermiteCoeffs, float]:
     """Quadrature projection onto the orthonormal ψ_{m,n} = H_{m,n}/√(π·m!·n!), indices ≤ M.
 
-    Returns orthonormal coefficients b_{m,n} = ⟨ψ_{m,n}, f⟩ for any M.  A
+    Returns orthonormal coefficients b_{m,n} = ⟨ψ_{m,n}, f⟩ for any M ≥ 0.  A
     full-plane rule projects f in the weight e^{−|z|²}.  A disk rule
     projects the zero extension of f off the disk in the weight centered on
     the disk, e^{−|z−z₀|²}, onto ψ_{m,n}(z − z₀).  For polynomial f of degree
@@ -281,6 +284,8 @@ def project(
     projection's weight.  With ``check_parseval`` a defect above 1e−6 in
     magnitude raises :class:`QuadratureResolutionError`.
     """
+    if M < 0:
+        raise ValueError(f"projection index bound M = {M} must be nonnegative")
     z, _ = rule.points_and_weights
     r, wr = rule.polar
     A = rule.angular_nodes

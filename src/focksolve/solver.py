@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs, _read_only, index_array
+from .basis import ORTHONORMAL, HermiteCoeffs, _read_only
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -111,10 +111,10 @@ class ProblemSpec:
             )
         margin = self.truncation - self.k
         # an exact f converts its amplitudes only once its support is checked
-        index = index_array(self.f.entries) if self.f.exact else self.f.arrays()[0]
+        index = self.f.index
         outside = (index > margin).any(axis=1)
         if outside.any():
-            m, n = list(self.f.entries)[int(np.argmax(outside))]
+            m, n = index[int(np.argmax(outside))].tolist()
             raise ValueError(
                 f"f has support at index ({m},{n}) outside the certified box "
                 f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
@@ -593,6 +593,10 @@ class DiskProblem:
     angular_nodes: int = 64
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be a positive integer")
+        if self.truncation < self.k:
+            raise ValueError("truncation must be at least k")
         R, A = self.radial_nodes, self.angular_nodes
         # the doubled rule's 2R·2A nodes plus leggauss's (2R)² companion matrix
         cells = 4 * R * A + 4 * R * R

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from focksolve import ExactScalar, HermiteCoeffs, PolyZZbar, to_hermite, to_monomial
@@ -265,7 +266,7 @@ def test_sqrt_norm_past_the_float_product():
 
 def test_sqrt_norms_match_the_scalar_bit_for_bit():
     # the factorial table inside the float product, the log-space path past it
-    grid = [(m, n) for m in range(301) for n in range(301)] + [(10**30, 0), (2**63, 2**63)]
+    grid = [(m, n) for m in range(301) for n in range(301)] + [(2**62, 0), (2**63 - 1, 2**63 - 1)]
     norms = sqrt_norms(index_array(grid)).tolist()
     for (m, n), got in zip(grid, norms):
         assert got.hex() == sqrt_norm(m, n).hex(), (m, n)
@@ -327,16 +328,31 @@ def test_numeric_vectors_hold_arrays_and_a_read_only_view():
     assert dict(view) == {(2, 1): -0.5j, (0, 0): 1.0 + 0j} and u.entries is view
     with pytest.raises(TypeError):
         u.entries[(0, 0)] = 2.0
-    # exact vectors keep their dict
+    # exact vectors hold the same arrays and view
     exact = HermiteCoeffs({(1, 1): Fraction(1, 2)})
-    assert type(exact.entries) is dict and len(exact) == 1
+    assert exact._entries is None and len(exact) == 1
+    assert exact.index.tolist() == [[1, 1]] and exact.arrays()[1].tolist() == [0.5 + 0j]
+    assert dict(exact.entries) == {(1, 1): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        exact.entries[(1, 1)] = 1
 
 
-def test_an_index_past_int64_keeps_the_callers_key():
-    u = HermiteCoeffs({(0, 0): 1.0, (10**30, 0): 1.0}, "orthonormal")
-    assert list(u.entries) == [(0, 0), (10**30, 0)]
-    assert u.arrays()[0].tolist() == [[0, 0], [2**62, 0]]
-    with pytest.raises(ValueError, match=r"index \(10{30}, 0\) leaves the float range"):
-        u.to_raw()
-    with pytest.raises(ValueError, match=r"at index \(10{30}, 0\)"):
-        HermiteCoeffs({(10**30, 0): 1.0}).to_orthonormal()
+def test_an_index_past_int64_is_refused():
+    for normalization, amp in (("orthonormal", 1.0), ("raw", 1.0), ("raw", 1)):
+        with pytest.raises(ValueError, match=r"index \(10{30}, 0\) is past the int64 range"):
+            HermiteCoeffs({(0, 0): amp, (10**30, 0): amp}, normalization)
+    with pytest.raises(ValueError, match=r"index \(0, 9223372036854775808\)"):
+        HermiteCoeffs({(0, 2**63): 1.0})
+    assert HermiteCoeffs({(2**63 - 1, 0): 1.0}).index.tolist() == [[2**63 - 1, 0]]
+
+
+def test_a_non_integral_index_is_refused():
+    for key in ((2.5, 1), (1, Fraction(3, 2)), (np.float64(0.5), 0), (math.inf, 0), (0, math.nan)):
+        with pytest.raises(ValueError, match=r"non-integral basis index"):
+            HermiteCoeffs({key: 1.0}, "orthonormal")
+    with pytest.raises(ValueError, match=r"\(2\.5, 1\)"):
+        HermiteCoeffs({(2.5, 1): 1})
+    # integral floats and numpy ints read as ints
+    u = HermiteCoeffs({(2.0, np.int64(1)): 1.0, (np.float64(3.0), 0): 2.0}, "orthonormal")
+    assert list(u.entries) == [(2, 1), (3, 0)]
+    assert all(type(i) is int for key in u.entries for i in key)

@@ -427,6 +427,17 @@ def test_quadrature_rule_validation():
         QuadratureRule.disk(0j, -1.0, 8, 8)
     with pytest.raises(ValueError):
         QuadratureRule.full_plane(0, 8)
+    for radius in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            QuadratureRule.disk(0j, radius, 4, 4)
+    for center in (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)):
+        with pytest.raises(ValueError, match="center"):
+            QuadratureRule.disk(center, 1.0, 4, 4)
+
+
+def test_project_rejects_a_negative_index_bound():
+    with pytest.raises(ValueError, match="M = -1"):
+        project(lambda z: np.ones_like(z), -1, QuadratureRule.full_plane(4, 4))
 
 
 def test_disk_rule_integrates_area():

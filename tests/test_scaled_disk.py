@@ -164,6 +164,18 @@ def test_disk_rejects_non_finite_radius_or_center(center, radius, name):
         DiskProblem(center=center, radius=radius, f_poly=PolyZZbar.constant(1), k=1, c=0j)
 
 
+@pytest.mark.parametrize(
+    "k, truncation, message",
+    [(3, 2, "truncation must be at least k"), (0, 8, "k must be a positive integer")],
+)
+def test_disk_rejects_k_and_truncation_as_solve_does(k, truncation, message):
+    with pytest.raises(ValueError, match=message):
+        DiskProblem(0j, 1.0, PolyZZbar.constant(1), k, 0j, truncation=truncation)
+    # the same words as ProblemSpec's
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(k=k, c=0j, truncation=truncation, f=HermiteCoeffs.zero()).validate()
+
+
 def test_disk_off_center():
     p = DiskProblem(
         center=1 + 1j, radius=0.5, f_poly=PolyZZbar.constant(1), k=1, c=0j, truncation=16

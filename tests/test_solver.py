@@ -523,6 +523,17 @@ def test_solve_rejects_margin_violation():
         solve(ProblemSpec(k=1, c=0j, truncation=8, f=f))
 
 
+def test_validate_checks_an_exact_f_support_before_its_amplitudes():
+    # the box is checked on the stored index, before any amplitude is converted
+    f = HermiteCoeffs({(0, 0): 1, (9, 0): 10**400})
+    with pytest.raises(ValueError, match=r"index \(9,0\) outside the certified box"):
+        ProblemSpec(k=1, c=0j, truncation=8, f=f).validate()
+    # inside the box, an amplitude past float range is refused on conversion
+    f = HermiteCoeffs({(0, 0): 10**400})
+    with pytest.raises(ValueError, match="overflows a float"):
+        ProblemSpec(k=1, c=0j, truncation=8, f=f).validate()
+
+
 def test_solve_residual_is_true_operator_residual():
     # Cross-check the reported residual with apply_operator on the returned u.
     f = dense_data(random.Random(14), 6)
@@ -891,9 +902,9 @@ def test_a_non_finite_solution_amplitude_raises(monkeypatch, part):
 
 
 def test_solve_rejects_an_index_past_int64():
-    f = HermiteCoeffs({(0, 0): 1.0 + 0j, (10**30, 0): 1.0 + 0j}, "orthonormal")
-    with pytest.raises(ValueError, match=r"index \(10{30},0\) outside the certified box"):
-        solve(ProblemSpec(k=1, c=0j, truncation=8, f=f))
+    # no vector holds such an index: the refusal comes at construction
+    with pytest.raises(ValueError, match=r"index \(10{30}, 0\) is past the int64 range"):
+        HermiteCoeffs({(0, 0): 1.0 + 0j, (10**30, 0): 1.0 + 0j}, "orthonormal")
 
 
 @pytest.mark.parametrize(
