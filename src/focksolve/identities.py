@@ -52,9 +52,12 @@ def commutator(k: int, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
 
     Independent of any zeroth-order shift c: the c-terms cancel identically.
     """
-    lhs = formal_adjoint_weighted(k, phi, g).deriv(k, k)
-    rhs = formal_adjoint_weighted(k, phi.deriv(k, k), g)
-    return lhs - rhs
+    return _commutator(k, phi, formal_adjoint_weighted(k, phi, g), g)
+
+
+def _commutator(k: int, phi: PolyZZbar, adj: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
+    # comm_k φ from adj = adjoint_k φ, for callers that need adj as well
+    return adj.deriv(k, k) - formal_adjoint_weighted(k, phi.deriv(k, k), g)
 
 
 def weight_identity_rhs_k1(phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
@@ -121,10 +124,11 @@ class VerificationReport:
         return out
 
 
-def _adjoint_with_shift(k: int, c: ExactScalar, phi: PolyZZbar, g: PolyZZbar) -> PolyZZbar:
-    # Adjoint of (∂^k∂̄^k + c) is adjoint_k + c̄; the conjugate matters for
-    # complex c because the pairing is conjugate-linear in its first slot.
-    return formal_adjoint_weighted(k, phi, g) + phi * c.conjugate()
+def _adjoint_with_shift(c: ExactScalar, phi: PolyZZbar, adj: PolyZZbar) -> PolyZZbar:
+    # Adjoint of (∂^k∂̄^k + c) is adjoint_k + c̄, from adj = adjoint_k φ; the
+    # conjugate matters for complex c because the pairing is conjugate-linear
+    # in its first slot.
+    return adj + phi * c.conjugate()
 
 
 def verify_adjoint_norm_split(k: int, c: ScalarLike, phi: PolyZZbar) -> VerificationReport:
@@ -135,10 +139,10 @@ def verify_adjoint_norm_split(k: int, c: ScalarLike, phi: PolyZZbar) -> Verifica
     """
     c = ExactScalar.coerce(c)
     g = PolyZZbar.gaussian_exponent()
-    adj = _adjoint_with_shift(k, c, phi, g)
-    lhs = weighted_norm_sq(adj)
+    adj = formal_adjoint_weighted(k, phi, g)
+    lhs = weighted_norm_sq(_adjoint_with_shift(c, phi, adj))
     op_phi = phi.deriv(k, k) + phi * c
-    cross = gaussian_pairing(phi, commutator(k, phi, g))
+    cross = gaussian_pairing(phi, _commutator(k, phi, adj, g))
     rhs = weighted_norm_sq(op_phi) + cross.re
     holds = cross.im == 0 and lhs == rhs
     witness = None if holds else PolyZZbar.constant(ExactScalar(lhs - rhs, cross.im))
@@ -185,7 +189,7 @@ def verify_coercivity(k: int, c: ScalarLike, phi: PolyZZbar) -> VerificationRepo
     """Check ‖(∂^k∂̄^k + c)*φ‖² ≥ (k!)²·‖φ‖² by exact rational comparison."""
     c = ExactScalar.coerce(c)
     g = PolyZZbar.gaussian_exponent()
-    lhs = weighted_norm_sq(_adjoint_with_shift(k, c, phi, g))
+    lhs = weighted_norm_sq(_adjoint_with_shift(c, phi, formal_adjoint_weighted(k, phi, g)))
     bound = Fraction(math.factorial(k)) ** 2 * weighted_norm_sq(phi)
     holds = lhs >= bound
     ratio = "inf" if bound == 0 else str(lhs / bound)

@@ -299,25 +299,55 @@ def weighted_deriv(poly: PolyZZbar, g: PolyZZbar, ndz: int = 0, ndzbar: int = 0)
     return poly
 
 
+def _diagonals(p: PolyZZbar) -> dict:
+    """p's terms c·z^a z̄^b as {a − b: [(a, b, c.re, c.im), ...]}."""
+    groups: dict = {}
+    for (a, b), c in p.terms.items():
+        groups.setdefault(a - b, []).append((a, b, c.re, c.im))
+    return groups
+
+
+def _diagonal_sums(row: list, b: int) -> tuple:
+    """Real and imaginary parts of Σ d·(b + a′)! over the terms d·z^{a′} z̄^{b′} of row."""
+    sr = si = 0
+    for a2, _, dr, di in row:
+        f = math.factorial(b + a2)
+        sr += dr * f
+        si += di * f
+    return sr, si
+
+
 def gaussian_pairing(p: PolyZZbar, q: PolyZZbar) -> ExactScalar:
     """Exact (1/π)·∫ p̄ q e^{−|z|²} dσ.
 
     Uses the moment identity ∫ z^a z̄^b e^{−|z|²} dσ = π·a!·δ_{ab}: the terms
     c·z^a z̄^b of p and d·z^{a′} z̄^{b′} of q pair to c̄·d·(b + a′)! when
-    a − b = a′ − b′, and to 0 otherwise, so p̄ q is never formed.  The
-    returned scalar is the coefficient of π; conjugate-linear in p, linear in q.
+    a − b = a′ − b′, and to 0 otherwise, so p̄ q is never formed and only
+    the pairs on one diagonal are visited, each term of p against the sum
+    Σ d·(b + a′)! over its diagonal.  The returned scalar is the coefficient
+    of π; conjugate-linear in p, linear in q.
     """
-    total = ExactScalar(0)
+    qd = _diagonals(q)
+    re = im = Fraction(0)
     for (a, b), c in p.terms.items():
-        for (a2, b2), d in q.terms.items():
-            if a - b == a2 - b2:
-                total = total + c.conjugate() * d * math.factorial(b + a2)
-    return total
+        if a - b in qd:
+            sr, si = _diagonal_sums(qd[a - b], b)
+            re += c.re * sr + c.im * si
+            im += c.re * si - c.im * sr
+    return ExactScalar(re, im)
 
 
 def weighted_norm_sq(p: PolyZZbar) -> Fraction:
-    """Exact ‖p‖²/π against the Gaussian weight, as a rational."""
-    value = gaussian_pairing(p, p)
-    if value.im != 0:
-        raise ArithmeticError("self-pairing produced a nonreal value")
-    return value.re
+    """Exact ‖p‖²/π against the Gaussian weight, as a rational.
+
+    The self-pairing summed once per unordered pair of terms: |c|²·(a + b)!
+    for each term, plus 2·Re(c̄_i·c_j)·(b_i + a_j)! for each pair i < j on
+    one diagonal, where (b_i + a_j)! = (b_j + a_i)!.  Real by construction.
+    """
+    diag = cross = Fraction(0)
+    for row in _diagonals(p).values():
+        for i, (a, b, cr, ci) in enumerate(row):
+            diag += (cr * cr + ci * ci) * math.factorial(a + b)
+            sr, si = _diagonal_sums(row[i + 1:], b)
+            cross += cr * sr + ci * si
+    return diag + 2 * cross

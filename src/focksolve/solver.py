@@ -80,6 +80,13 @@ def _finite(value) -> bool:
     return math.isfinite(math.hypot(value.real, value.imag))
 
 
+def _check_couplings(k: int, M: int) -> None:
+    """Reject a box whose largest coupling, (M+k)!/M!, is past float range."""
+    # (M+k)!/M! ≥ k!, past float range from k = 171: no big-integer product needed
+    if k > 170 or math.perm(M + k, k) > sys.float_info.max:
+        raise ValueError(f"k = {k} with truncation {M}: the box couplings exceed the float range")
+
+
 @dataclass
 class ProblemSpec:
     """One certified solve: operator order k, shift c, truncation box, data f.
@@ -103,12 +110,7 @@ class ProblemSpec:
             raise ValueError("k must be a positive integer")
         if self.truncation < self.k:
             raise ValueError("truncation must be at least k")
-        # (M+k)!/M! ≥ k!, past float range from k = 171: no big-integer product needed
-        if self.k > 170 or math.perm(self.truncation + self.k, self.k) > sys.float_info.max:
-            raise ValueError(
-                f"k = {self.k} with truncation {self.truncation}: the box couplings "
-                f"exceed the float range"
-            )
+        _check_couplings(self.k, self.truncation)
         margin = self.truncation - self.k
         # an exact f converts its amplitudes only once its support is checked
         index = self.f.index
@@ -579,8 +581,9 @@ class DiskProblem:
     ``f_poly`` is exact polynomial data in the global variable z.  The
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
     The disk quadrature rule on U has the given radial and angular node counts,
-    bounded by :data:`DISK_GRID_CELLS` in its doubled form, and the truncation
-    by :data:`SWEEP_BOX_CELLS`.
+    bounded by :data:`DISK_GRID_CELLS` in its doubled form, the truncation
+    by :data:`SWEEP_BOX_CELLS`, and (k, truncation) by the float range of the
+    box couplings, as in :class:`ProblemSpec`.
     """
 
     center: complex
@@ -606,6 +609,7 @@ class DiskProblem:
                 f"4·R·A + 4·R² = {cells} at most {DISK_GRID_CELLS}"
             )
         _check_sweep_box(self.truncation)
+        _check_couplings(self.k, self.truncation)
         # past radius ≈ 13.32 the certified constant e^{(2·radius)²} overflows a float
         if not 0 < self.radius <= 13:
             raise ValueError(f"radius {self.radius} must be positive and at most 13")

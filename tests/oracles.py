@@ -8,6 +8,7 @@ the tests compare the library against it:
   with the entrywise sum and scalar multiple they use (:func:`plus`,
   :func:`scaled`);
 * exact rational evaluation of a polynomial (:func:`evaluate_exact`);
+* the Gaussian pairing by its definition (:func:`reference_gaussian_pairing`);
 * the closed form of e^{|z|²} ∂^j ∂̄^i e^{−|z|²} and its iterated oracle;
 * the max-norm five-point residual at k = 1 (:func:`fd_residual_k1`).
 """
@@ -111,6 +112,16 @@ def evaluate_exact(poly: PolyZZbar, z: ExactScalar) -> ExactScalar:
     total = ExactScalar(0)
     for (a, b), coeff in poly.terms.items():
         total = total + coeff * zpow[a] * zbpow[b]
+    return total
+
+
+def reference_gaussian_pairing(p: PolyZZbar, q: PolyZZbar) -> ExactScalar:
+    """The pairing by its definition: form p̄·q, then sum a!·[p̄ q]_{(a,a)}."""
+    prod = p.conjugate() * q
+    total = ExactScalar(0)
+    for (a, b), coeff in prod.terms.items():
+        if a == b:
+            total = total + coeff * math.factorial(a)
     return total
 
 

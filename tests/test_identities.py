@@ -15,12 +15,18 @@ from focksolve import (
 )
 from focksolve.basis import hermite_polynomial
 from focksolve.identities import (
+    _adjoint_with_shift,
     commutator,
     formal_adjoint_weighted,
     random_polynomial,
+    random_shift,
 )
 from focksolve.ring import gaussian_pairing, weighted_deriv
-from oracles import gaussian_derivative_closed_form, iterated_gaussian_derivative
+from oracles import (
+    gaussian_derivative_closed_form,
+    iterated_gaussian_derivative,
+    reference_gaussian_pairing,
+)
 
 GAUSS = PolyZZbar.gaussian_exponent()
 
@@ -158,6 +164,29 @@ def test_verify_adjoint_norm_split_examples():
     r = verify_adjoint_norm_split(2, 0, one)
     assert r.holds and r.details["lhs_over_pi"] == "4"
     assert verify_adjoint_norm_split(1, ExactScalar(1, 1), PolyZZbar.var_z()).holds
+
+
+def test_adjoint_norm_split_matches_two_adjoints_and_the_reference_pairing():
+    # the report built with adjoint_k φ twice (once for the norm, once inside
+    # commutator) and the pairing by its definition, key for key
+    rng = random.Random(41)
+    for k in (1, 2, 3, 4):
+        for _ in range(4):
+            phi = random_polynomial(rng, 4)
+            c = random_shift(rng)
+            adj = _adjoint_with_shift(c, phi, formal_adjoint_weighted(k, phi, GAUSS))
+            lhs = reference_gaussian_pairing(adj, adj).re
+            op_phi = phi.deriv(k, k) + phi * c
+            cross = reference_gaussian_pairing(phi, commutator(k, phi, GAUSS))
+            rhs = reference_gaussian_pairing(op_phi, op_phi).re + cross.re
+            assert cross.im == 0 and lhs == rhs
+            expected = {
+                "identity": "adjoint_norm_split",
+                "parameters": f"k={k}, c={c!r}, phi={phi}",
+                "holds": True,
+                "details": {"lhs_over_pi": str(lhs), "rhs_over_pi": str(rhs)},
+            }
+            assert verify_adjoint_norm_split(k, c, phi).as_dict() == expected
 
 
 def test_verify_quadratic_form_examples():

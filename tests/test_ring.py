@@ -10,6 +10,7 @@ import pytest
 from focksolve import ExactScalar, PolyZZbar, QuadratureRule
 from focksolve.identities import random_polynomial, verify_weight_identity_k1
 from focksolve.ring import gaussian_pairing, weighted_deriv, weighted_norm_sq
+from oracles import reference_gaussian_pairing
 
 
 def test_exact_scalar_arithmetic_is_exact():
@@ -71,16 +72,6 @@ def test_weight_exponent_must_be_real():
         verify_weight_identity_k1(PolyZZbar.var_z(), PolyZZbar.constant(1))
 
 
-def reference_gaussian_pairing(p, q):
-    """The pairing by its definition: form p̄·q, then sum a!·[p̄ q]_{(a,a)}."""
-    prod = p.conjugate() * q
-    total = ExactScalar(0)
-    for (a, b), coeff in prod.terms.items():
-        if a == b:
-            total = total + coeff * math.factorial(a)
-    return total
-
-
 def test_gaussian_pairing_examples():
     one = PolyZZbar.constant(1)
     h11 = PolyZZbar({(1, 1): 1, (0, 0): -1})
@@ -96,8 +87,45 @@ def test_gaussian_pairing_examples():
         weight = random_polynomial(rng, 3, real=True)
         term = PolyZZbar.monomial(rng.randint(0, 4), rng.randint(0, 4), ExactScalar(rng.randint(-5, 5), 2))
         pairs += [(p, q), (p, p), (weight, q), (weight, weight), (term, p), (p, term), (term, term), (zero, p)]
+    # no shared diagonal: p on diagonals 0 and 2, q on 1 and −1
+    apart = PolyZZbar({(0, 0): 2, (1, 1): ExactScalar(1, -1), (3, 1): Fraction(1, 3)})
+    other = PolyZZbar({(1, 0): ExactScalar(0, 1), (2, 1): 5, (0, 1): ExactScalar(-2, 3)})
+    assert gaussian_pairing(apart, other) == ExactScalar(0)
+    pairs += [(apart, other), (other, apart)]
+    # several terms on each diagonal, on both sides
+    for _ in range(6):
+        p, q = random_on_diagonals(rng, (0, 1), 4), random_on_diagonals(rng, (0, 1, -2), 4)
+        pairs += [(p, q), (q, p), (p, p), (q, q)]
     for p, q in pairs:
         assert gaussian_pairing(p, q) == reference_gaussian_pairing(p, q)
+
+
+def random_on_diagonals(rng, diagonals, per_diagonal):
+    """Random polynomial with ``per_diagonal`` terms on each diagonal a − b = d."""
+    terms = {}
+    for d in diagonals:
+        for s in rng.sample(range(6), per_diagonal):
+            terms[(s + max(d, 0), s + max(-d, 0))] = ExactScalar(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)), Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            )
+    return PolyZZbar(terms)
+
+
+def test_weighted_norm_sq_is_the_real_self_pairing():
+    rng = random.Random(29)
+    polys = [PolyZZbar.zero(), PolyZZbar.constant(ExactScalar(2, -3))]
+    for _ in range(10):
+        polys.append(random_polynomial(rng, 4))
+        polys.append(random_on_diagonals(rng, (0, 2, -1), 3))
+        # conjugate-paired terms: c·z^a z̄^b and c̄·z^b z̄^a
+        polys.append(random_polynomial(rng, 4, real=True))
+        polys.append(random_polynomial(rng, 3) + random_on_diagonals(rng, (1,), 4))
+    for p in polys:
+        self_pairing = gaussian_pairing(p, p)
+        assert self_pairing.im == 0
+        assert weighted_norm_sq(p) == self_pairing.re
+        assert weighted_norm_sq(p) == reference_gaussian_pairing(p, p).re
+    assert weighted_norm_sq(PolyZZbar.zero()) == 0
 
 
 def test_gaussian_pairing_conjugate_symmetry():

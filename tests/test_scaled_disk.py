@@ -176,6 +176,16 @@ def test_disk_rejects_k_and_truncation_as_solve_does(k, truncation, message):
         ProblemSpec(k=k, c=0j, truncation=truncation, f=HermiteCoeffs.zero()).validate()
 
 
+@pytest.mark.parametrize("k, truncation", [(171, 700), (200, 250)])
+def test_disk_rejects_couplings_past_float_range_at_construction(k, truncation):
+    # refused before solve_disk projects anything, in ProblemSpec's words
+    message = f"k = {k} with truncation {truncation}: the box couplings exceed the float range"
+    with pytest.raises(ValueError, match=message):
+        DiskProblem(0j, 0.5, PolyZZbar.constant(1), k, 0j, truncation)
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(k=k, c=0j, truncation=truncation, f=HermiteCoeffs.zero()).validate()
+
+
 def test_disk_off_center():
     p = DiskProblem(
         center=1 + 1j, radius=0.5, f_poly=PolyZZbar.constant(1), k=1, c=0j, truncation=16
