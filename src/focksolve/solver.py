@@ -80,8 +80,14 @@ def _finite(value) -> bool:
     return math.isfinite(math.hypot(value.real, value.imag))
 
 
-def _check_couplings(k: int, M: int) -> None:
-    """Reject a box whose largest coupling, (M+k)!/M!, is past float range."""
+def _check_problem(k: int, c, M: int) -> None:
+    """Reject a non-finite c, k < 1, M < k, or a largest box coupling (M+k)!/M! past float range."""
+    if not _finite(c):
+        raise ValueError(f"shift c = {c} is not finite")
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if M < k:
+        raise ValueError("truncation must be at least k")
     # (M+k)!/M! ≥ k!, past float range from k = 171: no big-integer product needed
     if k > 170 or math.perm(M + k, k) > sys.float_info.max:
         raise ValueError(f"k = {k} with truncation {M}: the box couplings exceed the float range")
@@ -104,13 +110,7 @@ class ProblemSpec:
 
     def validate(self) -> HermiteCoeffs:
         """Check the problem; return f in orthonormal amplitudes, each one finite."""
-        if not _finite(self.c):
-            raise ValueError(f"shift c = {self.c} is not finite")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.truncation < self.k:
-            raise ValueError("truncation must be at least k")
-        _check_couplings(self.k, self.truncation)
+        _check_problem(self.k, self.c, self.truncation)
         margin = self.truncation - self.k
         # an exact f converts its amplitudes only once its support is checked
         index = self.f.index
@@ -408,29 +408,39 @@ def _check_sweep_box(M: int) -> None:
         )
 
 
-def operator_norm_probe(
-    k: int, c, trials: int, M: int = 32, seed: int = 42
-) -> float:
+def _sweep(cells, trials: int, M: int, rng: random.Random, first=None) -> List[tuple]:
+    """Each (k, c) cell with the reports of its ``trials`` solves, every cell checked before any.
+
+    A cell's trials are ``first``, where given, then dense data on its box
+    [0, M − k]², drawn from one stream.  ``cells`` may be lazy: the check
+    stops at the first unsolvable cell, and solvable cells have k ≤ min(M, 170).
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    _check_sweep_box(M)
+    checked = []
+    for k, c in cells:
+        _check_problem(k, c, M)
+        checked.append((k, c))
+    sweep = []
+    for k, c in checked:
+        data = (
+            first if t == 0 and first is not None else dense_data(rng, M - k) for t in range(trials)
+        )
+        sweep.append(((k, c), [solve(ProblemSpec(k=k, c=c, truncation=M, f=f))[1] for f in data]))
+    return sweep
+
+
+def operator_norm_probe(k: int, c, trials: int, M: int = 32, seed: int = 42) -> float:
     """Empirical sup of u_norm/f_norm over data in the certified box.
 
     The first trial is the lowest basis direction H₀₀, which attains the
     supremum 1/k! at c = 0; the remaining trials draw dense complex Gaussian
     coefficients.  The returned value never exceeds 1/k! beyond rounding.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _check_sweep_box(M)
-    rng = random.Random(seed)
-    best = 0.0
-    for trial in range(trials):
-        if trial == 0:
-            f = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j, ORTHONORMAL)
-        else:
-            f = dense_data(rng, M - k)
-        _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
-        if report.f_norm > 0:
-            best = max(best, report.u_norm / report.f_norm)
-    return best
+    h00 = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j, ORTHONORMAL)
+    [(_, reports)] = _sweep([(k, c)], trials, M, random.Random(seed), first=h00)
+    return max([0.0, *(r.u_norm / r.f_norm for r in reports if r.f_norm > 0)])
 
 
 def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> List[dict]:
@@ -445,29 +455,19 @@ def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> Lis
         raise ValueError("trials must be at least 1")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} is above k_max {k_max}: no k to certify")
-    _check_sweep_box(M)
-    rng = random.Random(f"certify:{seed}")
+    cells = ((k, c) for k in range(k_min, k_max + 1) for c in CERTIFICATION_C_GRID)
     rows = []
-    for k in range(k_min, k_max + 1):
-        for c in CERTIFICATION_C_GRID:
-            worst_ratio = 0.0
-            worst_resid = 0.0
-            holds = True
-            for _ in range(trials):
-                _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=dense_data(rng, M - k)))
-                worst_ratio = max(worst_ratio, report.bound_ratio)
-                rel = 0.0 if report.f_norm == 0 else report.residual_norm / report.f_norm
-                worst_resid = max(worst_resid, rel)
-                holds &= report.bound_holds and rel <= RESIDUAL_TOL
-            rows.append(
-                {
-                    "k": k,
-                    "c": {"re": c.real, "im": c.imag},
-                    "max_bound_ratio": worst_ratio,
-                    "max_relative_residual": worst_resid,
-                    "all_hold": holds,
-                }
-            )
+    for (k, c), reports in _sweep(cells, trials, M, random.Random(f"certify:{seed}")):
+        rel = [0.0 if r.f_norm == 0 else r.residual_norm / r.f_norm for r in reports]
+        rows.append(
+            {
+                "k": k,
+                "c": {"re": c.real, "im": c.imag},
+                "max_bound_ratio": max([0.0, *(r.bound_ratio for r in reports)]),
+                "max_relative_residual": max([0.0, *rel]),
+                "all_hold": all(r.bound_holds and x <= RESIDUAL_TOL for r, x in zip(reports, rel)),
+            }
+        )
     return rows
 
 
@@ -582,8 +582,7 @@ class DiskProblem:
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
     The disk quadrature rule on U has the given radial and angular node counts,
     bounded by :data:`DISK_GRID_CELLS` in its doubled form, the truncation
-    by :data:`SWEEP_BOX_CELLS`, and (k, truncation) by the float range of the
-    box couplings, as in :class:`ProblemSpec`.
+    by :data:`SWEEP_BOX_CELLS`, and (k, c, truncation) as in :class:`ProblemSpec`.
     """
 
     center: complex
@@ -596,10 +595,6 @@ class DiskProblem:
     angular_nodes: int = 64
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if self.truncation < self.k:
-            raise ValueError("truncation must be at least k")
         R, A = self.radial_nodes, self.angular_nodes
         # the doubled rule's 2R·2A nodes plus leggauss's (2R)² companion matrix
         cells = 4 * R * A + 4 * R * R
@@ -609,7 +604,7 @@ class DiskProblem:
                 f"4·R·A + 4·R² = {cells} at most {DISK_GRID_CELLS}"
             )
         _check_sweep_box(self.truncation)
-        _check_couplings(self.k, self.truncation)
+        _check_problem(self.k, self.c, self.truncation)
         # past radius ≈ 13.32 the certified constant e^{(2·radius)²} overflows a float
         if not 0 < self.radius <= 13:
             raise ValueError(f"radius {self.radius} must be positive and at most 13")

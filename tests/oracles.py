@@ -10,19 +10,31 @@ the tests compare the library against it:
 * exact rational evaluation of a polynomial (:func:`evaluate_exact`);
 * the Gaussian pairing by its definition (:func:`reference_gaussian_pairing`);
 * the closed form of e^{|z|²} ∂^j ∂̄^i e^{−|z|²} and its iterated oracle;
-* the max-norm five-point residual at k = 1 (:func:`fd_residual_k1`).
+* the max-norm five-point residual at k = 1 (:func:`fd_residual_k1`);
+* the certification sweep and the operator-norm probe as two loops of their
+  own (:func:`reference_certify_sweep`, :func:`reference_operator_norm_probe`).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from typing import List
 
 import numpy as np
 
-from focksolve.basis import RAW, HermiteCoeffs
+from focksolve.basis import ORTHONORMAL, RAW, HermiteCoeffs
 from focksolve.numerics import GridSpec, _laplacian_residual
 from focksolve.ring import ExactScalar, PolyZZbar, weighted_deriv
+from focksolve.solver import (
+    CERTIFICATION_C_GRID,
+    RESIDUAL_TOL,
+    ProblemSpec,
+    _check_sweep_box,
+    dense_data,
+    solve,
+)
 
 _ONE = ExactScalar(1)
 
@@ -165,3 +177,57 @@ def fd_residual_k1(
     if res.size == 0:
         raise ValueError("grid interior is empty")
     return float(np.max(np.abs(res)))
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: the certification sweep and the probe, each its own trial loop
+
+
+def reference_operator_norm_probe(
+    k: int, c, trials: int, M: int = 32, seed: int = 42
+) -> float:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    _check_sweep_box(M)
+    rng = random.Random(seed)
+    best = 0.0
+    for trial in range(trials):
+        if trial == 0:
+            f = HermiteCoeffs.basis_vector(0, 0, 1.0 + 0j, ORTHONORMAL)
+        else:
+            f = dense_data(rng, M - k)
+        _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+        if report.f_norm > 0:
+            best = max(best, report.u_norm / report.f_norm)
+    return best
+
+
+def reference_certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> List[dict]:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if k_min > k_max:
+        raise ValueError(f"k_min {k_min} is above k_max {k_max}: no k to certify")
+    _check_sweep_box(M)
+    rng = random.Random(f"certify:{seed}")
+    rows = []
+    for k in range(k_min, k_max + 1):
+        for c in CERTIFICATION_C_GRID:
+            worst_ratio = 0.0
+            worst_resid = 0.0
+            holds = True
+            for _ in range(trials):
+                _, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=dense_data(rng, M - k)))
+                worst_ratio = max(worst_ratio, report.bound_ratio)
+                rel = 0.0 if report.f_norm == 0 else report.residual_norm / report.f_norm
+                worst_resid = max(worst_resid, rel)
+                holds &= report.bound_holds and rel <= RESIDUAL_TOL
+            rows.append(
+                {
+                    "k": k,
+                    "c": {"re": c.real, "im": c.imag},
+                    "max_bound_ratio": worst_ratio,
+                    "max_relative_residual": worst_resid,
+                    "all_hold": holds,
+                }
+            )
+    return rows

@@ -451,6 +451,9 @@ def test_disk_node_counts_past_the_grid_bound_exit_2(tmp_path, capsys):
         (["verify", "--trials", "0"], "trials must be at least 1"),
         (["verify", "--trials", "-3"], "trials must be at least 1"),
         (["verify", "--k", "0", "--trials", "0"], "k must be a positive integer"),
+        # every cell is checked before the first solve, not when its own turn comes
+        (["certify", "--k-max", "171", "--truncation", "170", "--trials", "1"], "k = 131 with"),
+        (["certify", "--k-max", "33", "--truncation", "32", "--trials", "1"], "at least k"),
     ],
 )
 def test_sweeps_without_work_or_past_the_box_bound_exit_2(tmp_path, capsys, argv, message):

@@ -176,6 +176,23 @@ def test_disk_rejects_k_and_truncation_as_solve_does(k, truncation, message):
         ProblemSpec(k=k, c=0j, truncation=truncation, f=HermiteCoeffs.zero()).validate()
 
 
+def _never_projected(*args, **kwargs):
+    raise AssertionError("projected before the shift check")
+
+
+@pytest.mark.parametrize("c", [math.inf, complex(0, math.nan)])
+def test_disk_rejects_a_non_finite_shift_at_construction(monkeypatch, c):
+    # refused before solve_disk projects anything, in ProblemSpec's words
+    monkeypatch.setattr(solver, "project", _never_projected)
+    message = f"shift c = {c} is not finite"
+    with pytest.raises(ValueError) as raised:
+        solve_disk(DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, c, truncation=160))
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        ProblemSpec(k=1, c=c, truncation=160, f=HermiteCoeffs.zero()).validate()
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("k, truncation", [(171, 700), (200, 250)])
 def test_disk_rejects_couplings_past_float_range_at_construction(k, truncation):
     # refused before solve_disk projects anything, in ProblemSpec's words

@@ -31,7 +31,13 @@ from focksolve.solver import (
     _tail_weights,
     dense_data,
 )
-from oracles import apply_operator, plus, scaled
+from oracles import (
+    apply_operator,
+    plus,
+    reference_certify_sweep,
+    reference_operator_norm_probe,
+    scaled,
+)
 
 
 def unit_f(value=1.0 + 0j):
@@ -936,6 +942,54 @@ def test_sweep_box_bound_admits_its_edge():
 def test_certify_sweep_rejects_an_empty_sweep(trials, k_min, k_max):
     with pytest.raises(ValueError):
         certify_sweep(k_min, k_max, trials, 8, 0)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a sweep drew or solved before refusing a cell")
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (lambda: certify_sweep(1, 171, 1, 170, 0), "k = 131 with truncation 170"),
+        (lambda: certify_sweep(1, 33, 1, 32, 0), "truncation must be at least k"),
+        # the cells are checked lazily: the refusal at k = 33 never builds the rest
+        (lambda: certify_sweep(1, 10**12, 1, 32, 0), "truncation must be at least k"),
+        (lambda: certify_sweep(0, 2, 1, 32, 0), "k must be a positive integer"),
+        (lambda: operator_norm_probe(1, complex(math.nan, 0), 3, M=8), "is not finite"),
+        (lambda: operator_norm_probe(9, 0j, 3, M=8), "truncation must be at least k"),
+    ],
+    ids=["couplings", "k-past-M", "unbounded-k-range", "k-zero", "nan-shift", "probe-k-past-M"],
+)
+def test_sweeps_refuse_an_unsolvable_cell_before_any_draw_or_solve(monkeypatch, sweep, message):
+    monkeypatch.setattr(solver, "solve", _no_work)
+    monkeypatch.setattr(solver, "dense_data", _no_work)
+    with pytest.raises(ValueError, match=message):
+        sweep()
+
+
+def _row_bits(row):
+    """Every field of a certify row, in order, with floats by their hex form."""
+    c = row["c"]
+    floats = (c["re"], c["im"], row["max_bound_ratio"], row["max_relative_residual"])
+    hold = row["all_hold"]
+    return list(row), list(c), row["k"], [x.hex() for x in floats], type(hold), hold
+
+
+@pytest.mark.parametrize("k_min, k_max, trials, M, seed", [(1, 4, 3, 12, 0), (1, 2, 2, 32, 7)])
+def test_certify_sweep_matches_its_own_loop_bit_for_bit(k_min, k_max, trials, M, seed):
+    rows = certify_sweep(k_min, k_max, trials, M, seed)
+    reference = reference_certify_sweep(k_min, k_max, trials, M, seed)
+    assert [_row_bits(row) for row in rows] == [_row_bits(row) for row in reference]
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_operator_norm_probe_matches_its_own_loop_bit_for_bit(k, trials):
+    # H₀₀ takes no draw, and the dense trials after it number trials − 1
+    for c in CERTIFICATION_C_GRID:
+        value = operator_norm_probe(k, c, trials, seed=-5)
+        assert value.hex() == reference_operator_norm_probe(k, c, trials, seed=-5).hex(), c
 
 
 # ---------------------------------------------------------------------------
