@@ -15,18 +15,18 @@ Coefficient vectors (:class:`HermiteCoeffs`) come in two flavors:
 
 * the exact context stores raw amplitudes (multiplying H_{m,n}) as
   :class:`~focksolve.ring.ExactScalar` values;
-* the numeric context stores orthonormal amplitudes (multiplying
-  H_{m,n}/√(π·m!·n!)) as complex floats, which keeps stored magnitudes O(1);
-  raw float amplitudes under/overflow once indices reach ≈ 85.
+* the numeric context stores complex floats, raw (the CLI's files and
+  ``to_raw``) or orthonormal (multiplying H_{m,n}/√(π·m!·n!)); the solver's
+  orthonormal ones stay O(1), where raw ones under/overflow from index ≈ 85.
 
 Every vector is stored as two read-only arrays in entry order, the
 (entries × 2) int64 ``index`` of its (m, n) pairs and its ``values``
 (complex, or ``object`` holding the exact amplitudes); its ``entries``
-mapping is a read-only view built on first access.  Numeric vectors built
-from arrays go through one checked writer,
-``HermiteCoeffs._from_array``, and every vector is read as arrays through
-:meth:`HermiteCoeffs.arrays`, which returns (index, values) in the vector's
-own normalization; the per-entry constructor takes mappings.
+mapping is a read-only view built on first access.  The per-entry
+constructor (over mappings) and ``HermiteCoeffs._from_array`` (over arrays)
+both store through ``HermiteCoeffs._store``, which prunes and refuses
+numeric amplitudes.  Every vector is read as arrays through
+:meth:`HermiteCoeffs.arrays`, in the vector's own normalization.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ class HermiteCoeffs:
     context, magnitudes below 1e−300 in the numeric context.  A float
     amplitude that is NaN, ±inf or of a magnitude past float range, and an
     index that is not integral or is past int64, raise ``ValueError``.
+    :meth:`_store` prunes and refuses numeric amplitudes for both constructors.
     """
 
     __slots__ = ("_entries", "index", "_values", "normalization", "exact")
@@ -162,14 +163,6 @@ class HermiteCoeffs:
             if numeric or not isinstance(amp, (int, Fraction, ExactScalar)):
                 if type(amp) is not complex:
                     amp = complex(amp)
-                try:
-                    size = abs(amp)
-                except OverflowError:
-                    size = math.inf
-                if not _NUMERIC_PRUNE <= size < math.inf:
-                    if size < _NUMERIC_PRUNE:
-                        continue
-                    raise ValueError(f"non-finite amplitude {amp} at index ({m}, {n})")
                 saw_float = True
             else:
                 amp = ExactScalar.coerce(amp)
@@ -195,7 +188,21 @@ class HermiteCoeffs:
         self._store(index_array(clean), values)
 
     def _store(self, index: np.ndarray, values: np.ndarray) -> None:
-        """Hold ``index`` and ``values`` read-only, and no dict until ``entries`` is read."""
+        """Hold ``index`` and ``values`` read-only, and no dict until ``entries`` is read.
+
+        The one numeric rule: prune magnitudes below 1e−300, refuse NaN and infinite ones.
+        """
+        if not self.exact:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sizes = np.hypot(values.real, values.imag)
+            kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
+            bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
+            if bad.any():
+                i = int(bad.argmax())
+                key = tuple(index[i].tolist())
+                raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
+            if not kept.all():
+                index, values = index[kept], values[kept]
         self.index, self._values = _read_only(index, values)
         self._entries = None
 
@@ -214,20 +221,10 @@ class HermiteCoeffs:
         """The numeric vector of ``values`` at the rows of ``index``, pruned and checked.
 
         ``index`` is an (entries × 2) int64 array of distinct nonnegative
-        pairs.  Pruning and the refusal of a non-finite amplitude are the
-        per-entry constructor's.  The writer of every numeric vector the
-        library builds from arrays.
+        pairs.  Pruning and the refusal of a non-finite amplitude are
+        :meth:`_store`'s, as for the per-entry constructor.  The writer of
+        every numeric vector the library builds from arrays.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            sizes = np.hypot(values.real, values.imag)
-        kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
-        bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
-        if bad.any():
-            i = int(bad.argmax())
-            key = tuple(index[i].tolist())
-            raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
-        if not kept.all():
-            index, values = index[kept], values[kept]
         self = cls.__new__(cls)
         self.normalization, self.exact = normalization, False
         self._store(index, values)

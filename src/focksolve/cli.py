@@ -60,6 +60,7 @@ from .solver import (
     BOUND_TOL,
     DiskProblem,
     ProblemSpec,
+    _check_problem,
     certify_sweep,
     operator_norm_probe,
     solve,
@@ -308,9 +309,11 @@ def cmd_solve(args) -> int:
     k = _int(data, "k")
     truncation = _int(data, "truncation", DEFAULT_TRUNCATION)
     c = _complex(data.get("c", {}))
+    # before f is read: a monomial f's change of basis can take seconds
+    _check_problem(k, c, truncation)
+    _check_writable(k, truncation)
     f, echo = _parse_f(data["f"], truncation - k)
     spec = ProblemSpec(k=k, c=c, truncation=truncation, f=f)
-    _check_writable(k, truncation)
     u, report = solve(spec)
     payload = {
         "k": spec.k,

@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs, _read_only
+from .basis import ORTHONORMAL, HermiteCoeffs, _complex_array, _read_only
 from .numerics import (
     QuadratureResolutionError,
     QuadratureRule,
@@ -348,8 +348,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
-    data = np.empty_like(amps)
-    data.real, data.imag = amps.real / sqrt_pi, amps.imag / sqrt_pi
+    data = _complex_array(amps.real / sqrt_pi, amps.imag / sqrt_pi)
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     rhs = dense[chains.gather]
@@ -366,9 +365,8 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    keep = stored & ~(sizes < 1e-300)  # NaN is kept, for _from_array to refuse
-    values = np.empty(np.count_nonzero(keep), dtype=complex)
-    values.real, values.imag = u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi
+    keep = stored & ~(sizes < 1e-300)  # NaN is kept, for HermiteCoeffs._store to refuse
+    values = _complex_array(u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi)
     index = np.empty((len(values), 2), dtype=np.int64)
     index[:, 0], index[:, 1] = chains.m[keep], chains.n[keep]
 
@@ -451,8 +449,6 @@ def certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: int) -> Lis
     Each row holds the cell, its worst ratio and residual, and whether every
     trial kept the bound and a relative residual ≤ 1e−10.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} is above k_max {k_max}: no k to certify")
     cells = ((k, c) for k in range(k_min, k_max + 1) for c in CERTIFICATION_C_GRID)

@@ -240,6 +240,12 @@ def test_zero_pruning_and_context_rules():
         HermiteCoeffs({(0, 0): 1}, "orthonormal")
 
 
+def test_a_pruned_float_amplitude_still_counts_for_the_mixing_rule():
+    for amp in (0.0, 1e-301, -0.0j):
+        with pytest.raises(TypeError, match="cannot mix"):
+            HermiteCoeffs({(0, 0): Fraction(1), (1, 1): amp})
+
+
 @pytest.mark.parametrize(
     "amp",
     [complex(math.nan, 0.0), math.inf, complex(0.0, -math.inf), 1.5e308 + 1.5e308j],

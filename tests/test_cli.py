@@ -6,6 +6,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from focksolve import cli
@@ -479,6 +480,28 @@ def test_monomial_support_past_the_box_exits_2_before_conversion(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "k, c, truncation, message",
+    [
+        (1, {"re": 0.0}, 100000, "reaches index 100001 > 170"),
+        (1, {"re": math.nan}, 100000, "shift c = (nan+0j) is not finite"),
+        (3, {"re": 0.0}, 2, "truncation must be at least k"),
+    ],
+    ids=["past the writable index", "non-finite shift", "truncation below k"],
+)
+def test_solve_checks_k_c_and_truncation_before_reading_f(tmp_path, capsys, monkeypatch, k, c, truncation, message):
+    # a monomial f at (3000, 3000) would spend seconds in the change of basis
+    monkeypatch.setattr(cli, "to_hermite", _not_called)
+    monkeypatch.setattr(cli, "_parse_f", _not_called)
+    f = {"basis": "monomial", "coeffs": [{"m": 3000, "n": 3000, "re": 1.0, "im": 0.0}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"k": k, "c": c, "truncation": truncation, "f": f}))
+    out = tmp_path / "o.json"
+    assert cli.run(["solve", "--input", str(path), "--output", str(out)]) == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "block, basis",
     [("u", "hermite"), ("f", "hermite"), ("f", "monomial")],
 )
@@ -716,6 +739,51 @@ def test_edge_rows_take_the_column_path_only_in_its_shape():
     # the blocks above reach both paths: the column read accepts exactly these
     accepted = {name for name, coeffs in EDGE_CASES.items() if cli._columns(coeffs, 11) is not None}
     assert accepted == {"plain", "signed zeros", "subnormal and huge", "magnitude past float range", "int parts"}
+
+
+def _vector_or_error(build):
+    """(index rows, amplitude bits) of the vector ``build`` returns, or its ValueError text."""
+    try:
+        u = build()
+    except ValueError as exc:
+        return str(exc)
+    index, values = u.arrays()
+    return index.tolist(), [(amp.real.hex(), amp.imag.hex()) for amp in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "amp, want",
+    [
+        (1e-300, "kept"),
+        (9.9e-301, "pruned"),
+        (-0.0j, "pruned"),
+        (5e-324, "pruned"),
+        (complex(math.nan, 0.0), "non-finite amplitude (nan+0j) at index (1, 2)"),
+        (complex(math.inf, 0.0), "non-finite amplitude (inf+0j) at index (1, 2)"),
+        (complex(1.5e308, 1.5e308), "non-finite amplitude (1.5e+308+1.5e+308j) at index (1, 2)"),
+    ],
+    ids=["floor", "below floor", "negative zero", "subnormal", "nan", "inf", "overflow"],
+)
+def test_one_rule_prunes_and_refuses_numeric_amplitudes_on_every_path(amp, want):
+    amp = complex(amp)
+    column = [R(0, 0, 1.0, 0.0), R(1, 2, amp.real, amp.imag)]
+    row = [R(0, 0, 1.0), R(1, 2, amp.real, amp.imag)]  # no "im" key: read row by row
+    assert cli._columns(row, 11) is None
+    paths = {
+        "constructor": lambda: HermiteCoeffs({(0, 0): 1.0, (1, 2): amp}),
+        "arrays": lambda: HermiteCoeffs._from_array(
+            index_array([(0, 0), (1, 2)]), np.array([1.0, amp]), "raw"
+        ),
+        "column block": lambda: cli._parse_f({"coeffs": column}, 11)[0],
+        "row block": lambda: cli._parse_f({"coeffs": row}, 11)[0],
+    }
+    outcomes = {name: _vector_or_error(build) for name, build in paths.items()}
+    one = (1.0).hex(), (0.0).hex()
+    if want == "kept":
+        want = [[0, 0], [1, 2]], [one, (amp.real.hex(), amp.imag.hex())]
+    elif want == "pruned":
+        want = [[0, 0]], [one]
+    assert outcomes == dict.fromkeys(paths, want)
 
 
 def test_coefficient_rows_write_the_text_of_row_objects():
