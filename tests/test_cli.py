@@ -769,6 +769,7 @@ def test_one_rule_prunes_and_refuses_numeric_amplitudes_on_every_path(amp, want)
     column = [R(0, 0, 1.0, 0.0), R(1, 2, amp.real, amp.imag)]
     row = [R(0, 0, 1.0), R(1, 2, amp.real, amp.imag)]  # no "im" key: read row by row
     assert cli._columns(row, 11) is None
+    assert (cli._columns(column, 11) is not None) == np.isfinite(amp)
     paths = {
         "constructor": lambda: HermiteCoeffs({(0, 0): 1.0, (1, 2): amp}),
         "arrays": lambda: HermiteCoeffs._from_array(
