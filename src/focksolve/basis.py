@@ -85,6 +85,12 @@ def sqrt_norms(index: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _finite(value) -> bool:
+    """|value| is a finite float: no NaN, ±inf or magnitude past float range, as in ``_store``."""
+    value = complex(value)
+    return math.isfinite(math.hypot(value.real, value.imag))
+
+
 def index_array(keys) -> np.ndarray:
     """The (m, n) keys as one (entries × 2) int64 array; a key past int64 raises ``ValueError``."""
     try:

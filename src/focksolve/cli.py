@@ -28,7 +28,7 @@ mirrors the input schema, adds a ``u`` coefficient block (raw amplitudes),
 and a ``report`` object.
 
 A coefficient block whose rows all have exactly the keys m, n, re and im,
-with int indices inside the box and finite int or float parts, is read by
+with int indices inside the box and int or float parts, is read by
 column (:func:`_columns`); any other block is read row by row, which gives
 an invalid one its error.  The ``u`` block and an echoed ``f`` block read
 by column are written one ``%``-template per row (:class:`_Rows`); the rest
@@ -38,7 +38,6 @@ of a report is written as ``json.dumps(indent=2, sort_keys=True)`` writes it.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import json
 import math
@@ -53,7 +52,7 @@ from typing import Tuple
 import numpy as np
 
 from . import identities
-from .basis import RAW, HermiteCoeffs, _complex_array, index_array, to_hermite
+from .basis import RAW, HermiteCoeffs, _complex_array, _finite, index_array, to_hermite
 from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
@@ -214,7 +213,7 @@ def _parse_poly(coeffs: list) -> PolyZZbar:
     terms = {}
     for key, item in _keyed_rows(coeffs):
         value = _complex(item)
-        if not cmath.isfinite(value):
+        if not _finite(value):
             raise ValueError(f"monomial coefficient {value} at (m, n) = {key} is not finite")
         terms[key] = ExactScalar(Fraction(value.real), Fraction(value.imag))
     return PolyZZbar(terms)
@@ -225,13 +224,13 @@ def _columns(coeffs, top: int):
 
     The shape: a non-empty list of objects with exactly the keys m, n, re
     and im; m and n exact ints in [0, ``top``], no two rows at one (m, n); re
-    and im exact ints or floats, each finite as a float.  ``rows`` is the
+    and im exact ints or floats, each within float range.  ``rows`` is the
     block as :class:`_Rows`, ``index`` the (m, n) pairs in row order as one
     (rows × 2) int64 array and ``values`` complex(re, im) as one array,
     every part as :func:`_real` reads it.  Every check runs on a whole
     column, and the indices are checked before any part is converted.  A
     block outside the shape is read row by row, which raises the errors of
-    an invalid one.
+    an invalid one; ``HermiteCoeffs._store`` refuses NaN and ±inf on both.
     """
     if type(coeffs) is not list or set(map(type, coeffs)) != {dict} or set(map(len, coeffs)) != {4}:
         return None
@@ -249,7 +248,7 @@ def _columns(coeffs, top: int):
         values = _complex_array(np.array(re, float), np.array(im, float))
     except OverflowError:
         return None
-    if not np.isfinite(values).all() or len(set(zip(m, n))) < len(rows):
+    if len(set(zip(m, n))) < len(rows):
         return None
     return rows, np.array([m, n], np.int64).T, values
 
@@ -405,6 +404,8 @@ def cmd_eval(args) -> int:
     if k != 1:
         raise ValueError(f"eval applies the k = 1 operator Δ/4 + c; the file has k = {k}")
     c = _complex(data.get("c", {}))
+    if not _finite(c):
+        raise ValueError(f"shift c = {c} is not finite")
     u, _ = _parse_f(data["u"], MAX_U_INDEX, "u")
     f, _ = _parse_f(data["f"], MAX_U_INDEX)
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)

@@ -40,7 +40,6 @@ residual that leaves the float range raises ``ValueError``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -48,7 +47,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs
+from .basis import ORTHONORMAL, HermiteCoeffs, _finite
 
 FULL_PLANE = "full_plane"
 DISK = "disk"
@@ -90,7 +89,7 @@ class QuadratureRule:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == DISK and not 0 < self.radius < math.inf:
             raise ValueError(f"disk radius {self.radius} must be positive and finite")
-        if not cmath.isfinite(self.center):
+        if not _finite(self.center):
             raise ValueError(f"center {self.center} is not finite")
 
     @classmethod
@@ -147,13 +146,17 @@ class QuadratureRule:
         return z, w
 
 
-# the most nodes a finite-difference grid may have: 2²¹, as for disk rules
-GRID_NODES = 2**21
+#: The most float cells one input may size, applied by three checks to their own
+#: counts: a certification, probe or disk truncation M's box, (M + 1)² (so
+#: M ≤ 1447); a disk solve's doubled rule, 4·R·A nodes plus leggauss's 4·R²
+#: companion matrix (R = A = 512, or R up to 723 with few angles); and a
+#: finite-difference grid's nx·ny nodes.
+CELL_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform rectangular grid for finite-difference checks, at most :data:`GRID_NODES` nodes."""
+    """Uniform rectangular grid for finite-difference checks, at most :data:`CELL_BUDGET` nodes."""
 
     x_min: float
     x_max: float
@@ -170,8 +173,8 @@ class GridSpec:
             raise ValueError("grid step must be positive")
         # steps per side as floats first: they may be inf, or too many to round to an int
         steps = ((self.x_max - self.x_min) / self.h, (self.y_max - self.y_min) / self.h)
-        if not max(steps) <= GRID_NODES or math.prod(self.shape) > GRID_NODES:
-            raise ValueError(f"the grid has more than {GRID_NODES:,} nodes")
+        if not max(steps) <= CELL_BUDGET or math.prod(self.shape) > CELL_BUDGET:
+            raise ValueError(f"the grid has more than {CELL_BUDGET:,} nodes")
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -282,19 +285,23 @@ def project(
 
     Also returns the signed Parseval defect (‖f‖² − Σ|b|²)/‖f‖², ‖f‖ in the
     projection's weight.  With ``check_parseval`` a defect above 1e−6 in
-    magnitude raises :class:`QuadratureResolutionError`.
+    magnitude raises :class:`QuadratureResolutionError`.  Values of f whose
+    weighted sum of |f|² leaves the float range raise ``ValueError`` before the FFT.
     """
     if M < 0:
         raise ValueError(f"projection index bound M = {M} must be nonnegative")
     z, _ = rule.points_and_weights
     r, wr = rule.polar
     A = rule.angular_nodes
-    # f may return a scalar: the zero polynomial evaluates to 0j
-    fv = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape).reshape(len(r), A)
-    if rule.domain == DISK:
-        # the centered Gaussian depends on the radius alone
-        wr = wr * np.exp(-r * r)
-    norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # f may return a scalar: the zero polynomial evaluates to 0j
+        fv = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape).reshape(len(r), A)
+        if rule.domain == DISK:
+            # the centered Gaussian depends on the radius alone
+            wr = wr * np.exp(-r * r)
+        norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
+    if not norm_sq < math.inf:
+        raise ValueError(f"f leaves the float range on the quadrature nodes: sum w·|f|² = {norm_sq}")
     spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
     index, values = [], []

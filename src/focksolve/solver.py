@@ -34,8 +34,9 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs, _complex_array, _read_only
+from .basis import ORTHONORMAL, HermiteCoeffs, _complex_array, _finite, _read_only
 from .numerics import (
+    CELL_BUDGET,
     QuadratureResolutionError,
     QuadratureRule,
     project,
@@ -61,23 +62,6 @@ CERTIFICATION_C_GRID = (
     -10j,
     1e6 + 0j,
 )
-
-#: Float cells a disk solve may allocate for its doubled quadrature rule:
-#: 4·R·A nodes plus leggauss's 4·R² companion matrix.  The default 64 × 64
-#: rule uses 32,768; the bound admits R = A = 512, and R up to 723 with few angles.
-DISK_GRID_CELLS = 2**21
-
-#: Box cells a certification or probe trial may allocate: it draws (M − k + 1)²
-#: data entries and lays out (chains × (M//k + 1)), about 2·(M + 1)² cells, so
-#: (M + 1)² is bounded; that admits truncations up to M = 1447.  A disk solve's
-#: projection walks as many cells, and its truncation has the same bound.
-SWEEP_BOX_CELLS = 2**21
-
-
-def _finite(value) -> bool:
-    """|value| is a finite float: rejects NaN, ±inf and magnitudes that overflow."""
-    value = complex(value)
-    return math.isfinite(math.hypot(value.real, value.imag))
 
 
 def _check_problem(k: int, c, M: int) -> None:
@@ -398,11 +382,11 @@ def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
 
 
 def _check_sweep_box(M: int) -> None:
-    """Reject a truncation past :data:`SWEEP_BOX_CELLS` before any trial or disk pass allocates."""
-    if (M + 1) ** 2 > SWEEP_BOX_CELLS:
+    """Reject a truncation past :data:`CELL_BUDGET` before any trial or disk pass allocates."""
+    if (M + 1) ** 2 > CELL_BUDGET:
         raise ValueError(
             f"truncation {M} gives (M + 1)² = {(M + 1) ** 2} box cells, "
-            f"more than {SWEEP_BOX_CELLS}"
+            f"more than {CELL_BUDGET}"
         )
 
 
@@ -576,9 +560,9 @@ class DiskProblem:
 
     ``f_poly`` is exact polynomial data in the global variable z.  The
     diameter |U| = 2·radius enters the certified constant e^{|U|²}/(k!)².
-    The disk quadrature rule on U has the given radial and angular node counts,
-    bounded by :data:`DISK_GRID_CELLS` in its doubled form, the truncation
-    by :data:`SWEEP_BOX_CELLS`, and (k, c, truncation) as in :class:`ProblemSpec`.
+    The disk quadrature rule on U has the given radial and angular node counts;
+    its doubled form and the truncation box are each bounded by :data:`CELL_BUDGET`,
+    and (k, c, truncation) is checked as in :class:`ProblemSpec`.
     """
 
     center: complex
@@ -594,10 +578,10 @@ class DiskProblem:
         R, A = self.radial_nodes, self.angular_nodes
         # the doubled rule's 2R·2A nodes plus leggauss's (2R)² companion matrix
         cells = 4 * R * A + 4 * R * R
-        if not (R >= 1 and A >= 1 and cells <= DISK_GRID_CELLS):
+        if not (R >= 1 and A >= 1 and cells <= CELL_BUDGET):
             raise ValueError(
                 f"radial_nodes {R} and angular_nodes {A} must be positive with "
-                f"4·R·A + 4·R² = {cells} at most {DISK_GRID_CELLS}"
+                f"4·R·A + 4·R² = {cells} at most {CELL_BUDGET}"
             )
         _check_sweep_box(self.truncation)
         _check_problem(self.k, self.c, self.truncation)
@@ -633,8 +617,9 @@ class DiskReport:
 def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     """Project the zero-extended data, solve, and integrate over the disk."""
     z, w = rule.points_and_weights
-    # evaluated once: the projection and ∫_U|f|² share the node values
-    fv = p.f_poly.evaluate(z)
+    # evaluated once for the projection (which refuses values past float range) and ∫_U|f|²
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = p.f_poly.evaluate(z)
     # Hermite projection of the zero-extended data in the centered weight,
     # restricted to the certified support box [0, M−k]²; the Parseval defect
     # is the weighted mass the box misses.

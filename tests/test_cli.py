@@ -458,7 +458,7 @@ def test_disk_node_counts_past_the_grid_bound_exit_2(tmp_path, capsys):
     ],
 )
 def test_sweeps_without_work_or_past_the_box_bound_exit_2(tmp_path, capsys, argv, message):
-    # no trial, no k, or a box past SWEEP_BOX_CELLS: an error, never an empty pass
+    # no trial, no k, or a box past the cell budget: an error, never an empty pass
     out = tmp_path / "o.json"
     assert cli.run(argv + ["--output", str(out)]) == 2
     assert message in json.loads(capsys.readouterr().err)["error"]
@@ -498,6 +498,54 @@ def test_solve_checks_k_c_and_truncation_before_reading_f(tmp_path, capsys, monk
     out = tmp_path / "o.json"
     assert cli.run(["solve", "--input", str(path), "--output", str(out)]) == 2
     assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "c, shown",
+    [
+        ('{"re": NaN}', "(nan+0j)"),
+        ('{"re": Infinity, "im": -Infinity}', "(inf-infj)"),
+        ('{"re": 1.5e308, "im": 1.5e308}', "(1.5e+308+1.5e+308j)"),
+    ],
+    ids=["nan", "inf", "overflowing magnitude"],
+)
+def test_eval_checks_its_shift_before_reading_u_and_f(tmp_path, capsys, monkeypatch, c, shown):
+    # in solve's words; NaN used to be blamed on the residual, and the magnitude passed
+    monkeypatch.setattr(cli, "_parse_f", _not_called)
+    block = '{"coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]}'
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"k": 1, "c": {c}, "u": {block}, "f": {block}}}')
+    out = tmp_path / "r.csv"
+    assert cli.run(["eval", "--input", str(path), "--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"ValueError: shift c = {shown} is not finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "disk"])
+def test_monomial_coefficient_of_overflowing_magnitude_is_refused_by_name(tmp_path, capsys, command):
+    # both parts are finite, the magnitude is not: refused where the file is read
+    f = {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1.5e308, "im": 1.5e308}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"k": 1, "c": {"re": 1.0}, "truncation": 8, "radius": 0.5, "f": f}))
+    out = tmp_path / "o.json"
+    assert cli.run([command, "--input", str(path), "--output", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "ValueError: monomial coefficient (1.5e+308+1.5e+308j) at (m, n) = (0, 0) is not finite"
+    )
+    assert not out.exists()
+
+
+def test_disk_data_past_float_range_on_the_nodes_exits_2_with_one_error_line(tmp_path, capsys):
+    # |f| is finite on the nodes, |f|² and the FFT's sums are not: no numpy warning, one error
+    f = {"basis": "monomial", "coeffs": [{"m": 1, "n": 0, "re": 1e308, "im": 1e308}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"radius": 0.5, "k": 1, "c": {"re": 1.0}, "truncation": 8, "f": f}))
+    out = tmp_path / "o.json"
+    assert cli.run(["disk", "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith("ValueError: f leaves the float range on the quadrature nodes")
     assert not out.exists()
 
 
@@ -738,7 +786,9 @@ def test_column_path_matches_the_row_reference_on_edge_rows(tmp_path, capsys, mo
 def test_edge_rows_take_the_column_path_only_in_its_shape():
     # the blocks above reach both paths: the column read accepts exactly these
     accepted = {name for name, coeffs in EDGE_CASES.items() if cli._columns(coeffs, 11) is not None}
-    assert accepted == {"plain", "signed zeros", "subnormal and huge", "magnitude past float range", "int parts"}
+    assert accepted == {
+        "plain", "signed zeros", "subnormal and huge", "magnitude past float range", "int parts", "NaN", "Infinity"
+    }
 
 
 def _vector_or_error(build):
@@ -769,7 +819,7 @@ def test_one_rule_prunes_and_refuses_numeric_amplitudes_on_every_path(amp, want)
     column = [R(0, 0, 1.0, 0.0), R(1, 2, amp.real, amp.imag)]
     row = [R(0, 0, 1.0), R(1, 2, amp.real, amp.imag)]  # no "im" key: read row by row
     assert cli._columns(row, 11) is None
-    assert (cli._columns(column, 11) is not None) == np.isfinite(amp)
+    assert cli._columns(column, 11) is not None
     paths = {
         "constructor": lambda: HermiteCoeffs({(0, 0): 1.0, (1, 2): amp}),
         "arrays": lambda: HermiteCoeffs._from_array(

@@ -430,7 +430,8 @@ def test_quadrature_rule_validation():
     for radius in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="radius"):
             QuadratureRule.disk(0j, radius, 4, 4)
-    for center in (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)):
+    centers = (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1), complex(1.5e308, 1.5e308))
+    for center in centers:
         with pytest.raises(ValueError, match="center"):
             QuadratureRule.disk(center, 1.0, 4, 4)
 

@@ -21,8 +21,7 @@ from focksolve import (
     solve_scaled,
 )
 from focksolve import numerics, solver
-from focksolve.numerics import QuadratureResolutionError, _legendre
-from focksolve.solver import DISK_GRID_CELLS, SWEEP_BOX_CELLS
+from focksolve.numerics import CELL_BUDGET, QuadratureResolutionError, _legendre
 from test_numerics import reference_norm_sq, reference_project
 
 
@@ -193,6 +192,20 @@ def test_disk_rejects_a_non_finite_shift_at_construction(monkeypatch, c):
     assert str(raised.value) == message
 
 
+def _never_transformed(*args, **kwargs):
+    raise AssertionError("transformed data past float range")
+
+
+def test_disk_data_past_float_range_on_the_nodes_is_refused_before_the_fft(monkeypatch):
+    # each part of f = (1e308 + 1e308i)·z is finite on the radius-0.5 disk, but |f|²
+    # and the angular sums overflow: refused with f named, before any transform
+    poly = PolyZZbar({(1, 0): ExactScalar(Fraction(1e308), Fraction(1e308))})
+    p = DiskProblem(0j, 0.5, poly, 1, 1 + 0j, truncation=8)
+    monkeypatch.setattr(np.fft, "fft", _never_transformed)
+    with pytest.raises(ValueError, match="^f leaves the float range on the quadrature nodes"):
+        solve_disk(p)
+
+
 @pytest.mark.parametrize("k, truncation", [(171, 700), (200, 250)])
 def test_disk_rejects_couplings_past_float_range_at_construction(k, truncation):
     # refused before solve_disk projects anything, in ProblemSpec's words
@@ -298,13 +311,13 @@ def test_disk_rejects_a_truncation_past_the_box_bound():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert 1448**2 <= SWEEP_BOX_CELLS < 1449**2
+    assert 1448**2 <= CELL_BUDGET < 1449**2
     assert DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, 0j, truncation=1447).truncation == 1447
 
 
 def test_disk_grid_bound_admits_its_edge():
     p = DiskProblem(0j, 1.0, PolyZZbar.constant(1), 1, 0j, radial_nodes=512, angular_nodes=512)
-    assert 4 * 512 * 512 + 4 * 512**2 == DISK_GRID_CELLS
+    assert 4 * 512 * 512 + 4 * 512**2 == CELL_BUDGET
     assert p.radial_nodes == 512
 
 

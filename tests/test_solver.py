@@ -22,9 +22,9 @@ from focksolve import (
     solver,
 )
 from focksolve.basis import index_array
+from focksolve.numerics import CELL_BUDGET
 from focksolve.solver import (
     CERTIFICATION_C_GRID,
-    SWEEP_BOX_CELLS,
     _factor,
     _layout,
     _norm,
@@ -934,7 +934,7 @@ def test_sweeps_reject_a_box_past_the_bound(sweep):
 
 
 def test_sweep_box_bound_admits_its_edge():
-    assert (1447 + 1) ** 2 <= SWEEP_BOX_CELLS < (1448 + 1) ** 2
+    assert (1447 + 1) ** 2 <= CELL_BUDGET < (1448 + 1) ** 2
     solver._check_sweep_box(1447)
 
 
