@@ -49,16 +49,16 @@ ORTHONORMAL = "orthonormal"
 
 _NUMERIC_PRUNE = 1e-300
 
-# float(i!) for i ≤ 170; 171! is past float range
-_FACTORIALS = np.array([float(math.factorial(i)) for i in range(171)])
+#: The largest n whose n! is a float: 171! is past float range.
+FACTORIAL_TOP = 170
+_FACTORIALS = np.array([float(math.factorial(i)) for i in range(FACTORIAL_TOP + 1)])
 _FACTORIALS.setflags(write=False)
-_TOP = len(_FACTORIALS) - 1
 
 
 def sqrt_norm(m: int, n: int) -> float:
     """√(π·m!·n!) = ‖H_{m,n}‖ as a float; log-space once π·m!·n! leaves f64 range."""
     value = math.inf
-    if max(m, n) <= _TOP:
+    if max(m, n) <= FACTORIAL_TOP:
         value = math.sqrt(math.pi * math.factorial(m) * math.factorial(n))
     if value < math.inf:
         return value
@@ -72,15 +72,14 @@ def sqrt_norms(index: np.ndarray) -> np.ndarray:
     """:func:`sqrt_norm` at each row (m, n) of an (entries × 2) index array, bit for bit.
 
     √((π·m!)·n!) from the float factorial table is the scalar's own sequence
-    of IEEE operations; where an index passes 170 or the product overflows,
-    the scalar's log-space path fills in.
+    of IEEE operations; where an index passes :data:`FACTORIAL_TOP` or the
+    product overflows, the scalar's log-space path fills in.
     """
     m, n = index[:, 0], index[:, 1]
+    factorials = _FACTORIALS[np.minimum(index, FACTORIAL_TOP)]
     with np.errstate(over="ignore"):
-        norms = np.sqrt(
-            (math.pi * _FACTORIALS[np.minimum(m, _TOP)]) * _FACTORIALS[np.minimum(n, _TOP)]
-        )
-    for i in np.flatnonzero((np.maximum(m, n) > _TOP) | (norms == math.inf)).tolist():
+        norms = np.sqrt((math.pi * factorials[:, 0]) * factorials[:, 1])
+    for i in np.flatnonzero((np.maximum(m, n) > FACTORIAL_TOP) | (norms == math.inf)).tolist():
         norms[i] = sqrt_norm(int(m[i]), int(n[i]))
     return norms
 

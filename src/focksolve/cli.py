@@ -47,16 +47,17 @@ import sys
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 
 from . import identities
-from .basis import RAW, HermiteCoeffs, _complex_array, _finite, index_array, to_hermite
+from .basis import FACTORIAL_TOP, RAW, HermiteCoeffs, _complex_array, _finite, index_array, to_hermite
 from .numerics import GridSpec, fd_residual_rows
 from .ring import ExactScalar, PolyZZbar
 from .solver import (
     BOUND_TOL,
+    DEFAULT_SEED,
+    DEFAULT_TRUNCATION,
     DiskProblem,
     ProblemSpec,
     _check_problem,
@@ -66,12 +67,7 @@ from .solver import (
     solve_disk,
 )
 
-DEFAULT_TRUNCATION = 32
 DEFAULT_TRIALS = 100
-DEFAULT_SEED = 42
-# √(π·m!·n!) leaves the float range past (170, 170): a solution whose box and
-# edge entries reach index M + k > 170 has raw amplitudes no file can hold
-MAX_U_INDEX = 170
 
 
 # the process umask, read once: mkstemp creates files private to the owner
@@ -145,6 +141,11 @@ def _render(value, pad: str) -> str:
 
 def _emit(payload: dict, output: str | None) -> None:
     _write(_render(payload, "") + "\n", output)
+
+
+def _echo(args) -> dict:
+    """The shared options ``--trials``, ``--seed`` and ``--truncation`` that a report repeats."""
+    return {key: getattr(args, key) for key in ("trials", "seed", "truncation") if key in args}
 
 
 def _load_json(path: str) -> dict:
@@ -253,7 +254,7 @@ def _columns(coeffs, top: int):
     return rows, np.array([m, n], np.int64).T, values
 
 
-def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dict]:
+def _parse_f(block: dict, top: int, name: str = "f") -> tuple[HermiteCoeffs, dict]:
     """A coefficient block whose every index is at most ``top``, and the block to echo.
 
     Indices are checked before any conversion.  The Hermite image of a
@@ -286,11 +287,11 @@ def _parse_f(block: dict, top: int, name: str = "f") -> Tuple[HermiteCoeffs, dic
 
 
 def _check_writable(k: int, truncation: int) -> None:
-    """Reject, before solving, a (k, M) whose ``u`` block reaches past :data:`MAX_U_INDEX`."""
-    if truncation + k > MAX_U_INDEX:
+    """Reject, before solving, a (k, M) whose ``u`` block reaches past :data:`FACTORIAL_TOP`."""
+    if truncation + k > FACTORIAL_TOP:
         raise ValueError(
             f"k = {k} with truncation {truncation}: the solution reaches index "
-            f"{truncation + k} > {MAX_U_INDEX}, where raw amplitudes leave the float range"
+            f"{truncation + k} > {FACTORIAL_TOP}, where raw amplitudes leave the float range"
         )
 
 
@@ -328,36 +329,24 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     ks = [args.k] if args.k is not None else [1, 2, 3]
-    suites = []
-    all_hold = True
-    for k in ks:
-        reports = identities.run_identity_suite(k, args.trials, args.seed)
-        hold = all(r.holds for r in reports)
-        all_hold &= hold
-        suites.append(
-            {
-                "suite": f"gaussian_weight_identities_k{k}",
-                "k": k,
-                "cases": [r.as_dict() for r in reports],
-                "all_hold": hold,
-            }
-        )
-    weight_reports = identities.run_weight_identity_suite(args.trials, args.seed)
-    hold = all(r.holds for r in weight_reports)
-    all_hold &= hold
-    suites.append(
+    trials, seed = args.trials, args.seed
+    # (name, extra keys, reports): the k suites, then the weight suite
+    runs = [
+        (f"gaussian_weight_identities_k{k}", {"k": k}, identities.run_identity_suite(k, trials, seed))
+        for k in ks
+    ]
+    runs.append(("weight_commutator_k1", {}, identities.run_weight_identity_suite(trials, seed)))
+    suites = [
         {
-            "suite": "weight_commutator_k1",
-            "cases": [r.as_dict() for r in weight_reports],
-            "all_hold": hold,
+            "suite": name,
+            **extra,
+            "cases": [r.as_dict() for r in reports],
+            "all_hold": all(r.holds for r in reports),
         }
-    )
-    payload = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "suites": suites,
-        "all_hold": all_hold,
-    }
+        for name, extra, reports in runs
+    ]
+    all_hold = all(suite["all_hold"] for suite in suites)
+    payload = {**_echo(args), "suites": suites, "all_hold": all_hold}
     _emit(payload, args.output)
     return 0 if all_hold else 1
 
@@ -365,33 +354,22 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     results = certify_sweep(args.k_min, args.k_max, args.trials, args.truncation, args.seed)
     all_hold = all(row["all_hold"] for row in results)
-    payload = {
-        "truncation": args.truncation,
-        "trials": args.trials,
-        "seed": args.seed,
-        "results": results,
-        "all_hold": all_hold,
-    }
+    payload = {**_echo(args), "results": results, "all_hold": all_hold}
     _emit(payload, args.output)
     return 0 if all_hold else 1
 
 
 def cmd_probe(args) -> int:
     c = complex(args.c_re, args.c_im)
-    value = operator_norm_probe(
-        args.k, c, trials=args.trials, M=args.truncation, seed=args.seed
-    )
-    upper = 1.0 / math.factorial(args.k)
+    value = operator_norm_probe(args.k, c, trials=args.trials, M=args.truncation, seed=args.seed)
     # relative, as SolveReport.bound_holds: past k = 14 the bound is below any absolute slack
     within = value * math.factorial(args.k) <= 1.0 + BOUND_TOL
     payload = {
         "k": args.k,
         "c": {"re": c.real, "im": c.imag},
-        "trials": args.trials,
-        "truncation": args.truncation,
-        "seed": args.seed,
+        **_echo(args),
         "probe": value,
-        "upper_bound": upper,
+        "upper_bound": 1.0 / math.factorial(args.k),
         "within_bound": within,
     }
     _emit(payload, args.output)
@@ -406,14 +384,12 @@ def cmd_eval(args) -> int:
     c = _complex(data.get("c", {}))
     if not _finite(c):
         raise ValueError(f"shift c = {c} is not finite")
-    u, _ = _parse_f(data["u"], MAX_U_INDEX, "u")
-    f, _ = _parse_f(data["f"], MAX_U_INDEX)
+    u, _ = _parse_f(data["u"], FACTORIAL_TOP, "u")
+    f, _ = _parse_f(data["f"], FACTORIAL_TOP)
     grid = GridSpec(args.x_min, args.x_max, args.y_min, args.y_max, args.step)
     rows = fd_residual_rows(u, f, c, grid)
-    lines = ["x,y,re_residual,im_residual"]
-    for x, y, re, im in rows:
-        lines.append(f"{x!r},{y!r},{re!r},{im!r}")
-    _write("\n".join(lines) + "\n", args.output)
+    lines = [f"{x!r},{y!r},{re!r},{im!r}" for x, y, re, im in rows]
+    _write("\n".join(["x,y,re_residual,im_residual", *lines]) + "\n", args.output)
     return 0
 
 
@@ -430,9 +406,8 @@ def cmd_disk(args) -> int:
         f_poly=_parse_poly(_list(f_block.get("coeffs", []))),
         k=_int(data, "k"),
         c=_complex(data.get("c", {})),
-        truncation=_int(data, "truncation", DEFAULT_TRUNCATION),
-        radial_nodes=_int(data, "radial_nodes", 64),
-        angular_nodes=_int(data, "angular_nodes", 64),
+        # a size the file leaves out takes DiskProblem's default
+        **{key: _int(data, key) for key in ("truncation", "radial_nodes", "angular_nodes") if key in data},
     )
     _check_writable(problem.k, problem.truncation)
     u, report = solve_disk(problem)
@@ -449,66 +424,56 @@ def cmd_disk(args) -> int:
     return 0 if report.bound_holds else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="focksolve",
         description="Spectral solves and exact identity checks for d^k dbar^k + c "
         "on the Gaussian-weighted plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--output", default=None)
+    file = argparse.ArgumentParser(add_help=False)
+    file.add_argument("--input", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    box = argparse.ArgumentParser(add_help=False)
+    box.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
 
-    p_solve = sub.add_parser("solve", help="solve a problem file")
-    p_solve.add_argument("--input", required=True)
-    p_solve.add_argument("--output", default=None)
+    sub.add_parser("solve", parents=[file, out], help="solve a problem file")
 
-    p_verify = sub.add_parser("verify", help="run the exact identity suites")
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--output", default=None)
+    verify = sub.add_parser("verify", parents=[seeded, out], help="run the exact identity suites")
+    verify.add_argument("--k", type=int, default=None)
 
-    p_certify = sub.add_parser("certify", help="sweep the solve bound over a shift grid")
-    p_certify.add_argument("--k-min", type=int, default=1)
-    p_certify.add_argument("--k-max", type=int, default=4)
-    p_certify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_certify.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    p_certify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_certify.add_argument("--output", default=None)
+    certify = sub.add_parser(
+        "certify", parents=[seeded, box, out], help="sweep the solve bound over a shift grid"
+    )
+    certify.add_argument("--k-min", type=int, default=1)
+    certify.add_argument("--k-max", type=int, default=4)
 
-    p_probe = sub.add_parser("probe", help="empirical operator-norm probe")
-    p_probe.add_argument("--k", type=int, required=True)
-    p_probe.add_argument("--c-re", type=float, default=0.0)
-    p_probe.add_argument("--c-im", type=float, default=0.0)
-    p_probe.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_probe.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    p_probe.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_probe.add_argument("--output", default=None)
+    probe = sub.add_parser("probe", parents=[seeded, box, out], help="empirical operator-norm probe")
+    probe.add_argument("--k", type=int, required=True)
+    probe.add_argument("--c-re", type=float, default=0.0)
+    probe.add_argument("--c-im", type=float, default=0.0)
 
-    p_eval = sub.add_parser("eval", help="export a residual grid as CSV")
-    p_eval.add_argument("--input", required=True)
-    p_eval.add_argument("--x-min", type=float, default=-1.0)
-    p_eval.add_argument("--x-max", type=float, default=1.0)
-    p_eval.add_argument("--y-min", type=float, default=-1.0)
-    p_eval.add_argument("--y-max", type=float, default=1.0)
-    p_eval.add_argument("--step", type=float, default=0.1)
-    p_eval.add_argument("--output", default=None)
+    grid = sub.add_parser("eval", parents=[file, out], help="export a residual grid as CSV")
+    grid.add_argument("--x-min", type=float, default=-1.0)
+    grid.add_argument("--x-max", type=float, default=1.0)
+    grid.add_argument("--y-min", type=float, default=-1.0)
+    grid.add_argument("--y-max", type=float, default=1.0)
+    grid.add_argument("--step", type=float, default=0.1)
 
-    p_disk = sub.add_parser("disk", help="bounded-domain solve on a disk")
-    p_disk.add_argument("--input", required=True)
-    p_disk.add_argument("--output", default=None)
-
+    sub.add_parser("disk", parents=[file, out], help="bounded-domain solve on a disk")
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
 
 
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # looked up per call, so that a replaced cmd_* function takes effect

@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .basis import ORTHONORMAL, HermiteCoeffs, _complex_array, _finite, _read_only
+from .basis import FACTORIAL_TOP, ORTHONORMAL, HermiteCoeffs, _complex_array, _finite, _read_only
 from .numerics import (
     CELL_BUDGET,
     QuadratureResolutionError,
@@ -48,6 +48,8 @@ from .ring import PolyZZbar
 
 BOUND_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
+DEFAULT_TRUNCATION = 32
+DEFAULT_SEED = 42
 
 #: Shift values used by the certification sweep: zero, units, a mixed value,
 #: and well-separated magnitudes up to 1e6.
@@ -72,8 +74,8 @@ def _check_problem(k: int, c, M: int) -> None:
         raise ValueError("k must be a positive integer")
     if M < k:
         raise ValueError("truncation must be at least k")
-    # (M+k)!/M! ≥ k!, past float range from k = 171: no big-integer product needed
-    if k > 170 or math.perm(M + k, k) > sys.float_info.max:
+    # (M+k)!/M! ≥ k!, past float range for k > FACTORIAL_TOP: no big-integer product needed
+    if k > FACTORIAL_TOP or math.perm(M + k, k) > sys.float_info.max:
         raise ValueError(f"k = {k} with truncation {M}: the box couplings exceed the float range")
 
 
@@ -413,7 +415,9 @@ def _sweep(cells, trials: int, M: int, rng: random.Random, first=None) -> List[t
     return sweep
 
 
-def operator_norm_probe(k: int, c, trials: int, M: int = 32, seed: int = 42) -> float:
+def operator_norm_probe(
+    k: int, c, trials: int, M: int = DEFAULT_TRUNCATION, seed: int = DEFAULT_SEED
+) -> float:
     """Empirical sup of u_norm/f_norm over data in the certified box.
 
     The first trial is the lowest basis direction H₀₀, which attains the
@@ -570,7 +574,7 @@ class DiskProblem:
     f_poly: PolyZZbar
     k: int
     c: complex
-    truncation: int = 32
+    truncation: int = DEFAULT_TRUNCATION
     radial_nodes: int = 64
     angular_nodes: int = 64
 
@@ -648,7 +652,8 @@ def _relative_change(a: Tuple[float, int], b: Tuple[float, int]) -> float:
 def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
     """Zero-extend f off U, solve in the centered Gaussian weight, restrict to U.
 
-    Certifies the inequality ∫_U|u|² ≤ (e^{|U|²}/(k!)²)·∫_U|f|².  Both disk
+    Certifies the inequality ∫_U|u|² ≤ (e^{|U|²}/(k!)²)·∫_U|f|², and raises
+    ``ValueError`` naming an integral past the float range.  Both disk
     integrals are recomputed at doubled quadrature resolution; a relative
     shift above 1e−6 raises :class:`QuadratureResolutionError`, since the
     certified integrals would then be quadrature-limited.  The shift is
@@ -665,6 +670,9 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
             f"increase radial/angular nodes"
         )
     u_sq, f_sq = unscale(*u_scaled), unscale(*f_scaled)
+    for name, value in (("f", f_sq), ("u", u_sq)):
+        if value == math.inf:
+            raise ValueError(f"the disk integral ∫_U|{name}|² leaves the float range")
     diameter = 2.0 * p.radius
     constant = math.exp(diameter**2) / math.factorial(p.k) / math.factorial(p.k)
     ratio = 0.0 if f_sq == 0 else u_sq / f_sq

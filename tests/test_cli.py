@@ -1,5 +1,6 @@
 """Command-line front door: schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -597,12 +598,113 @@ def test_eval_grid_past_the_bound_exits_2(tmp_path, capsys, monkeypatch, grid, m
 def test_run_builds_its_parser_once_and_looks_commands_up_per_call(tmp_path, monkeypatch):
     problem = write_problem(tmp_path / "p.json", truncation=8)
     assert cli.run(["solve", "--input", str(problem), "--output", str(tmp_path / "o.json")]) == 0
-    parser = cli._parser()
+    parser = cli.build_parser()
     seen = []
     monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.input) or 7)
     assert cli.run(["solve", "--input", str(problem)]) == 7
     assert seen == [str(problem)]
-    assert cli._parser() is parser
+    assert cli.build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["solve", "--input", "p.json"], {"command": "solve", "input": "p.json", "output": None}),
+        (["verify"], {"command": "verify", "k": None, "trials": 100, "seed": 42, "output": None}),
+        (
+            ["certify"],
+            {"command": "certify", "k_min": 1, "k_max": 4, "trials": 100, "truncation": 32,
+             "seed": 42, "output": None},
+        ),
+        (
+            ["probe", "--k", "2"],
+            {"command": "probe", "k": 2, "c_re": 0.0, "c_im": 0.0, "trials": 100,
+             "truncation": 32, "seed": 42, "output": None},
+        ),
+        (
+            ["eval", "--input", "s.json"],
+            {"command": "eval", "input": "s.json", "x_min": -1.0, "x_max": 1.0, "y_min": -1.0,
+             "y_max": 1.0, "step": 0.1, "output": None},
+        ),
+        (["disk", "--input", "d.json"], {"command": "disk", "input": "d.json", "output": None}),
+        (
+            ["solve", "--input", "p.json", "--output", "o.json"],
+            {"command": "solve", "input": "p.json", "output": "o.json"},
+        ),
+        (
+            ["verify", "--k", "3", "--trials", "5", "--seed", "7", "--output", "v.json"],
+            {"command": "verify", "k": 3, "trials": 5, "seed": 7, "output": "v.json"},
+        ),
+        (
+            ["certify", "--k-min", "2", "--k-max", "3", "--trials", "4", "--truncation", "16",
+             "--seed", "9", "--output", "c.json"],
+            {"command": "certify", "k_min": 2, "k_max": 3, "trials": 4, "truncation": 16,
+             "seed": 9, "output": "c.json"},
+        ),
+        (
+            ["probe", "--k", "2", "--c-re", "1.5", "--c-im", "-2", "--trials", "6",
+             "--truncation", "24", "--seed", "11", "--output", "q.json"],
+            {"command": "probe", "k": 2, "c_re": 1.5, "c_im": -2.0, "trials": 6,
+             "truncation": 24, "seed": 11, "output": "q.json"},
+        ),
+        (
+            ["eval", "--input", "s.json", "--x-min", "-2", "--x-max", "2", "--y-min", "-0.5",
+             "--y-max", "0.5", "--step", "0.25", "--output", "r.csv"],
+            {"command": "eval", "input": "s.json", "x_min": -2.0, "x_max": 2.0, "y_min": -0.5,
+             "y_max": 0.5, "step": 0.25, "output": "r.csv"},
+        ),
+        (
+            ["disk", "--input", "d.json", "--output", "o.json"],
+            {"command": "disk", "input": "d.json", "output": "o.json"},
+        ),
+    ],
+)
+def test_each_subcommand_parses_its_options_and_defaults(argv, parsed):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args == parsed
+    assert [type(value) for value in args.values()] == [type(parsed[key]) for key in args]
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["eval"], ["disk"], ["probe"]])
+def test_required_options_stay_required(argv, capsys):
+    assert cli.run(argv) == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+
+
+DISK_SIZES = ("truncation", "radial_nodes", "angular_nodes")
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [{}, {"truncation": 12}, {"radial_nodes": 40.0}, {"truncation": 12, "radial_nodes": 40, "angular_nodes": 48}],
+    ids=["none", "truncation", "radial_nodes", "all"],
+)
+def test_disk_sizes_the_file_leaves_out_take_the_disk_problem_defaults(tmp_path, monkeypatch, sizes):
+    defaults = {field.name: field.default for field in dataclasses.fields(cli.DiskProblem)}
+    seen = []
+    real = cli.solve_disk
+    monkeypatch.setattr(cli, "solve_disk", lambda problem: seen.append(problem) or real(problem))
+    example = json.loads((EXAMPLES / "disk.json").read_text())
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**{k: v for k, v in example.items() if k not in DISK_SIZES}, **sizes}))
+    assert cli.run(["disk", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    [problem] = seen
+    for key in DISK_SIZES:
+        assert getattr(problem, key) == sizes.get(key, defaults[key])
+        assert type(getattr(problem, key)) is int
+
+
+def test_disk_integral_past_float_range_exits_2_with_one_error_line(tmp_path, capsys):
+    # the weighted sum that the projection checks is finite; ∫_U|f|² on radius 13 is not
+    f = {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1e153, "im": 0.0}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"radius": 13, "k": 1, "c": {"re": 1.0}, "truncation": 8, "f": f}))
+    out = tmp_path / "o.json"
+    assert cli.run(["disk", "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValueError: the disk integral ∫_U|f|² leaves the float range"
+    assert not out.exists()
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"

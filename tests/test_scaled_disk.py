@@ -206,6 +206,28 @@ def test_disk_data_past_float_range_on_the_nodes_is_refused_before_the_fft(monke
         solve_disk(p)
 
 
+def test_disk_integral_of_f_past_float_range_is_refused_by_name():
+    # the weighted sum that project checks is finite; ∫_U|f|² ≈ 1e306·π·13² is not
+    poly = PolyZZbar({(0, 0): ExactScalar(Fraction(1e153), Fraction(0))})
+    p = DiskProblem(0j, 13.0, poly, 1, 1 + 0j, truncation=8)
+    with pytest.raises(ValueError, match="^the disk integral ∫_U\\|f\\|² leaves the float range$"):
+        solve_disk(p)
+
+
+def test_disk_integral_of_u_past_float_range_is_refused_by_name(monkeypatch):
+    # both passes scaled alike: the shift check passes, and ∫_U|u|² unscales to inf
+    scaled = solver.scaled_quadrature_norm_sq
+
+    def past_range(u, rule):
+        value, exponent = scaled(u, rule)
+        return value, exponent + 2048
+
+    monkeypatch.setattr(solver, "scaled_quadrature_norm_sq", past_range)
+    p = DiskProblem(0j, 0.5, PolyZZbar.constant(1), 1, 1 + 0j, truncation=8)
+    with pytest.raises(ValueError, match="^the disk integral ∫_U\\|u\\|² leaves the float range$"):
+        solve_disk(p)
+
+
 @pytest.mark.parametrize("k, truncation", [(171, 700), (200, 250)])
 def test_disk_rejects_couplings_past_float_range_at_construction(k, truncation):
     # refused before solve_disk projects anything, in ProblemSpec's words
