@@ -27,13 +27,17 @@ ScalarLike = Union[int, Fraction, "ExactScalar"]
 
 
 class ExactScalar:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Instances are treated as immutable: results may share their parts, and
+    ``x * 1``, ``1 * x`` and ``x * ExactScalar(1)`` return ``x`` itself.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def coerce(value: ScalarLike) -> "ExactScalar":
@@ -67,9 +71,12 @@ class ExactScalar:
         return ExactScalar(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "ExactScalar":
-        if not isinstance(other, (int, Fraction, ExactScalar)):
+        if isinstance(other, (int, Fraction)):
+            return self if other == 1 else ExactScalar(self.re * other, self.im * other)
+        if not isinstance(other, ExactScalar):
             return NotImplemented
-        other = ExactScalar.coerce(other)
+        if other.re == 1 and other.im == 0:
+            return self
         return ExactScalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -208,11 +215,17 @@ class PolyZZbar:
             return poly
         if not isinstance(other, PolyZZbar):
             return NotImplemented
+        poly = PolyZZbar.__new__(PolyZZbar)
+        if len(other.terms) == 1:
+            ((a2, b2), c2), = other.terms.items()
+            if c2.re == 1 and c2.im == 0:
+                # a unit monomial z^a2 z̄^b2 shifts the exponents and keeps the coefficients
+                poly.terms = {(a + a2, b + b2): c for (a, b), c in self.terms.items()}
+                return poly
         out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 _accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
-        poly = PolyZZbar.__new__(PolyZZbar)
         poly.terms = out
         return poly
 

@@ -675,7 +675,9 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
             raise ValueError(f"the disk integral ∫_U|{name}|² leaves the float range")
     diameter = 2.0 * p.radius
     constant = math.exp(diameter**2) / math.factorial(p.k) / math.factorial(p.k)
-    ratio = 0.0 if f_sq == 0 else u_sq / f_sq
+    # on f's power-of-two scale, as in _relative_change, so a subnormal ∫_U|f|² keeps its bits
+    (u_val, u_exp), (f_val, f_exp) = u_scaled, f_scaled
+    ratio = unscale(u_val, u_exp - f_exp) / f_val if f_val > 0 else 0.0
     report = DiskReport(
         u_sq_on_disk=u_sq,
         f_sq_on_disk=f_sq,

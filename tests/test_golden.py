@@ -27,6 +27,7 @@ COMMANDS = {
     "verify-k2.json": ["verify", "--k", "2", "--trials", "3"],
     "verify-k3.json": ["verify", "--k", "3", "--trials", "3"],
     "verify-k4.json": ["verify", "--k", "4", "--trials", "3"],
+    "verify-k6.json": ["verify", "--k", "6", "--trials", "3"],
     "verify.json": ["verify", "--trials", "3"],
 }
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focksolve import ExactScalar, PolyZZbar, QuadratureRule
 from focksolve.identities import random_polynomial, verify_weight_identity_k1
@@ -26,6 +27,69 @@ def test_exact_scalar_arithmetic_is_exact():
 def test_exact_scalar_rejects_floats():
     with pytest.raises(TypeError):
         ExactScalar.coerce(0.5)
+
+
+class FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, 3, FractionSubclass(1, 2)])
+def test_exact_scalar_stores_plain_fractions(value):
+    x = ExactScalar(value, value)
+    assert type(x.re) is type(x.im) is Fraction
+    assert (x.re, x.im) == (value, value)
+
+
+# The references below multiply plain (re, im) pairs of Fractions, not ExactScalars.
+PAIRS = settings(derandomize=True, deadline=None, max_examples=100)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+pairs = st.tuples(rationals, rationals)
+factors = st.one_of(st.sampled_from([1, -1, Fraction(1), Fraction(-1)]), st.integers(-50, 50), rationals)
+exponents = st.tuples(st.integers(0, 6), st.integers(0, 6))
+unit_monomials = exponents.map(lambda key: {key: (Fraction(1), Fraction(0))})
+polys = st.dictionaries(exponents, pairs, max_size=6)
+
+
+def pair_product(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def poly_product(p, q):
+    out = {}
+    for (a1, b1), x in p.items():
+        for (a2, b2), y in q.items():
+            re, im = out.get((a1 + a2, b1 + b2), (0, 0))
+            dre, dim = pair_product(x, y)
+            out[(a1 + a2, b1 + b2)] = (re + dre, im + dim)
+    return {key: value for key, value in out.items() if value != (0, 0)}
+
+
+def plain_parts(x):
+    assert type(x.re) is type(x.im) is Fraction
+    return x.re, x.im
+
+
+def exact_poly(terms):
+    return PolyZZbar({key: ExactScalar(*value) for key, value in terms.items()})
+
+
+@PAIRS
+@given(pairs, factors, pairs)
+def test_exact_scalar_products_match_the_pair_products(x, n, y):
+    s = ExactScalar(*x)
+    scaled = (x[0] * n, x[1] * n)
+    for product in (s * n, n * s, s * ExactScalar(n)):
+        assert plain_parts(product) == scaled
+    assert plain_parts(s * ExactScalar(*y)) == pair_product(x, y)
+    assert s * 1 is s and 1 * s is s and s * Fraction(1) is s and s * ExactScalar(1) is s
+
+
+@PAIRS
+@given(polys, st.one_of(unit_monomials, polys))
+def test_poly_products_match_the_pair_convolution(p, q):
+    product = exact_poly(p) * exact_poly(q)
+    assert {key: plain_parts(c) for key, c in product.terms.items()} == poly_product(p, q)
 
 
 def test_poly_ring_axioms():

@@ -133,6 +133,16 @@ def test_disk_unit_cases(k, poly):
     assert rep.base_report.bound_holds
 
 
+@pytest.mark.parametrize("exponent", [550, 600])
+def test_disk_ratio_keeps_its_bits_when_the_integrals_are_subnormal(exponent):
+    # f = 2^−exponent: ∫_U|f|² underflows a float, the ratio is taken on f's scale
+    def ratio(s):
+        p = DiskProblem(0j, 1.0, PolyZZbar.constant(s), k=1, c=1 + 0j, truncation=8)
+        return solve_disk(p)[1].ratio
+
+    assert ratio(Fraction(1, 2**exponent)).hex() == ratio(1).hex() == (0.1503553830999539).hex()
+
+
 def test_disk_under_resolution_raises():
     p = DiskProblem(
         center=0j,
