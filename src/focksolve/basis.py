@@ -24,14 +24,16 @@ Every vector is stored as two read-only arrays in entry order, the
 (complex, or ``object`` holding the exact amplitudes); its ``entries``
 mapping is a read-only view built on first access.  The per-entry
 constructor (over mappings) and ``HermiteCoeffs._from_array`` (over arrays)
-both store through ``HermiteCoeffs._store``, which prunes and refuses
-numeric amplitudes.  Every vector is read as arrays through
-:meth:`HermiteCoeffs.arrays`, in the vector's own normalization.
+both store through ``HermiteCoeffs._store``, which prunes numeric zeros
+and refuses NaN and ±inf, with no threshold on the scale of the data.
+Every vector is read as arrays through :meth:`HermiteCoeffs.arrays`, in
+the vector's own normalization.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -46,8 +48,6 @@ BasisIndex = Tuple[int, int]
 
 RAW = "raw"
 ORTHONORMAL = "orthonormal"
-
-_NUMERIC_PRUNE = 1e-300
 
 #: The largest n whose n! is a float: 171! is past float range.
 FACTORIAL_TOP = 170
@@ -143,8 +143,8 @@ class HermiteCoeffs:
     two read-only arrays in entry order, ``index`` (entries × 2, int64) and
     its values, complex or ``object`` holding the exact amplitudes; its
     ``entries`` is a read-only view built from them on first access.
-    Zero entries are pruned on construction: exact zeros in the exact
-    context, magnitudes below 1e−300 in the numeric context.  A float
+    Zero entries are pruned on construction, exact or numeric; subnormal
+    magnitudes are kept: no rule depends on the amplitudes' scale.  A float
     amplitude that is NaN, ±inf or of a magnitude past float range, and an
     index that is not integral or is past int64, raise ``ValueError``.
     :meth:`_store` prunes and refuses numeric amplitudes for both constructors.
@@ -195,13 +195,13 @@ class HermiteCoeffs:
     def _store(self, index: np.ndarray, values: np.ndarray) -> None:
         """Hold ``index`` and ``values`` read-only, and no dict until ``entries`` is read.
 
-        The one numeric rule: prune magnitudes below 1e−300, refuse NaN and infinite ones.
+        The one numeric rule: prune zero magnitudes, refuse NaN and infinite ones.
         """
         if not self.exact:
             with np.errstate(over="ignore", invalid="ignore"):
                 sizes = np.hypot(values.real, values.imag)
-            kept = (sizes >= _NUMERIC_PRUNE) & (sizes < math.inf)
-            bad = ~kept & ~(sizes < _NUMERIC_PRUNE)  # NaN or infinite
+            kept = sizes > 0
+            bad = ~(sizes < math.inf)  # NaN or infinite
             if bad.any():
                 i = int(bad.argmax())
                 key = tuple(index[i].tolist())
@@ -293,11 +293,10 @@ class HermiteCoeffs:
     def to_raw(self) -> "HermiteCoeffs":
         """Rescale to raw amplitudes (floating point when starting orthonormal).
 
-        An entry whose raw amplitude leaves the float range raises
-        ``ValueError`` naming its index: where √(π·m!·n!) is past float range,
-        or where the quotient falls below the 1e−300 pruning floor although
-        the amplitude is at least 2⁻⁵² of the largest.  Smaller amplitudes
-        than that are below the vector's rounding and are pruned as zeros.
+        A raw amplitude must be a normal float.  One whose quotient is below
+        ``sys.float_info.min`` raises ``ValueError`` naming its index and value
+        where √(π·m!·n!) is past float range or the amplitude is at least 2⁻⁵²
+        of the largest; smaller ones are below the vector's rounding and pruned.
         """
         if self.normalization == RAW:
             return self
@@ -305,17 +304,17 @@ class HermiteCoeffs:
         norms = sqrt_norms(index)
         values = _quotient(amps, norms)
         sizes = np.hypot(amps.real, amps.imag)
-        floor = sizes.max(initial=0.0) * 2.0**-52
-        unheld = (np.hypot(values.real, values.imag) < _NUMERIC_PRUNE) & (
-            (norms == math.inf) | (sizes >= floor)
-        )
-        if unheld.any():
-            i = int(unheld.argmax())
+        quotients = np.hypot(values.real, values.imag)
+        unheld = quotients < sys.float_info.min
+        refused = unheld & ((norms == math.inf) | (sizes >= sizes.max(initial=0.0) * 2.0**-52))
+        if refused.any():
+            i = int(refused.argmax())
             m, n = index[i].tolist()
             raise ValueError(
-                f"the raw amplitude at index ({m}, {n}) leaves the float range: "
-                f"√(π·m!·n!) = {float(norms[i]):.3e}"
+                f"the raw amplitude at index ({m}, {n}) is below the normal float range: "
+                f"|b|/√(π·m!·n!) = {sizes[i]:.3e}/{norms[i]:.3e} = {quotients[i]:.3e}"
             )
+        values[unheld] = 0.0
         return HermiteCoeffs._from_array(index, values, RAW)
 
 

@@ -284,7 +284,8 @@ def project(
     the R radii only: O(RA log A + M²R) work, aliasing as in the node sum.
 
     Also returns the signed Parseval defect (‖f‖² − Σ|b|²)/‖f‖², ‖f‖ in the
-    projection's weight.  With ``check_parseval`` a defect above 1e−6 in
+    projection's weight, taken on f's power-of-two scale (:func:`scale_down`)
+    and 0 for zero data.  With ``check_parseval`` a defect above 1e−6 in
     magnitude raises :class:`QuadratureResolutionError`.  Values of f whose
     weighted sum of |f|² leaves the float range raise ``ValueError`` before the FFT.
     """
@@ -299,9 +300,11 @@ def project(
         if rule.domain == DISK:
             # the centered Gaussian depends on the radius alone
             wr = wr * np.exp(-r * r)
-        norm_sq = float(np.dot(wr, np.sum(fv.real**2 + fv.imag**2, axis=1)))
-    if not norm_sq < math.inf:
-        raise ValueError(f"f leaves the float range on the quadrature nodes: sum w·|f|² = {norm_sq}")
+        fs, e = scale_down(fv)
+        norm_sq = float(np.dot(wr, np.sum(fs.real**2 + fs.imag**2, axis=1)))
+    weighted = unscale(norm_sq, 2 * e)
+    if not weighted < math.inf:
+        raise ValueError(f"f leaves the float range on the quadrature nodes: sum w·|f|² = {weighted}")
     spectrum = np.fft.fft(fv, axis=1) * wr[:, None]
 
     index, values = [], []
@@ -314,8 +317,9 @@ def project(
             index.append(np.stack((n, n + alpha), axis=1))
             values.append(rows @ spectrum[:, -alpha % A])
     values = np.concatenate(values)
-    mass = float(np.sum(values.real**2 + values.imag**2))
-    defect = (norm_sq - mass) / max(norm_sq, 1e-300)
+    scaled = np.ldexp(values.view(float), -e).view(complex)
+    mass = float(np.sum(scaled.real**2 + scaled.imag**2))
+    defect = (norm_sq - mass) / norm_sq if norm_sq > 0 else 0.0
     if check_parseval and abs(defect) > PARSEVAL_TOL:
         raise QuadratureResolutionError(
             f"Parseval defect {abs(defect):.3e} exceeds {PARSEVAL_TOL:.0e}; "

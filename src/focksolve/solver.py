@@ -345,16 +345,13 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     u_norm = _norm(sizes[stored]) * sqrt_pi
     u_re[rows, edge] /= damp
     u_im[rows, edge] /= damp
-    sizes[rows, edge] = np.hypot(u_re[rows, edge], u_im[rows, edge])
 
     # Box equations; the edge entry u_L enters through the last coupling.
     u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    keep = stored & ~(sizes < 1e-300)  # NaN is kept, for HermiteCoeffs._store to refuse
-    values = _complex_array(u_re[keep] * sqrt_pi, u_im[keep] * sqrt_pi)
-    index = np.empty((len(values), 2), dtype=np.int64)
-    index[:, 0], index[:, 1] = chains.m[keep], chains.n[keep]
+    values = _complex_array(u_re[stored] * sqrt_pi, u_im[stored] * sqrt_pi)
+    index = np.stack((chains.m[stored], chains.n[stored]), axis=1)
 
     f_norm = _norm(np.hypot(data.real, data.imag)) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -53,12 +54,15 @@ def reference_to_raw(u):
     out = {}
     for (m, n), amp in u.entries.items():
         norm = sqrt_norm(m, n)
-        value = out[(m, n)] = amp / norm
-        if abs(value) < 1e-300 and (norm == math.inf or abs(amp) >= floor):
-            raise ValueError(
-                f"the raw amplitude at index ({m}, {n}) leaves the float range: "
-                f"√(π·m!·n!) = {norm:.3e}"
-            )
+        value = amp / norm
+        if abs(value) < sys.float_info.min:
+            if norm == math.inf or abs(amp) >= floor:
+                raise ValueError(
+                    f"the raw amplitude at index ({m}, {n}) is below the normal float range: "
+                    f"|b|/√(π·m!·n!) = {abs(amp):.3e}/{norm:.3e} = {abs(value):.3e}"
+                )
+            value = 0j  # below the vector's rounding: pruned as a zero
+        out[(m, n)] = value
     return HermiteCoeffs(out, "raw")
 
 
@@ -232,8 +236,9 @@ def test_weighted_norm_and_normalization_round_trip():
 def test_zero_pruning_and_context_rules():
     u = HermiteCoeffs({(0, 0): 0, (1, 1): Fraction(1, 2)})
     assert (0, 0) not in u.entries and u.exact
-    v = HermiteCoeffs({(0, 0): 1e-301 + 0j, (2, 2): 1.0 + 0j})
-    assert (0, 0) not in v.entries and not v.exact
+    # a numeric amplitude is pruned at zero magnitude alone: subnormal ones are kept
+    v = HermiteCoeffs({(0, 0): -0.0j, (1, 1): 5e-324 + 0j, (2, 2): 1e-301 + 0j, (3, 3): 1.0 + 0j})
+    assert list(v.entries) == [(1, 1), (2, 2), (3, 3)] and not v.exact
     with pytest.raises(TypeError):
         HermiteCoeffs({(0, 0): 1, (1, 1): 0.5 + 0j})
     with pytest.raises(TypeError):
@@ -296,9 +301,16 @@ def test_to_raw_raises_where_a_raw_amplitude_leaves_float_range():
     u = HermiteCoeffs({(0, 0): 1.0 + 0j, (180, 180): 0.5 + 0j}, "orthonormal")
     with pytest.raises(ValueError, match=r"\(180, 180\)"):
         u.to_raw()
-    # a finite norm, but 1/√(π·168!·168!) ≈ 1e−303 is under the pruning floor
-    with pytest.raises(ValueError, match=r"\(168, 168\)"):
-        HermiteCoeffs({(168, 168): 1.0 + 0j}, "orthonormal").to_raw()
+    # 1/√(π·168!·168!) ≈ 2.2e−303 is a normal float and is written
+    raw = HermiteCoeffs({(168, 168): 1.0 + 0j}, "orthonormal").to_raw()
+    assert raw.entries[(168, 168)] == 1.0 / sqrt_norm(168, 168) > sys.float_info.min
+    # a finite norm, but 1e−6/√(π·168!·168!) ≈ 2.2e−309 is subnormal: the error names it
+    with pytest.raises(
+        ValueError,
+        match=r"^the raw amplitude at index \(168, 168\) is below the normal float range: "
+        r"\|b\|/√\(π·m!·n!\) = 1\.000e-06/4\.477e\+302 = 2\.233e-309$",
+    ):
+        HermiteCoeffs({(168, 168): 1e-6 + 0j}, "orthonormal").to_raw()
     # an amplitude below 2⁻⁵² of the largest is rounding and is pruned
     raw = HermiteCoeffs({(0, 0): 1.0 + 0j, (168, 168): 1e-17 + 0j}, "orthonormal").to_raw()
     assert list(raw.entries) == [(0, 0)]
@@ -322,7 +334,7 @@ def test_array_rescaling_round_trips_match_the_per_entry_arithmetic():
 
 
 def test_numeric_vectors_hold_arrays_and_a_read_only_view():
-    u = HermiteCoeffs({(2, 1): -0.5j, (0, 0): 1.0, (1, 3): 1e-301}, "orthonormal")
+    u = HermiteCoeffs({(2, 1): -0.5j, (0, 0): 1.0, (1, 3): -0.0}, "orthonormal")
     # no dict until entries is read
     assert u._entries is None and len(u) == 2
     index, values = u.arrays()

@@ -405,20 +405,21 @@ def test_solution_past_the_writable_index_exits_2(tmp_path, capsys, command):
 
 
 def test_disk_solution_whose_raw_amplitude_underflows_exits_2(tmp_path, capsys):
-    # the data keeps its coefficients from (98, 98) on, so u reaches (162, 162),
-    # whose raw amplitude u/√(π·162!·162!) is below the float range
+    # the data keeps its coefficients from (98, 98) on, so u reaches (165, 165),
+    # whose raw amplitude u/√(π·165!·165!) is below the normal float range
     payload = {
         "radius": 0.3,
         "k": 3,
         "c": {"re": 10.0, "im": 0.0},
-        "truncation": 160,
+        "truncation": 164,
         "f": {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]},
     }
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(payload))
     out = tmp_path / "o.json"
     assert cli.run(["disk", "--input", str(problem), "--output", str(out)]) == 2
-    assert "raw amplitude at index (162, 162)" in json.loads(capsys.readouterr().err)["error"]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "raw amplitude at index (165, 165) is below the normal float range" in error
     assert not out.exists()
 
 
@@ -906,10 +907,11 @@ def _vector_or_error(build):
 @pytest.mark.parametrize(
     "amp, want",
     [
+        # every nonzero magnitude is kept, subnormal ones too
         (1e-300, "kept"),
-        (9.9e-301, "pruned"),
+        (9.9e-301, "kept"),
         (-0.0j, "pruned"),
-        (5e-324, "pruned"),
+        (5e-324, "kept"),
         (complex(math.nan, 0.0), "non-finite amplitude (nan+0j) at index (1, 2)"),
         (complex(math.inf, 0.0), "non-finite amplitude (inf+0j) at index (1, 2)"),
         (complex(1.5e308, 1.5e308), "non-finite amplitude (1.5e+308+1.5e+308j) at index (1, 2)"),

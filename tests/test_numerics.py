@@ -67,7 +67,7 @@ def reference_project(f, M, rule, check_parseval=False):
             b = complex(np.sum(h * wf)) / weight
             coeffs[(n, m)] = b
             mass += weight * abs(b) ** 2
-    return HermiteCoeffs(coeffs, "raw"), (norm_sq - mass) / max(norm_sq, 1e-300)
+    return HermiteCoeffs(coeffs, "raw"), (norm_sq - mass) / norm_sq if norm_sq > 0 else 0.0
 
 
 def reference_synthesize(u, z):

@@ -3,11 +3,13 @@
 import json
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from focksolve import CERTIFICATION_C_GRID, ExactScalar, ProblemSpec, cli, solve  # noqa: E402
 from focksolve.basis import HermiteCoeffs, sqrt_norm  # noqa: E402
@@ -86,6 +88,43 @@ def test_solve_is_linear_and_bounded(k, M, c, seeds, alpha, beta):
     keys = set(uc.entries) | set(expect.entries)
     err = math.sqrt(sum(abs(uc.entries.get(key, 0j) - expect.entries.get(key, 0j)) ** 2 for key in keys))
     assert err <= 1e-12 * (abs(alpha) * rep1.u_norm + abs(beta) * rep2.u_norm)
+
+
+def _times_power_of_two(u, j):
+    """u·2^j, every part scaled by ``np.ldexp``: exact where the parts stay normal."""
+    index, values = u.arrays()
+    return HermiteCoeffs._from_array(index, np.ldexp(values.view(float), j).view(complex), u.normalization)
+
+
+# ψ₀₀ + 0.5i·ψ₃₁: u's entries fall to about 2⁻¹⁰⁸ of the largest, so at j = −900
+# the smallest are near 1e−303, far below f's scale
+SPARSE = HermiteCoeffs({(0, 0): 1.0 + 0j, (3, 1): 0.5j}, "orthonormal")
+
+
+@PROPERTY
+@given(
+    j=st.integers(-900, 1015),
+    k=st.integers(1, 4),
+    c=st.sampled_from(CERTIFICATION_C_GRID + (0.01 + 0j, 0.3 - 2j)),
+    seed=st.one_of(st.none(), st.integers(0, 2**32)),
+)
+@example(j=-900, k=1, c=1 + 1j, seed=None)
+def test_solve_commutes_with_dyadic_scaling(j, k, c, seed):
+    # the operator is linear and the bound homogeneous: f → 2^j·f scales u and
+    # every report norm by 2^j exactly, with the bound ratio's bits and u's
+    # support kept, wherever 2^j·u stays in the normal range
+    M = 32
+    f = SPARSE if seed is None else dense_data(random.Random(seed), M - k)
+    u, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+    parts = np.abs(u.arrays()[1].view(float))
+    # |u| ≤ ‖f‖ < 2⁸ for this data, so 2^j·u cannot overflow at j ≤ 1015
+    assume(math.ldexp(parts[parts > 0].min(), j) >= sys.float_info.min)
+    got, got_report = solve(ProblemSpec(k=k, c=c, truncation=M, f=_times_power_of_two(f, j)))
+    assert got_report.bound_ratio.hex() == report.bound_ratio.hex()
+    for name in ("f_norm", "u_norm", "residual_norm", "tail_estimate"):
+        assert getattr(got_report, name) == math.ldexp(getattr(report, name), j), name
+    assert got.index.tolist() == u.index.tolist()
+    assert np.array_equal(got.arrays()[1], _times_power_of_two(u, j).arrays()[1])
 
 
 @st.composite
@@ -188,7 +227,8 @@ def test_raw_orthonormal_round_trip_or_raise(entries):
     unheld = {
         key
         for key, amp in entries.items()
-        if abs(amp) / sqrt_norm(*key) < 1e-300 and (sqrt_norm(*key) == math.inf or abs(amp) >= floor)
+        if abs(amp) / sqrt_norm(*key) < sys.float_info.min
+        and (sqrt_norm(*key) == math.inf or abs(amp) >= floor)
     }
     try:
         back = u.to_raw().to_orthonormal()
@@ -202,14 +242,19 @@ def test_raw_orthonormal_round_trip_or_raise(entries):
 
 
 # float parts that reach the edges of the conversions: signed zeros, the
-# 1e−300 pruning floor, the 2⁻⁵² raise rule, the float range
-EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1.0000000000000001e-300, 9.9e-301, 5e-324]
+# smallest normal float and its neighbours, the smallest subnormal, the 2⁻⁵²
+# raise rule, the float range
+FLOAT_MIN = sys.float_info.min
+EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, FLOAT_MIN, -FLOAT_MIN, math.nextafter(FLOAT_MIN, 1.0)]
+EDGE_PARTS += [math.nextafter(FLOAT_MIN, 0.0), 5e-324]
 EDGE_PARTS += [2.0**-52, -(2.0**-52), 2.0**-53, 1.5 * 2.0**-53, 1e300, -1.7e308]
-# at (0, 0) these rescale to 1e−300 exactly: raw from orthonormal, orthonormal from raw
-EDGE_PARTS += [1.772453850905516e-300, 5.641895835477563e-301]
-# inside the factorial table, where π·m!·n! overflows, where 1/√(π·m!·n!) nears
-# the pruning floor, past the table and past the float range of the norm
-EDGE_INDICES = [(0, 0), (3, 1), (1, 3), (98, 98), (165, 165), (168, 168), (170, 170)]
+# at (0, 0) these rescale to the smallest normal float exactly: raw from
+# orthonormal, orthonormal from raw
+EDGE_PARTS += [3.943840729060284e-308, 1.2553634935941774e-308]
+# inside the factorial table, where π·m!·n! overflows, where 1/√(π·m!·n!)
+# nears the normal range and where it falls below it, past the table and past
+# the float range of the norm
+EDGE_INDICES = [(0, 0), (3, 1), (1, 3), (98, 98), (168, 168), (170, 170), (171, 170)]
 EDGE_INDICES += [(171, 0), (180, 180), (300, 300)]
 edge_parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1e20, 1e20))
 indices = st.one_of(st.integers(0, 300), st.integers(160, 175))

@@ -133,14 +133,20 @@ def test_disk_unit_cases(k, poly):
     assert rep.base_report.bound_holds
 
 
-@pytest.mark.parametrize("exponent", [550, 600])
+@pytest.mark.parametrize("exponent", [550, 600, 900, 1000, 1020])
 def test_disk_ratio_keeps_its_bits_when_the_integrals_are_subnormal(exponent):
-    # f = 2^−exponent: ∫_U|f|² underflows a float, the ratio is taken on f's scale
-    def ratio(s):
+    # f = 2^−exponent: ∫_U|f|² underflows a float, the ratio is taken on f's
+    # scale, and the projection's Parseval defect on the scale of f's values
+    def report(s):
         p = DiskProblem(0j, 1.0, PolyZZbar.constant(s), k=1, c=1 + 0j, truncation=8)
-        return solve_disk(p)[1].ratio
+        return solve_disk(p)[1]
 
-    assert ratio(Fraction(1, 2**exponent)).hex() == ratio(1).hex() == (0.1503553830999539).hex()
+    unit, scaled = report(1), report(Fraction(1, 2**exponent))
+    assert unit.ratio.hex() == (0.1503553830999539).hex()
+    assert scaled.truncation_defect.hex() == unit.truncation_defect.hex() == (0.06912271091688119).hex()
+    # from 2⁻¹⁰²⁰ on, f's projected amplitudes are subnormal: the ratio may move by one ulp
+    ulps = 1 if exponent >= 1020 else 0
+    assert abs(scaled.ratio - unit.ratio) <= ulps * math.ulp(unit.ratio)
 
 
 def test_disk_under_resolution_raises():
