@@ -16,6 +16,13 @@ e^{−i(j+1)θ}·f_j of the same norm, so the factor depends on |c| alone.  Past
 the box the data vanish, so each chain's infinite tail is fixed by its edge
 entry and the infinite minimum-norm problem closes exactly into a finite one.
 
+All chains are solved at once, as the columns of one step-major array,
+longest chain first.  What depends on (k, M) alone is built once in that
+order (:func:`_layout`): the couplings, the gather of the data and the flat
+positions of the output.  What depends on |c| is built once per (k, |c|, M)
+(:func:`_factor`), and a solve gathers f into the layout, stays in it, and
+reads the solution out by position.
+
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
 by 1/(k!)², with equality at f = H_{0,0} for c = 0).  Scaled-weight and
@@ -141,25 +148,35 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Certified solve: every chain of the box as one row of an array
+# Certified solve: every chain of the box as one column of an array
 
 
 class _Chains(NamedTuple):
-    """The (k, k) chains of the box [0, M]², one per row, origins in lexicographic order.
+    """The (k, k) chains of the box [0, M]², one per column, stored step-major and longest first.
 
-    Row p starts at an origin (m₀, n₀) with m₀ < k or n₀ < k and has
-    ``lengths[p]`` = L box positions j = 0..L−1 at (m₀ + jk, n₀ + jk), each
-    one equation c·u_j + √A_j·u_{j+1} = f_j, plus the edge entry u_L past the
-    box.  Rows are padded to the longest chain, W = M//k + 1 equations.
+    The chain from an origin (m₀, n₀) with m₀ < k or n₀ < k has L box
+    positions j = 0..L−1 at (m₀ + jk, n₀ + jk), each one equation
+    c·u_j + √A_j·u_{j+1} = f_j, plus the edge entry u_L past the box.  Row j
+    of a (W, P) array is step j of every chain, W = M//k + 1 equation steps;
+    the columns hold the chains longest first, stably in lexicographic origin
+    order, so that the ``counts[j]`` chains with an equation at step j are
+    the first ``counts[j]`` columns.  A flat position is j·P + q, in the
+    (W + 1, P) solution and in every (W, P) array.  ``stored``, ``box`` and
+    ``index`` run in the output order, chain by chain in lexicographic origin
+    order and each by j; ``tail``, ``m_edge`` and ``n_edge`` run in origin
+    order.
     """
 
-    m: np.ndarray  # (P, W + 1) first index of every position, padding included
-    n: np.ndarray  # (P, W + 1)
-    lengths: np.ndarray  # (P,)
-    eqs: np.ndarray  # (P, W) bool: box equations
-    stored: np.ndarray  # (P, W + 1) bool: box positions and the edge entry
-    couplings: np.ndarray  # (P, W) √A_j on the equations, 0 past them
-    gather: np.ndarray  # (P, W) m·(M+2) + n on the equations, (M+2)² − 1 past them
+    counts: np.ndarray  # (W,) chains with an equation at step j
+    couplings: np.ndarray  # (W, P) √A_j on the equations, 0 past them
+    gather: np.ndarray  # (W, P) m·(M+2) + n on the equations, (M+2)² − 1 past them
+    tail: np.ndarray  # (P,) flat position of each chain's edge entry
+    m_edge: np.ndarray  # (P,) first index of each chain's edge entry
+    n_edge: np.ndarray  # (P,)
+    perms: np.ndarray  # (x)_k for x ≤ M + k: the table _tail_weights extends
+    stored: np.ndarray  # flat positions of the box and edge entries
+    box: np.ndarray  # flat positions of the box equations
+    index: np.ndarray  # (m, n) of the stored entries: the solution's index
 
 
 def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
@@ -170,32 +187,45 @@ def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _layout(k: int, M: int) -> _Chains:
-    """The chains of (k, M), read-only and kept for the last few (k, M)."""
+    """The chains of (k, M) and everything a solve needs of them but |c| and f, read-only.
+
+    Kept for the last few (k, M).
+    """
     grid = np.arange(M + 1)
     m0, n0 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
     origin = (m0 < k) | (n0 < k)
     m0, n0 = m0[origin], n0[origin]
     lengths = np.minimum(M - m0, M - n0) // k + 1
-    width = M // k + 1
-    steps = np.arange(width + 1)
-    m = m0[:, None] + k * steps
-    n = n0[:, None] + k * steps
-    eqs = steps[:-1] < lengths[:, None]
+    P = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(M // k + 2)[:, None]
+    m, n = m0[order] + k * steps[:-1], n0[order] + k * steps[:-1]
+    eqs = steps[:-1] < lengths[order]
     # √A_j = √((m+k)_k·(n+k)_k), zero past the equations since (0)_k = 0
     perms = _perm_table(k, 0, M + k + 1)
-    pm = perms[np.where(eqs, m[:, :-1] + k, 0)]
-    pn = perms[np.where(eqs, n[:, :-1] + k, 0)]
+    pm = perms[np.where(eqs, m + k, 0)]
+    pn = perms[np.where(eqs, n + k, 0)]
     with np.errstate(over="ignore"):
         couplings = np.sqrt(pm * pn)
     # past float range the product overflows before its root
     wide = couplings == math.inf
     couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
     # flat positions in the (M + 2)² data grid, whose last cell stays zero
-    gather = np.where(eqs, m[:, :-1] * (M + 2) + n[:, :-1], (M + 2) ** 2 - 1)
-    return _Chains(*_read_only(m, n, lengths, eqs, steps <= lengths[:, None], couplings, gather))
+    gather = np.where(eqs, m * (M + 2) + n, (M + 2) ** 2 - 1)
+    # the output order: chain by chain in origin order, each by j
+    j = steps.T
+    positions = j * P + np.argsort(order)[:, None]
+    stored = j <= lengths[:, None]
+    index = np.stack(((m0[:, None] + k * j)[stored], (n0[:, None] + k * j)[stored]), axis=1)
+    box = positions[:, :-1][j[:, :-1] < lengths[:, None]]
+    tail = positions[np.arange(P), lengths]
+    arrays = (eqs.sum(axis=1), couplings, gather, tail, m0 + k * lengths, n0 + k * lengths)
+    return _Chains(*_read_only(*arrays, perms, positions[stored], box, index))
 
 
-def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> np.ndarray:
+def _tail_weights(
+    m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float, perms: np.ndarray
+) -> np.ndarray:
     """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain: its mass past u_L over |u_L|².
 
     Past the box the right-hand side is zero, so the infinite chain continues
@@ -203,9 +233,9 @@ def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> 
     and |c|² and converges super-factorially.  All chains add one term per
     step, each until its terms pass |c|² and fall below 1e−17·τ; τ is inf
     once it passes 1e300, and an A_j past float range adds nothing.
+    ``perms`` is a table of (x)_k from x = 0, extended here as the steps need.
     """
     term, acc = np.ones(len(m_edge)), np.zeros(len(m_edge))
-    perms = np.empty(0)
     top = max(m_edge.max(), n_edge.max())
     with np.errstate(over="ignore", invalid="ignore"):
         while term.any():
@@ -225,37 +255,36 @@ def _tail_weights(m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float) -> 
 def _factor(k: int, rho: float, M: int) -> tuple:
     """What a solve of (k, c, M) with |c| = rho needs before it sees data, every array read-only.
 
-    Returns the chains, √(1 + τ) (each edge coupling's divisor), √(τ/(1 + τ))
-    (the tail's part of the edge size), the smallest pivot and the Givens
-    factor that :func:`_lockstep_apply` reads: the QR factor of each real
-    chain's bidiagonal transpose by Givens rotations, for every chain at
-    once, one column per step, with identity rotations (g = 1, s = 0, r = 1)
-    past a row's last equation.  The kernel is (order, its inverse, r, R's
-    super-diagonal, the (W, 2, P) rotations (g, −s)).  The pivots come from
-    math.hypot, so every row rounds as the scalar per-chain Givens solve
-    kept in the tests does.
+    Returns the chains, √(1 + τ) (each edge coupling's divisor) and
+    √(τ/(1 + τ)) (the tail's part of the edge size), both per chain in
+    origin order, the smallest pivot and the Givens factor that
+    :func:`_lockstep_apply` reads: the QR factor of each real chain's
+    bidiagonal transpose by Givens rotations, for every column at once, one
+    row per step, with identity rotations (g = 1, s = 0, r = 1) past a
+    chain's last equation.  The kernel is (r, R's super-diagonal, the
+    (W, 2, P) rotations (g, −s)).  The pivots come from math.hypot, so every
+    chain rounds as the scalar per-chain Givens solve kept in the tests does.
     Only the last (k, |c|, M) is kept; shifts of one modulus share it.
     """
     chains = _layout(k, M)
-    ids, edge = np.arange(len(chains.lengths)), chains.lengths
-    tau = _tail_weights(chains.m[ids, edge], chains.n[ids, edge], k, rho * rho)
+    tau = _tail_weights(chains.m_edge, chains.n_edge, k, rho * rho, chains.perms)
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
     sa = chains.couplings.copy()
-    sa[ids, edge - 1] /= damp
-    # longest chains first, so that the n chains still running at step j are
-    # the first n rows; (W, P) layout, so that a step reads contiguous rows
-    order = np.argsort(-chains.lengths, kind="stable")
-    eqs, sa = chains.eqs[order].T, np.ascontiguousarray(sa[order].T)
-    r, g = np.ones((2, *eqs.shape))
-    alpha = np.full(eqs.shape[1], rho)
-    for n, r_j, g_j, sa_j in zip(eqs.sum(axis=1).tolist(), r, g, sa):
-        r_j[:n] = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
+    # a chain's last equation is one step before its edge entry
+    sa.reshape(-1)[chains.tail - len(chains.tail)] /= damp
+    r, g = np.ones((2, *sa.shape))
+    alpha, min_pivot = np.full(sa.shape[1], rho), math.inf
+    for n, r_j, g_j, sa_j in zip(chains.counts.tolist(), r, g, sa):
+        pivots = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
+        r_j[:n], min_pivot = pivots, min(min_pivot, *pivots)
         alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
     s = sa / r
-    sup = s[:-1] * eqs[1:] * rho  # R's super-diagonal, zero after a row's last equation
-    kernel = _read_only(order, np.argsort(order), r, sup, np.stack([g, -s], axis=1))
-    return chains, *_read_only(damp, np.sqrt(share)), float(r[eqs].min()), kernel
+    sup = s[:-1] * rho  # R's super-diagonal, zero after a chain's last equation
+    for sup_j, n in zip(sup, chains.counts[1:].tolist()):
+        sup_j[n:] = 0.0
+    kernel = _read_only(r, sup, np.stack([g, -s], axis=1))
+    return chains, *_read_only(damp, np.sqrt(share)), min_pivot, kernel
 
 
 def _turns(c: complex, count: int) -> np.ndarray:
@@ -268,9 +297,10 @@ def _turns(c: complex, count: int) -> np.ndarray:
 
 
 def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
-    """Solve every row for the (P, W) right-hand sides: the real and imaginary (P, W + 1) u.
+    """Solve every column for the (W, P) right-hand sides: the real and imaginary (W + 1, P) u.
 
-    Row j's data are turned by conj(turn[j+1]) and v_j back by turn[j], as
+    Both are in the layout's own order, step-major and longest chain first.
+    Step j's data are turned by conj(turn[j+1]) and v_j back by turn[j], as
     Python's complex multiply rounds; the real and imaginary parts of v are
     two right-hand sides of the one real factor.  The rotations are applied
     in reverse with p = v_{j+1} carried down: step j takes
@@ -279,8 +309,8 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
     and IEEE defines x − y as x + (−y), so g·y_j + (−s)·p rounds as
     g·y_j − s·p does, signed zeros included.
     """
-    order, back, r, sup, rot = kernel
-    f, tr, ti = rhs[order].T, turn.real[:, None], turn.imag[:, None]
+    r, sup, rot = kernel
+    f, tr, ti = rhs, turn.real[:, None], turn.imag[:, None]
     rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
     width, rows = r.shape
     # forward substitution R^T y = rhs
@@ -297,7 +327,7 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
     for sgy_j, rot_j in zip(sgy[::-1], rot[::-1, :, None]):
         p = np.add(sgy_j, np.multiply(rot_j, p, out=turned), out=sgy_j)[1]
     v = np.concatenate([sgy[:1, 1], sgy[:, 0]])
-    return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
+    return v[:, 0] * tr - v[:, 1] * ti, v[:, 0] * ti + v[:, 1] * tr
 
 
 def _norm(values: np.ndarray) -> float:
@@ -317,20 +347,21 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     infinite system.  Its tail past the box has mass |u_L|²·τ, so the
     infinite problem is the finite one in u_0..u_{L−1} and v = √(1+τ)·u_L,
     with the edge coupling divided by √(1+τ).  All chains are solved
-    together as the rows of one array, factored once per (k, |c|, M)
+    together as the columns of one array, factored once per (k, |c|, M)
     (:func:`_factor`) and applied to each data set turned by the phase of c.
-    The coefficients hold the box plus the one edge entry per chain that the
-    box equations see.  The residual is reported over the box equations,
-    ``u_norm`` is the norm of the whole infinite-chain solution and
-    ``tail_estimate`` the norm of its part past the stored entries.  Rows
-    share no arithmetic, so no output bit depends on the chain order.
+    The data are gathered straight into the layout's step-major order, and
+    the solution, residual and norms stay in it; the stored values are read
+    out by their flat positions.  The coefficients hold the box plus the one
+    edge entry per chain that the box equations see, chain by chain in
+    lexicographic origin order.  The residual is reported over the box
+    equations, ``u_norm`` is the norm of the whole infinite-chain solution
+    and ``tail_estimate`` the norm of its part past the stored entries.
+    Chains share no arithmetic, so no output bit depends on the layout.
     """
     index, amps = spec.validate().arrays()
     k, M = spec.k, spec.truncation
     c = complex(spec.c)
     chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
-    box, stored = chains.eqs, chains.stored
-    rows, edge = np.arange(len(chains.lengths)), chains.lengths
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
@@ -339,34 +370,34 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     rhs = dense[chains.gather]
 
-    u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, box.shape[1] + 1))
-    sizes = np.hypot(u_re, u_im)
-    tails = sizes[rows, edge] * tail_share
-    u_norm = _norm(sizes[stored]) * sqrt_pi
-    u_re[rows, edge] /= damp
-    u_im[rows, edge] /= damp
+    u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, len(chains.counts) + 1))
+    sizes = np.hypot(u_re, u_im).reshape(-1)
+    tails = sizes[chains.tail] * tail_share
+    u_norm = _norm(sizes[chains.stored]) * sqrt_pi
+    flat_re, flat_im = u_re.reshape(-1), u_im.reshape(-1)
+    flat_re[chains.tail] /= damp
+    flat_im[chains.tail] /= damp
 
     # Box equations; the edge entry u_L enters through the last coupling.
-    u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
-    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
-    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    values = _complex_array(u_re[stored] * sqrt_pi, u_im[stored] * sqrt_pi)
-    index = np.stack((chains.m[stored], chains.n[stored]), axis=1)
+    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
+    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
+    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
+    values = _complex_array(flat_re[chains.stored] * sqrt_pi, flat_im[chains.stored] * sqrt_pi)
 
     f_norm = _norm(np.hypot(data.real, data.imag)) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = SolveReport(
-        residual_norm=_norm(np.hypot(res_re, res_im)[box]) * sqrt_pi,
+        residual_norm=_norm(np.hypot(res_re, res_im).reshape(-1)[chains.box]) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + BOUND_TOL,
         truncation=M,
-        chain_count=len(rows),
+        chain_count=len(chains.tail),
         tail_estimate=_norm(tails) * sqrt_pi,
         min_pivot=min_pivot,
     )
-    return HermiteCoeffs._from_array(index, values, ORTHONORMAL), report
+    return HermiteCoeffs._from_array(chains.index, values, ORTHONORMAL), report
 
 
 def dense_data(rng: random.Random, margin: int) -> HermiteCoeffs:
@@ -625,6 +656,12 @@ def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     # restricted to the certified support box [0, M−k]²; the Parseval defect
     # is the weighted mass the box misses.
     f_hat, defect = project(lambda _: fv, p.truncation - p.k, rule, check_parseval=False)
+    # with no coefficient kept the bound would hold for u = 0, whatever f is
+    if not len(f_hat) and np.any(fv != 0):
+        raise ValueError(
+            "f is nonzero on the disk, but its projection onto the truncation box keeps "
+            "no coefficient: the data are below the projection's resolution"
+        )
     u, base_report = solve(ProblemSpec(k=p.k, c=p.c, truncation=p.truncation, f=f_hat))
     # both integrals as (value, exponent) pairs: see _relative_change
     u_sq = scaled_quadrature_norm_sq(u, rule)
@@ -655,7 +692,9 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
     shift above 1e−6 raises :class:`QuadratureResolutionError`, since the
     certified integrals would then be quadrature-limited.  The shift is
     taken on a power-of-two scale (:func:`_relative_change`), so it measures
-    the quadrature, not the rounding of a subnormal integral.
+    the quadrature, not the rounding of a subnormal integral.  Data that are
+    nonzero on the nodes but project to no coefficient at all raise
+    ``ValueError``: the certificate of u = 0 would hold for any f.
     """
     rule = QuadratureRule.disk(p.center, p.radius, p.radial_nodes, p.angular_nodes)
     u, base_report, u_scaled, f_scaled, defect = _disk_pass(p, rule)

@@ -551,6 +551,19 @@ def test_disk_data_past_float_range_on_the_nodes_exits_2_with_one_error_line(tmp
     assert not out.exists()
 
 
+def test_disk_data_that_project_to_nothing_exit_2_with_one_error_line(tmp_path, capsys):
+    # f = 5e−324 is nonzero on the nodes, but its projection keeps no coefficient
+    f = {"basis": "monomial", "coeffs": [{"m": 0, "n": 0, "re": 5e-324, "im": 0.0}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"radius": 1.0, "k": 1, "c": {"re": 1.0}, "truncation": 8, "f": f}))
+    out = tmp_path / "o.json"
+    assert cli.run(["disk", "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "keeps no coefficient" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "block, basis",
     [("u", "hermite"), ("f", "hermite"), ("f", "monomial")],

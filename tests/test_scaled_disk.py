@@ -149,6 +149,15 @@ def test_disk_ratio_keeps_its_bits_when_the_integrals_are_subnormal(exponent):
     assert abs(scaled.ratio - unit.ratio) <= ulps * math.ulp(unit.ratio)
 
 
+@pytest.mark.parametrize("exponent", [1073, 1074])
+def test_disk_data_that_project_to_nothing_raise(exponent):
+    # f is nonzero on every node, but no coefficient survives the projection:
+    # u = 0 would certify the bound whatever f is
+    p = DiskProblem(0j, 1.0, PolyZZbar.constant(Fraction(1, 2**exponent)), k=1, c=1 + 0j, truncation=8)
+    with pytest.raises(ValueError, match="keeps no coefficient"):
+        solve_disk(p)
+
+
 def test_disk_under_resolution_raises():
     p = DiskProblem(
         center=0j,

@@ -283,17 +283,26 @@ def assert_matches_reference(spec):
 # chain layout: _layout
 
 
+def layout_grid(chains, M):
+    """(m, n) of every (W, P) position of a layout, (M + 1, M + 1) past the equations, and its mask."""
+    m, n = np.divmod(chains.gather, M + 2)
+    return m, n, np.arange(m.shape[1]) < chains.counts[:, None]
+
+
 def test_decompose_partitions_box():
     for k, M in [(1, 6), (2, 5), (3, 7), (4, 4), (5, 13)]:
         chains = _layout(k, M)
-        origins = list(zip(chains.m[:, 0].tolist(), chains.n[:, 0].tolist()))
-        assert origins == chain_origins(k, M)
-        assert chains.lengths.tolist() == [chain_length(o, k, M) for o in origins]
-        eqs, stored = chains.eqs, chains.stored
-        box = list(zip(chains.m[:, :-1][eqs].tolist(), chains.n[:, :-1][eqs].tolist()))
+        m, n, eqs = layout_grid(chains, M)
+        origins = list(zip(m[0].tolist(), n[0].tolist()))
+        # longest first, ties in origin order
+        assert origins == sorted(chain_origins(k, M), key=lambda o: -chain_length(o, k, M))
+        lengths = eqs.sum(axis=0).tolist()
+        assert lengths == [chain_length(o, k, M) for o in origins]
+        assert (m[~eqs] == M + 1).all() and (n[~eqs] == M + 1).all()
+        box = list(zip(m[eqs].tolist(), n[eqs].tolist()))
         assert sorted(box) == [(m, n) for m in range(M + 1) for n in range(M + 1)]
         # the stored positions add one edge entry per chain, past the box
-        edges = set(zip(chains.m[stored].tolist(), chains.n[stored].tolist())) - set(box)
+        edges = set(map(tuple, chains.index.tolist())) - set(box)
         assert len(edges) == len(origins)
         assert all(m > M or n > M for m, n in edges)
         assert chains.couplings[eqs].tolist() == [
@@ -306,8 +315,8 @@ def test_decompose_examples():
     assert idx == [(0, 0), (2, 2), (4, 4)]
 
     chains = _layout(3, 2)
-    assert chains.lengths.tolist() == [1] * 9
-    assert chains.eqs.shape == (9, 1) and chains.stored.shape == (9, 2)
+    assert chains.counts.tolist() == [9]
+    assert chains.couplings.shape == (1, 9) and chains.index.shape == (18, 2)
 
 
 def test_decompose_couplings_and_weights():
@@ -315,7 +324,33 @@ def test_decompose_couplings_and_weights():
     assert couplings == [1, 4, 9, 16]
     assert weights == [1, 1, 4, 36, 576]
     assert all(b > a for a, b in zip(couplings, couplings[1:]))
-    assert _layout(1, 4).couplings[0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert _layout(1, 4).couplings[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("M", [5, 13, 32])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_solution_index_runs_by_origin_then_j(k, M):
+    # every chain's box positions and then its edge entry, origins in lexicographic order
+    chains = [
+        [(m0 + j * k, n0 + j * k) for j in range(chain_length((m0, n0), k, M) + 1)]
+        for m0, n0 in chain_origins(k, M)
+    ]
+    assert list(map(tuple, _layout(k, M).index.tolist())) == [key for keys in chains for key in keys]
+    # dense data reach every chain whose origin lies in the data box; the others solve to zero
+    f = dense_data(random.Random(f"order:{k}:{M}"), M - k)
+    u, _ = solve(ProblemSpec(k=k, c=1 + 1j, truncation=M, f=f))
+    reached = [key for keys in chains if max(keys[0]) <= M - k for key in keys]
+    assert list(map(tuple, u.index.tolist())) == reached
+
+
+def test_cached_arrays_fit_in_the_bytes_of_the_row_major_layout():
+    # the cached layout and factor hold at most the bytes that the row-major
+    # layout, with its kernel-order factor beside it, held at M = 256
+    for k, limit in ((1, 8_726_643), (4, 8_851_560)):
+        _factor.cache_clear()
+        _layout.cache_clear()
+        chains, damp, tail_share, _, kernel = _factor(k, math.sqrt(2), 256)
+        assert sum(a.nbytes for a in (*chains, damp, tail_share, *kernel)) <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +725,12 @@ def test_tail_closure_matches_padded_chain(k, c):
 def test_tail_weights_match_scalar_series(k, M):
     # every chain's τ against the scalar series on exact integer couplings
     chains = _layout(k, M)
-    rows = np.arange(len(chains.lengths))
-    m_edge, n_edge = chains.m[rows, chains.lengths], chains.n[rows, chains.lengths]
     origins = chain_origins(k, M)
+    lengths = [chain_length(origin, k, M) for origin in origins]
+    edges = [(m0 + k * L, n0 + k * L) for (m0, n0), L in zip(origins, lengths)]
+    assert list(zip(chains.m_edge.tolist(), chains.n_edge.tolist())) == edges
     for c in CERTIFICATION_C_GRID + (0.01 + 0j, 1e200 + 0j):
-        tau = _tail_weights(m_edge, n_edge, k, abs(c) * abs(c))
+        tau = _tail_weights(chains.m_edge, chains.n_edge, k, abs(c) * abs(c), chains.perms)
         for origin, got in zip(origins, tau.tolist()):
             want = scalar_tail_weight(origin, k, chain_length(origin, k, M), c)
             assert got == want or abs(got - want) <= 1e-14 * want, (origin, c)
@@ -882,7 +918,7 @@ def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
     chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
     arrays = [*chains, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(arrays) == 14
+    assert chains is _layout(2, 10) and len(arrays) == 15
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -1003,9 +1039,9 @@ def reference_lockstep_apply(kernel, rhs, turn):
     sets v_{j+1} = s·y_j + g·p and p = g·y_j − s·p, as the kernel did before
     its two-ufunc step.
     """
-    order, back, r, sup, rot = kernel
+    r, sup, rot = kernel
     g, s = rot[:, 0], -rot[:, 1]
-    f, tr, ti = rhs[order].T, turn.real[:, None], turn.imag[:, None]
+    f, tr, ti = rhs, turn.real[:, None], turn.imag[:, None]
     rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
     width, rows = r.shape
     y = np.empty((width, 2, rows))
@@ -1019,7 +1055,7 @@ def reference_lockstep_apply(kernel, rhs, turn):
         np.add(sy_j, g_j * p, out=v_next)
         p = gy_j - s_j * p
     v[0] = p
-    return (v[:, 0] * tr - v[:, 1] * ti).T[back], (v[:, 0] * ti + v[:, 1] * tr).T[back]
+    return v[:, 0] * tr - v[:, 1] * ti, v[:, 0] * ti + v[:, 1] * tr
 
 
 def reference_norm(values):
@@ -1031,16 +1067,20 @@ def dict_backed_solve(spec):
     """solve with its data read through ``f.entries`` and its solution written as a dict.
 
     The right-hand side is gathered by (m, n) pairs from a dense grid, the
-    rows are solved by :func:`reference_lockstep_apply`, the report norms
+    chains are solved by :func:`reference_lockstep_apply`, the report norms
     are :func:`reference_norm` of Python float lists, and the solution is
     the dict of key tuples and Python complexes that the constructor's
-    prune rule keeps.  Returns that dict and the report.
+    prune rule keeps.  The output order, chain by chain in origin order and
+    each by j, is walked from the layout's (m, n) grid, not read from its
+    stored positions.  Returns that dict and the report.
     """
     f = spec.validate()
     k, M, c = spec.k, spec.truncation, complex(spec.c)
     chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
-    box, stored = chains.eqs, chains.stored
-    rows, edge = np.arange(len(chains.lengths)), chains.lengths
+    m, n, box = layout_grid(chains, M)
+    width, rows = box.shape
+    lengths = box.sum(axis=0)
+    columns = np.lexsort((n[0], m[0])).tolist()  # the chains in origin order
     sqrt_pi = math.sqrt(math.pi)
     index = index_array(f.entries)
     amps = np.fromiter(f.entries.values(), complex, len(f.entries))
@@ -1049,30 +1089,34 @@ def dict_backed_solve(spec):
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     dense = dense.reshape(M + 2, M + 2)
-    rhs = dense[np.where(box, chains.m[:, :-1], M + 1), np.where(box, chains.n[:, :-1], M + 1)]
-    u_re, u_im = reference_lockstep_apply(kernel, rhs, solver._turns(c, box.shape[1] + 1))
+    rhs = dense[m, n]
+    u_re, u_im = reference_lockstep_apply(kernel, rhs, solver._turns(c, width + 1))
     sizes = np.hypot(u_re, u_im)
-    tails = sizes[rows, edge] * tail_share
-    u_norm = reference_norm(sizes[stored].tolist()) * sqrt_pi
-    u_re[rows, edge] /= damp
-    u_im[rows, edge] /= damp
-    u_re0, u_im0, a = u_re[:, :-1], u_im[:, :-1], chains.couplings
-    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[:, 1:]
-    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[:, 1:]
-    values = np.empty(np.count_nonzero(stored), dtype=complex)
-    values.real, values.imag = u_re[stored] * sqrt_pi, u_im[stored] * sqrt_pi
-    keys = list(zip(chains.m[stored].tolist(), chains.n[stored].tolist()))
+    stored = [(j, q) for q in columns for j in range(lengths[q] + 1)]
+    edge = (lengths[columns], columns)
+    tails = sizes[edge] * tail_share
+    u_norm = reference_norm([sizes[j, q] for j, q in stored]) * sqrt_pi
+    u_re[edge] /= damp
+    u_im[edge] /= damp
+    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
+    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
+    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
+    residuals = np.hypot(res_re, res_im)
+    values = np.empty(len(stored), dtype=complex)
+    values.real = [u_re[j, q] * sqrt_pi for j, q in stored]
+    values.imag = [u_im[j, q] * sqrt_pi for j, q in stored]
+    keys = [(m[0, q] + j * k, n[0, q] + j * k) for j, q in stored]
     entries = {key: v for key, v in zip(keys, values.tolist()) if 0 < abs(v) < math.inf}
     f_norm = reference_norm(np.hypot(data.real, data.imag).tolist()) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = solver.SolveReport(
-        residual_norm=reference_norm(np.hypot(res_re, res_im)[box].tolist()) * sqrt_pi,
+        residual_norm=reference_norm([residuals[j, q] for j, q in stored if j < lengths[q]]) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,
         bound_holds=ratio <= 1.0 + solver.BOUND_TOL,
         truncation=M,
-        chain_count=len(rows),
+        chain_count=rows,
         tail_estimate=reference_norm(tails.tolist()) * sqrt_pi,
         min_pivot=min_pivot,
     )
