@@ -656,11 +656,14 @@ def _disk_pass(p: DiskProblem, rule: QuadratureRule):
     # restricted to the certified support box [0, M−k]²; the Parseval defect
     # is the weighted mass the box misses.
     f_hat, defect = project(lambda _: fv, p.truncation - p.k, rule, check_parseval=False)
-    # with no coefficient kept the bound would hold for u = 0, whatever f is
-    if not len(f_hat) and np.any(fv != 0):
+    # with no coefficient of normal size the bound would hold for rounding
+    # residue (u = 0 where f̂ is empty), whatever f is
+    largest = float(np.abs(f_hat.arrays()[1]).max(initial=0.0))
+    if largest < sys.float_info.min and np.any(fv != 0):
         raise ValueError(
             "f is nonzero on the disk, but its projection onto the truncation box keeps "
-            "no coefficient: the data are below the projection's resolution"
+            f"no coefficient of normal float size (the largest |b| is {largest!r}): "
+            "the data are below the projection's resolution"
         )
     u, base_report = solve(ProblemSpec(k=p.k, c=p.c, truncation=p.truncation, f=f_hat))
     # both integrals as (value, exponent) pairs: see _relative_change
@@ -693,8 +696,10 @@ def solve_disk(p: DiskProblem) -> Tuple[HermiteCoeffs, DiskReport]:
     certified integrals would then be quadrature-limited.  The shift is
     taken on a power-of-two scale (:func:`_relative_change`), so it measures
     the quadrature, not the rounding of a subnormal integral.  Data that are
-    nonzero on the nodes but project to no coefficient at all raise
-    ``ValueError``: the certificate of u = 0 would hold for any f.
+    nonzero on the nodes but project to no coefficient of normal float size
+    (|b| < ``sys.float_info.min``) raise ``ValueError`` naming the largest
+    |b|: the certificate of rounding residue, or of u = 0, would hold for
+    any f.
     """
     rule = QuadratureRule.disk(p.center, p.radius, p.radial_nodes, p.angular_nodes)
     u, base_report, u_scaled, f_scaled, defect = _disk_pass(p, rule)

@@ -1,5 +1,6 @@
 """Property tests: the chain kernel against the rational oracle, the solve map, fuzzed files, the column read."""
 
+import dataclasses
 import json
 import math
 import random
@@ -125,6 +126,32 @@ def test_solve_commutes_with_dyadic_scaling(j, k, c, seed):
         assert getattr(got_report, name) == math.ldexp(getattr(report, name), j), name
     assert got.index.tolist() == u.index.tolist()
     assert np.array_equal(got.arrays()[1], _times_power_of_two(u, j).arrays()[1])
+
+
+def _mirrored(u):
+    """(n, m) → conj(amplitude) for every entry (m, n) of u."""
+    index, values = u.arrays()
+    return dict(zip(map(tuple, index[:, ::-1].tolist()), values.conj().tolist()))
+
+
+@PROPERTY
+@given(
+    k=st.integers(1, 4),
+    c=st.sampled_from(CERTIFICATION_C_GRID + (0.01 + 0j, 0.3 - 2j)),
+    seed=st.integers(0, 2**32),
+)
+def test_solve_commutes_with_conjugation(k, c, seed):
+    # z → z̄ swaps H_{m,n} and H_{n,m}: solving for conj(f) with (m, n) swapped
+    # and the shift conj(c) gives u swapped and conjugated.  Every report field
+    # keeps its bits; u's values are compared with ==, since at c = 1e6 some
+    # parts come back with the other sign of zero
+    M = 32
+    f = dense_data(random.Random(seed), M - k)
+    u, report = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+    mirror = HermiteCoeffs(_mirrored(f), f.normalization)
+    got, got_report = solve(ProblemSpec(k=k, c=c.conjugate(), truncation=M, f=mirror))
+    assert repr(dataclasses.asdict(got_report)) == repr(dataclasses.asdict(report))
+    assert got.entries == _mirrored(u)
 
 
 @st.composite
