@@ -18,10 +18,14 @@ entry and the infinite minimum-norm problem closes exactly into a finite one.
 
 All chains are solved at once, as the columns of one step-major array,
 longest chain first.  What depends on (k, M) alone is built once in that
-order (:func:`_layout`): the couplings, the gather of the data and the flat
-positions of the output.  What depends on |c| is built once per (k, |c|, M)
-(:func:`_factor`), and a solve gathers f into the layout, stays in it, and
-reads the solution out by position.
+order (:func:`_layout`): the couplings, the gather of the data, the flat
+positions of the output, each chain's mirror and the couplings past the
+edges, formed as the tail weights need them.  What depends on |c| is built
+once per (k, |c|, M) (:func:`_factor`), and a solve gathers f into the
+layout, stays in it, and reads the solution out by position.  A_j is
+symmetric in m and n (the z ↔ z̄ symmetry), so the chains from (m₀, n₀) and
+(n₀, m₀) share their factor bit for bit; it is computed for one of each
+pair and copied to the other.
 
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
@@ -32,6 +36,7 @@ by zero-extension plus disk-quadrature projection.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -165,6 +170,12 @@ class _Chains(NamedTuple):
     ``index`` run in the output order, chain by chain in lexicographic origin
     order and each by j; ``tail``, ``m_edge`` and ``n_edge`` run in origin
     order.
+
+    A chain and its mirror (n₀, m₀) have the same length and couplings, since
+    A_j is symmetric in m and n.  The representative of a pair is the chain
+    with m₀ ≤ n₀ (a diagonal chain is its own); ``reps`` are their columns,
+    longest first as every column is, and ``mirror`` gives each column the
+    place of its representative in ``reps``.
     """
 
     counts: np.ndarray  # (W,) chains with an equation at step j
@@ -173,10 +184,18 @@ class _Chains(NamedTuple):
     tail: np.ndarray  # (P,) flat position of each chain's edge entry
     m_edge: np.ndarray  # (P,) first index of each chain's edge entry
     n_edge: np.ndarray  # (P,)
-    perms: np.ndarray  # (x)_k for x ≤ M + k: the table _tail_weights extends
     stored: np.ndarray  # flat positions of the box and edge entries
     box: np.ndarray  # flat positions of the box equations
     index: np.ndarray  # (m, n) of the stored entries: the solution's index
+    reps: np.ndarray  # (R,) columns of the representatives
+    rep_counts: np.ndarray  # (W,) representatives with an equation at step j, the first of ``reps``
+    mirror: np.ndarray  # (P,) place in ``reps`` of each column's representative
+    past: _Past  # the couplings past the representatives' edges, grown on demand
+
+    @property
+    def perms(self) -> np.ndarray:
+        """(x)_k from x = 0, as far as the couplings built so far needed it."""
+        return self.past.perms
 
 
 def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
@@ -185,19 +204,63 @@ def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
     return np.array([float(p) if p <= sys.float_info.max else math.inf for p in perms])
 
 
+class _Past:
+    """A_i = (m_L + ik)_k·(n_L + ik)_k for i ≥ 1, past the edges (m_L, n_L) of some chains.
+
+    Row i − 1 holds A_i of every chain.  The rows are formed as a sum asks
+    for them, in read-only blocks of 8, 16, 32, … rows, from a table of (x)_k
+    that grows with them, and both are kept: they depend on k and the edges
+    alone, so a layout forms each block once, whatever |c|.
+    """
+
+    def __init__(self, k: int, m_edge: np.ndarray, n_edge: np.ndarray, perms: np.ndarray):
+        self.k, self.m_edge, self.n_edge, self.perms = k, m_edge, n_edge, perms
+        self.blocks: dict = {}
+
+    @property
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        return (self.m_edge, self.n_edge, self.perms, *self.blocks.values())
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.arrays)
+
+    def rows(self):
+        """Every block in order, each formed the first time it is asked for."""
+        for b in itertools.count():
+            if b not in self.blocks:
+                # where two threads form a block at once, both get the first one kept
+                self.blocks.setdefault(b, self._block(b))
+            yield self.blocks[b]
+
+    def _block(self, b: int) -> np.ndarray:
+        """Rows i = 8·(2^b − 1) + 1 to 8·(2^(b+1) − 1)."""
+        first = 8 * (2**b - 1) + 1
+        i = self.k * np.arange(first, 2 * first + 7)[:, None]
+        m, n = self.m_edge + i, self.n_edge + i
+        perms, top = self.perms, max(m[-1].max(), n[-1].max())
+        if top >= perms.size:
+            extra = _perm_table(self.k, perms.size, top + 1)
+            perms = self.perms = _read_only(np.concatenate([perms, extra]))[0]
+        with np.errstate(over="ignore"):  # inf past float range
+            return _read_only(perms[m] * perms[n])[0]
+
+
 @lru_cache(maxsize=4)
 def _layout(k: int, M: int) -> _Chains:
     """The chains of (k, M) and everything a solve needs of them but |c| and f, read-only.
 
-    Kept for the last few (k, M).
+    Kept for the last few (k, M), with the couplings past the edges that
+    the factors of these (k, M) have formed so far.
     """
-    grid = np.arange(M + 1)
-    m0, n0 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
-    origin = (m0 < k) | (n0 < k)
-    m0, n0 = m0[origin], n0[origin]
+    # the origins in lexicographic order: the rows m₀ < k whole, then n₀ < k on the rows past them
+    rows = np.divmod(np.arange(min(k, M + 1) * (M + 1)), M + 1)
+    rest = np.divmod(np.arange(max(M + 1 - k, 0) * k), k)
+    m0, n0 = np.concatenate([rows[0], rest[0] + k]), np.concatenate([rows[1], rest[1]])
     lengths = np.minimum(M - m0, M - n0) // k + 1
     P = len(lengths)
     order = np.argsort(-lengths, kind="stable")
+    column = np.argsort(order)
     steps = np.arange(M // k + 2)[:, None]
     m, n = m0[order] + k * steps[:-1], n0[order] + k * steps[:-1]
     eqs = steps[:-1] < lengths[order]
@@ -214,41 +277,68 @@ def _layout(k: int, M: int) -> _Chains:
     gather = np.where(eqs, m * (M + 2) + n, (M + 2) ** 2 - 1)
     # the output order: chain by chain in origin order, each by j
     j = steps.T
-    positions = j * P + np.argsort(order)[:, None]
+    positions = j * P + column[:, None]
     stored = j <= lengths[:, None]
     index = np.stack(((m0[:, None] + k * j)[stored], (n0[:, None] + k * j)[stored]), axis=1)
     box = positions[:, :-1][j[:, :-1] < lengths[:, None]]
     tail = positions[np.arange(P), lengths]
-    arrays = (eqs.sum(axis=1), couplings, gather, tail, m0 + k * lengths, n0 + k * lengths)
-    return _Chains(*_read_only(*arrays, perms, positions[stored], box, index))
+    m_edge, n_edge = m0 + k * lengths, n0 + k * lengths
+    # the column of each chain's mirror (n₀, m₀).  The two chains of a pair have one
+    # length, so the representative, m₀ ≤ n₀ and first in origin order, has the lower column
+    columns = np.empty((M + 1, M + 1), dtype=int)
+    columns[m[0], n[0]] = np.arange(P)
+    is_rep = m[0] <= n[0]
+    reps = np.flatnonzero(is_rep)
+    mirror = (np.cumsum(is_rep) - 1)[np.minimum(np.arange(P), columns[n[0], m[0]])]
+    past = _Past(k, *_read_only(m_edge[order[reps]], n_edge[order[reps]], perms))
+    counts = eqs.sum(axis=1)
+    arrays = (counts, couplings, gather, tail, m_edge, n_edge, positions[stored], box, index)
+    # the columns with an equation at step j are the first counts[j]
+    rep_arrays = (reps, np.searchsorted(reps, counts), mirror)
+    return _Chains(*_read_only(*arrays, *rep_arrays), past)
 
 
 def _tail_weights(
-    m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float, perms: np.ndarray
+    m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float, perms: np.ndarray, past=None
 ) -> np.ndarray:
     """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain: its mass past u_L over |u_L|².
 
     Past the box the right-hand side is zero, so the infinite chain continues
     from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only on the chain
-    and |c|² and converges super-factorially.  All chains add one term per
-    step, each until its terms pass |c|² and fall below 1e−17·τ; τ is inf
-    once it passes 1e300, and an A_j past float range adds nothing.
-    ``perms`` is a table of (x)_k from x = 0, extended here as the steps need.
+    and |c|² and converges super-factorially.  Each chain adds terms until
+    they pass |c|² and fall below 1e−17·τ; τ is inf once it passes 1e300,
+    and an A_j past float range adds nothing.
+
+    The couplings past the edges come a block of rows at a time from
+    ``past``, a :class:`_Past` of these edges that keeps the blocks it forms
+    (each layout keeps one for its representatives); without one they are
+    formed from ``perms``, a table of (x)_k from x = 0, for this call alone.
+    Per block: one quotient |c|²/A, then ``np.multiply.accumulate`` and
+    ``np.add.accumulate`` down the rows, which run in order and so round
+    every product and sum as adding one step at a time would, and a search
+    for the first row where a chain stops.
     """
-    term, acc = np.ones(len(m_edge)), np.zeros(len(m_edge))
-    top = max(m_edge.max(), n_edge.max())
+    if past is None:
+        past = _Past(k, m_edge, n_edge, perms)
+    tau, todo = np.zeros(len(m_edge)), np.ones(len(m_edge), dtype=bool)
+    term, acc = np.ones(len(tau)), np.zeros(len(tau))
     with np.errstate(over="ignore", invalid="ignore"):
-        while term.any():
-            # A_j = (m_j + k)_k·(n_j + k)_k, inf past float range
-            m_edge, n_edge, top = m_edge + k, n_edge + k, top + k
-            if top >= perms.size:
-                perms = np.concatenate([perms, _perm_table(k, perms.size, 2 * top + 1)])
-            a = perms[m_edge] * perms[n_edge]
-            term *= np.where(a < math.inf, c2 / a, 0.0)
-            acc += term
-            # a finished chain adds zero terms from here on
-            term[(acc > 1e300) | ((a > c2) & (term <= 1e-17 * acc))] = 0.0
-    return np.where(acc > 1e300, math.inf, acc)
+        for a in past.rows():
+            # each block carries on from the last row's term and sum
+            terms = np.where(a < math.inf, c2 / a, 0.0)
+            terms[0] *= term
+            np.multiply.accumulate(terms, axis=0, out=terms)
+            sums = terms.copy()
+            sums[0] += acc
+            np.add.accumulate(sums, axis=0, out=sums)
+            # a zero term ends a chain too: past it every term is zero
+            stop = (sums > 1e300) | ((a > c2) & (terms <= 1e-17 * sums)) | (terms == 0.0)
+            ends = todo & stop.any(axis=0)
+            tau[ends] = sums[stop.argmax(axis=0)[ends], ends]
+            todo &= ~ends
+            if not todo.any():
+                return np.where(tau > 1e300, math.inf, tau)
+            term, acc = terms[-1], sums[-1]
 
 
 @lru_cache(maxsize=1)
@@ -264,36 +354,56 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     chain's last equation.  The kernel is (r, R's super-diagonal, the
     (W, 2, P) rotations (g, −s)).  The pivots come from math.hypot, so every
     chain rounds as the scalar per-chain Givens solve kept in the tests does.
+    A chain and its mirror have the same τ and the same rotations, bit for
+    bit, since IEEE products commute: τ and the pivot loop run on the
+    representatives alone (τ from the layout's table of the couplings past
+    their edges) and one gather each copies τ, r and g to every column.
     Only the last (k, |c|, M) is kept; shifts of one modulus share it.
     """
     chains = _layout(k, M)
-    tau = _tail_weights(chains.m_edge, chains.n_edge, k, rho * rho, chains.perms)
+    P = len(chains.tail)
+    past = chains.past
+    rep_tau = _tail_weights(past.m_edge, past.n_edge, k, rho * rho, past.perms, past)
+    tau = rep_tau[chains.mirror[chains.tail % P]]
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
     sa = chains.couplings.copy()
     # a chain's last equation is one step before its edge entry
-    sa.reshape(-1)[chains.tail - len(chains.tail)] /= damp
-    r, g = np.ones((2, *sa.shape))
-    alpha, min_pivot = np.full(sa.shape[1], rho), math.inf
-    for n, r_j, g_j, sa_j in zip(chains.counts.tolist(), r, g, sa):
+    last = chains.tail - P
+    sa.reshape(-1)[last] /= damp
+    rep_sa = np.take(sa, chains.reps, axis=1)
+    r, g = np.ones((2, *rep_sa.shape))
+    alpha, min_pivot = np.full(rep_sa.shape[1], rho), math.inf
+    for n, r_j, g_j, sa_j in zip(chains.rep_counts.tolist(), r, g, rep_sa):
         pivots = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
         r_j[:n], min_pivot = pivots, min(min_pivot, *pivots)
         alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
+    r, g = np.take(r, chains.mirror, axis=1), np.take(g, chains.mirror, axis=1)
     s = sa / r
-    sup = s[:-1] * rho  # R's super-diagonal, zero after a chain's last equation
-    for sup_j, n in zip(sup, chains.counts[1:].tolist()):
-        sup_j[n:] = 0.0
+    # R's super-diagonal, zero from a chain's last equation on: past it sa = 0
+    # and r = 1 already give s = 0, so only the last equations are set
+    sup = s[:-1] * rho
+    sup.reshape(-1)[last[last < sup.size]] = 0.0
     kernel = _read_only(r, sup, np.stack([g, -s], axis=1))
     return chains, *_read_only(damp, np.sqrt(share)), min_pivot, kernel
 
 
 def _turns(c: complex, count: int) -> np.ndarray:
-    """turn[j] = (c/|c|)^j for j < count, each divided by its own modulus; all ones at c = 0."""
+    """turn[j] = (c/|c|)^j for j < count, each divided by its own modulus; all ones at c = 0.
+
+    Read-only, and kept for the last c, which the trials of a sweep cell share.
+    """
+    # == does not tell ±0.0 apart, and c/|c| keeps the sign of a zero part
+    return _turn_table(c, count, math.copysign(1.0, c.real), math.copysign(1.0, c.imag))
+
+
+@lru_cache(maxsize=1)
+def _turn_table(c: complex, count: int, *signs: float) -> np.ndarray:
     turns, unit = [1 + 0j], c / abs(c) if c else 1 + 0j
     for _ in range(count - 1):
         turn = turns[-1] * unit
         turns.append(turn / abs(turn))
-    return np.array(turns)
+    return _read_only(np.array(turns))[0]
 
 
 def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
@@ -365,7 +475,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
 
     # Data in orthonormal coordinates with the common √π factor removed.
     sqrt_pi = math.sqrt(math.pi)
-    data = _complex_array(amps.real / sqrt_pi, amps.imag / sqrt_pi)
+    data = (amps.view(float) / sqrt_pi).view(complex)
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     rhs = dense[chains.gather]

@@ -12,13 +12,16 @@ the tests compare the library against it:
 * the closed form of e^{|z|²} ∂^j ∂̄^i e^{−|z|²} and its iterated oracle;
 * the max-norm five-point residual at k = 1 (:func:`fd_residual_k1`);
 * the certification sweep and the operator-norm probe as two loops of their
-  own (:func:`reference_certify_sweep`, :func:`reference_operator_norm_probe`).
+  own (:func:`reference_certify_sweep`, :func:`reference_operator_norm_probe`);
+* the chain factor over every column, with its tail weights summed one step
+  at a time (:func:`reference_factor`, :func:`reference_tail_weights`).
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import List
 
@@ -32,6 +35,7 @@ from focksolve.solver import (
     RESIDUAL_TOL,
     ProblemSpec,
     _check_sweep_box,
+    _layout,
     dense_data,
     solve,
 )
@@ -231,3 +235,66 @@ def reference_certify_sweep(k_min: int, k_max: int, trials: int, M: int, seed: i
                 }
             )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The chain factor: every column, and τ one step at a time
+
+
+def _perm_floats(k: int, start: int, stop: int) -> np.ndarray:
+    """(x)_k as floats for start ≤ x < stop; inf past float range."""
+    perms = (math.perm(x, k) for x in range(start, stop))
+    return np.array([float(p) if p <= sys.float_info.max else math.inf for p in perms])
+
+
+def reference_tail_weights(
+    m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float, perms: np.ndarray
+) -> np.ndarray:
+    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain, one step of every chain at a time.
+
+    All chains add one term per step, each until its terms pass |c|² and
+    fall below 1e−17·τ; τ is inf once it passes 1e300, and an A_j past float
+    range adds nothing.  ``perms`` is a table of (x)_k from x = 0, extended
+    here as the steps need.
+    """
+    term, acc = np.ones(len(m_edge)), np.zeros(len(m_edge))
+    top = max(m_edge.max(), n_edge.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while term.any():
+            m_edge, n_edge, top = m_edge + k, n_edge + k, top + k
+            if top >= perms.size:
+                perms = np.concatenate([perms, _perm_floats(k, perms.size, 2 * top + 1)])
+            a = perms[m_edge] * perms[n_edge]
+            term *= np.where(a < math.inf, c2 / a, 0.0)
+            acc += term
+            # a finished chain adds zero terms from here on
+            term[(acc > 1e300) | ((a > c2) & (term <= 1e-17 * acc))] = 0.0
+    return np.where(acc > 1e300, math.inf, acc)
+
+
+def reference_factor(k: int, rho: float, M: int) -> tuple:
+    """The factor of (k, |c| = rho, M) with the Givens loop over every column of the layout.
+
+    Returns (√(1 + τ), √(τ/(1 + τ)), the smallest pivot, (r, R's
+    super-diagonal, (g, −s))) as ``solver._factor`` does, τ from
+    :func:`reference_tail_weights` on every chain's edge.
+    """
+    chains = _layout(k, M)
+    perms = _perm_floats(k, 0, M + k + 1)
+    tau = reference_tail_weights(chains.m_edge, chains.n_edge, k, rho * rho, perms)
+    damp = np.sqrt(1.0 + tau)
+    share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
+    sa = chains.couplings.copy()
+    # a chain's last equation is one step before its edge entry
+    sa.reshape(-1)[chains.tail - len(chains.tail)] /= damp
+    r, g = np.ones((2, *sa.shape))
+    alpha, min_pivot = np.full(sa.shape[1], rho), math.inf
+    for n, r_j, g_j, sa_j in zip(chains.counts.tolist(), r, g, sa):
+        pivots = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
+        r_j[:n], min_pivot = pivots, min(min_pivot, *pivots)
+        alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
+    s = sa / r
+    sup = s[:-1] * rho  # R's super-diagonal, zero after a chain's last equation
+    for sup_j, n in zip(sup, chains.counts[1:].tolist()):
+        sup_j[n:] = 0.0
+    return damp, np.sqrt(share), min_pivot, (r, sup, np.stack([g, -s], axis=1))

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
@@ -35,7 +37,9 @@ from oracles import (
     apply_operator,
     plus,
     reference_certify_sweep,
+    reference_factor,
     reference_operator_norm_probe,
+    reference_tail_weights,
     scaled,
 )
 
@@ -308,6 +312,18 @@ def test_decompose_partitions_box():
         assert chains.couplings[eqs].tolist() == [
             math.sqrt(math.perm(m + k, k) * math.perm(n + k, k)) for m, n in box
         ]
+
+
+def test_each_column_reads_the_representative_of_its_mirror_pair():
+    for k, M in [(1, 6), (2, 5), (3, 7), (4, 4), (5, 13), (2, 1)]:
+        chains = _layout(k, M)
+        m, n, eqs = layout_grid(chains, M)
+        m0, n0 = m[0].tolist(), n[0].tolist()
+        # the representatives are the columns with m₀ ≤ n₀, in column order
+        assert chains.reps.tolist() == [q for q in range(len(m0)) if m0[q] <= n0[q]]
+        assert chains.rep_counts.tolist() == eqs[:, chains.reps].sum(axis=1).tolist()
+        rep = chains.reps[chains.mirror].tolist()
+        assert [(m0[q], n0[q]) for q in rep] == [(min(a, b), max(a, b)) for a, b in zip(m0, n0)]
 
 
 def test_decompose_examples():
@@ -914,11 +930,84 @@ def test_certify_sweep_factors_once_per_run_of_one_modulus():
     assert _factor.cache_info().misses == 10
 
 
+FACTOR_MODULI = (0.0, 5e-324, 1e-300, 0.3, 1.0, math.sqrt(2), 10.0, 1e3, 1e6, 1e150, 1e300, 1.7e308)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_factor_matches_the_full_width_reference_bit_for_bit(k):
+    # the factor runs τ and the pivot loop on one chain of each mirror pair,
+    # τ from the layout's table of the couplings past the edges, which grows
+    # as the moduli do; the reference runs every column and sums τ step by
+    # step.  Boxes below k have a layout and a factor, though no solve
+    for M in (1, 2, 5, 16, 32, 48, 100):
+        for rho in FACTOR_MODULI:
+            _, *got, min_pivot, kernel = _factor(k, rho, M)
+            *want, want_pivot, want_kernel = reference_factor(k, rho, M)
+            for a, b in zip((*got, *kernel), (*want, *want_kernel)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (M, rho)
+            assert min_pivot.hex() == want_pivot.hex(), (M, rho)
+
+
+@pytest.mark.parametrize("k", [80, 120])
+def test_factor_matches_the_reference_where_couplings_pass_float_range(k):
+    # from k = 120 some A_1 past an edge is inf: at |c|² = inf those chains
+    # add no term, while every other chain's first term is inf
+    for rho in FACTOR_MODULI:
+        _, *got, min_pivot, kernel = _factor(k, rho, k)
+        *want, want_pivot, want_kernel = reference_factor(k, rho, k)
+        for a, b in zip((*got, *kernel), (*want, *want_kernel)):
+            assert a.tobytes() == b.tobytes(), rho
+        assert min_pivot.hex() == want_pivot.hex(), rho
+
+
+def test_threads_that_grow_one_table_at_once_read_every_row_in_its_place():
+    # the layout's table of the couplings past the edges is shared, and two
+    # threads may form one block of it at once; these moduli need 3 to 6 blocks
+    moduli = [30.0, 100.0, 200.0, 345.0] * 2
+    _layout.cache_clear()
+    past = _layout(1, 64).past
+    got, start = [None] * len(moduli), threading.Barrier(len(moduli))
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = _tail_weights(past.m_edge, past.n_edge, 1, moduli[i] ** 2, past.perms, past)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(moduli))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rho, tau in zip(moduli, got):
+        want = reference_tail_weights(past.m_edge, past.n_edge, 1, rho**2, np.empty(0))
+        assert tau.tobytes() == want.tobytes(), rho
+
+
+def test_turns_are_kept_for_one_shift_with_the_sign_of_its_zeros():
+    # the two shifts are ==, but c/|c| keeps the sign of the zero part, so
+    # their turns differ in bits: the kept table of one is not the other's
+    def parts(c):
+        return [(t.real.hex(), t.imag.hex()) for t in solver._turns(c, 5).tolist()]
+
+    c, twin = complex(0.0, -1.0), complex(-0.0, -1.0)
+    want = parts(twin)
+    assert parts(c) != want and parts(twin) == want
+    with pytest.raises(ValueError, match="read-only"):
+        solver._turns(c, 5)[0] = 0
+
+
 def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
     chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
-    arrays = [*chains, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(arrays) == 15
+    # the couplings past the edges are the layout's one growing part, in read-only blocks
+    *layout, past = chains
+    arrays = [*layout, *past.arrays, damp, tail_share, *kernel]
+    assert chains is _layout(2, 10) and len(layout) == 12 and past.blocks
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
