@@ -17,15 +17,17 @@ the box the data vanish, so each chain's infinite tail is fixed by its edge
 entry and the infinite minimum-norm problem closes exactly into a finite one.
 
 All chains are solved at once, as the columns of one step-major array,
-longest chain first.  What depends on (k, M) alone is built once in that
-order (:func:`_layout`): the couplings, the gather of the data, the flat
-positions of the output, each chain's mirror and the couplings past the
-edges, formed as the tail weights need them.  What depends on |c| is built
-once per (k, |c|, M) (:func:`_factor`), and a solve gathers f into the
-layout, stays in it, and reads the solution out by position.  A_j is
-symmetric in m and n (the z ↔ z̄ symmetry), so the chains from (m₀, n₀) and
-(n₀, m₀) share their factor bit for bit; it is computed for one of each
-pair and copied to the other.
+longest chain first.  What depends on (k, M) alone is built once
+(:func:`_layout`): the gather of the data in that order, the flat positions
+of the output entries and the box equations' couplings in output order,
+each chain's mirror and the couplings past the edges, formed as the tail
+weights need them.  What depends on |c| is built once per (k, |c|, M)
+(:func:`_factor`).  A solve gathers f into the layout for the kernel, then
+reads the stored entries out by position once, and forms the norms, the
+edge damping and the residual on them alone.  A_j is symmetric in m and n
+(the z ↔ z̄ symmetry), so the chains from (m₀, n₀) and (n₀, m₀) share their
+factor bit for bit; it is computed for one of each pair and copied to the
+other.
 
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
@@ -112,9 +114,8 @@ class ProblemSpec:
         margin = self.truncation - self.k
         # an exact f converts its amplitudes only once its support is checked
         index = self.f.index
-        outside = (index > margin).any(axis=1)
-        if outside.any():
-            m, n = index[int(np.argmax(outside))].tolist()
+        if index.max(initial=0) > margin:
+            m, n = index[int(np.argmax((index > margin).any(axis=1)))].tolist()
             raise ValueError(
                 f"f has support at index ({m},{n}) outside the certified box "
                 f"[0,{margin}]² for truncation {self.truncation} and k {self.k}"
@@ -166,10 +167,13 @@ class _Chains(NamedTuple):
     the columns hold the chains longest first, stably in lexicographic origin
     order, so that the ``counts[j]`` chains with an equation at step j are
     the first ``counts[j]`` columns.  A flat position is j·P + q, in the
-    (W + 1, P) solution and in every (W, P) array.  ``stored``, ``box`` and
-    ``index`` run in the output order, chain by chain in lexicographic origin
-    order and each by j; ``tail``, ``m_edge`` and ``n_edge`` run in origin
-    order.
+    (W + 1, P) solution and in every (W, P) array.
+
+    The output order runs chain by chain in lexicographic origin order and
+    each by j, its edge entry last: ``stored`` and ``index`` hold its S
+    entries, ``box`` and ``box_couplings`` its box equations, each of which
+    pairs the entry at ``box_at[b]`` (u_j) with the next one (u_{j+1}).
+    ``tail``, ``tail_at``, ``m_edge`` and ``n_edge`` run in origin order.
 
     A chain and its mirror (n₀, m₀) have the same length and couplings, since
     A_j is symmetric in m and n.  The representative of a pair is the chain
@@ -179,18 +183,27 @@ class _Chains(NamedTuple):
     """
 
     counts: np.ndarray  # (W,) chains with an equation at step j
-    couplings: np.ndarray  # (W, P) √A_j on the equations, 0 past them
     gather: np.ndarray  # (W, P) m·(M+2) + n on the equations, (M+2)² − 1 past them
     tail: np.ndarray  # (P,) flat position of each chain's edge entry
     m_edge: np.ndarray  # (P,) first index of each chain's edge entry
     n_edge: np.ndarray  # (P,)
-    stored: np.ndarray  # flat positions of the box and edge entries
-    box: np.ndarray  # flat positions of the box equations
-    index: np.ndarray  # (m, n) of the stored entries: the solution's index
+    stored: np.ndarray  # (S,) flat positions of the box and edge entries
+    box: np.ndarray  # (B,) flat positions of the box equations
+    box_at: np.ndarray  # (B,) place in ``stored`` of each box equation's u_j
+    tail_at: np.ndarray  # (P,) place in ``stored`` of each chain's edge entry
+    box_couplings: np.ndarray  # (B,) √A_j of each box equation
+    index: np.ndarray  # (S, 2) (m, n) of the stored entries: the solution's index
     reps: np.ndarray  # (R,) columns of the representatives
     rep_counts: np.ndarray  # (W,) representatives with an equation at step j, the first of ``reps``
     mirror: np.ndarray  # (P,) place in ``reps`` of each column's representative
     past: _Past  # the couplings past the representatives' edges, grown on demand
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """A new (W, P) array of √A_j on the equations, 0 past them."""
+        couplings = np.zeros(self.gather.shape)
+        couplings.reshape(-1)[self.box] = self.box_couplings
+        return couplings
 
     @property
     def perms(self) -> np.ndarray:
@@ -260,28 +273,27 @@ def _layout(k: int, M: int) -> _Chains:
     lengths = np.minimum(M - m0, M - n0) // k + 1
     P = len(lengths)
     order = np.argsort(-lengths, kind="stable")
-    column = np.argsort(order)
-    steps = np.arange(M // k + 2)[:, None]
-    m, n = m0[order] + k * steps[:-1], n0[order] + k * steps[:-1]
-    eqs = steps[:-1] < lengths[order]
-    # √A_j = √((m+k)_k·(n+k)_k), zero past the equations since (0)_k = 0
+    steps = np.arange(M // k + 1)[:, None]
+    m, n = m0[order] + k * steps, n0[order] + k * steps
+    eqs = steps < lengths[order]
+    # flat positions in the (M + 2)² data grid, whose last cell stays zero
+    gather = np.where(eqs, m * (M + 2) + n, (M + 2) ** 2 - 1)
+    # the output order: chain by chain in origin order, each by j up to its edge entry
+    tail_at = np.cumsum(lengths + 1) - 1
+    chain = np.repeat(np.arange(P), lengths + 1)
+    j = np.arange(tail_at[-1] + 1) - np.repeat(tail_at - lengths, lengths + 1)
+    stored = j * P + np.argsort(order)[chain]
+    index = np.stack((m0[chain] + k * j, n0[chain] + k * j), axis=1)
+    # the box entries are all but the edges: the b-th is preceded by one edge per chain before it
+    box_at = np.arange(len(j) - P) + np.repeat(np.arange(P), lengths)
+    # √A_j = √((m+k)_k·(n+k)_k) on the box equations
     perms = _perm_table(k, 0, M + k + 1)
-    pm = perms[np.where(eqs, m + k, 0)]
-    pn = perms[np.where(eqs, n + k, 0)]
+    pm, pn = perms[index[box_at] + k].T
     with np.errstate(over="ignore"):
         couplings = np.sqrt(pm * pn)
     # past float range the product overflows before its root
     wide = couplings == math.inf
     couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
-    # flat positions in the (M + 2)² data grid, whose last cell stays zero
-    gather = np.where(eqs, m * (M + 2) + n, (M + 2) ** 2 - 1)
-    # the output order: chain by chain in origin order, each by j
-    j = steps.T
-    positions = j * P + column[:, None]
-    stored = j <= lengths[:, None]
-    index = np.stack(((m0[:, None] + k * j)[stored], (n0[:, None] + k * j)[stored]), axis=1)
-    box = positions[:, :-1][j[:, :-1] < lengths[:, None]]
-    tail = positions[np.arange(P), lengths]
     m_edge, n_edge = m0 + k * lengths, n0 + k * lengths
     # the column of each chain's mirror (n₀, m₀).  The two chains of a pair have one
     # length, so the representative, m₀ ≤ n₀ and first in origin order, has the lower column
@@ -292,10 +304,10 @@ def _layout(k: int, M: int) -> _Chains:
     mirror = (np.cumsum(is_rep) - 1)[np.minimum(np.arange(P), columns[n[0], m[0]])]
     past = _Past(k, *_read_only(m_edge[order[reps]], n_edge[order[reps]], perms))
     counts = eqs.sum(axis=1)
-    arrays = (counts, couplings, gather, tail, m_edge, n_edge, positions[stored], box, index)
+    arrays = (counts, gather, stored[tail_at], m_edge, n_edge, stored, stored[box_at], box_at, tail_at)
     # the columns with an equation at step j are the first counts[j]
     rep_arrays = (reps, np.searchsorted(reps, counts), mirror)
-    return _Chains(*_read_only(*arrays, *rep_arrays), past)
+    return _Chains(*_read_only(*arrays, couplings, index, *rep_arrays), past)
 
 
 def _tail_weights(
@@ -367,7 +379,7 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     tau = rep_tau[chains.mirror[chains.tail % P]]
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
-    sa = chains.couplings.copy()
+    sa = chains.couplings
     # a chain's last equation is one step before its edge entry
     last = chains.tail - P
     sa.reshape(-1)[last] /= damp
@@ -412,30 +424,36 @@ def _lockstep_apply(kernel: tuple, rhs: np.ndarray, turn: np.ndarray):
     Both are in the layout's own order, step-major and longest chain first.
     Step j's data are turned by conj(turn[j+1]) and v_j back by turn[j], as
     Python's complex multiply rounds; the real and imaginary parts of v are
-    two right-hand sides of the one real factor.  The rotations are applied
-    in reverse with p = v_{j+1} carried down: step j takes
-    (v_{j+1}, p) = (s·y_j, g·y_j) + (g, −s)·p, one multiply and one add
-    over both outputs, from the factor's stored (g, −s).  Negation is exact
-    and IEEE defines x − y as x + (−y), so g·y_j + (−s)·p rounds as
+    two right-hand sides of the one real factor.  The turned data are
+    written straight into y, and forward substitution solves R^T y = rhs in
+    place, one (2, P) scratch row for the products with the step before.
+    The rotations are applied in reverse with p = v_{j+1} carried down:
+    step j takes (v_{j+1}, p) = (s·y_j, g·y_j) + (g, −s)·p, one multiply and
+    one add over both outputs, from the factor's stored (g, −s).  Negation
+    is exact and IEEE defines x − y as x + (−y), so g·y_j + (−s)·p rounds as
     g·y_j − s·p does, signed zeros included.
     """
     r, sup, rot = kernel
-    f, tr, ti = rhs, turn.real[:, None], turn.imag[:, None]
-    rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
+    tr, ti = turn.real[:, None], turn.imag[:, None]
     width, rows = r.shape
-    # forward substitution R^T y = rhs
+    # the turned data, written straight into y
     y = np.empty((width, 2, rows))
-    prev = np.divide(rhs[0], r[0], out=y[0])
-    for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
-        prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
+    np.add(rhs.real * tr[1:], rhs.imag * ti[1:], y[:, 0])
+    np.subtract(rhs.imag * tr[1:], rhs.real * ti[1:], y[:, 1])
+    # forward substitution R^T y = rhs
+    np.divide(y[0], r[0], y[0])
+    scratch = np.empty((2, rows))
+    for prev, y_j, sup_j, r_j in zip(y, y[1:], sup, r[1:]):
+        np.subtract(y_j, np.multiply(sup_j, prev, scratch), y_j)
+        np.divide(y_j, r_j, y_j)
     # v = Q [y; 0].  The products with y need no earlier step and are taken
     # all at once: (−s·y, g·y), then the first negated to s·y.  Step j
     # overwrites them with (v_{j+1}, p).
     sgy = rot[:, ::-1, None] * y[:, None]
-    np.negative(sgy[:, 0], out=sgy[:, 0])
+    np.negative(sgy[:, 0], sgy[:, 0])
     p, turned = np.zeros((2, rows)), np.empty((2, 2, rows))
     for sgy_j, rot_j in zip(sgy[::-1], rot[::-1, :, None]):
-        p = np.add(sgy_j, np.multiply(rot_j, p, out=turned), out=sgy_j)[1]
+        p = np.add(sgy_j, np.multiply(rot_j, p, turned), sgy_j)[1]
     v = np.concatenate([sgy[:1, 1], sgy[:, 0]])
     return v[:, 0] * tr - v[:, 1] * ti, v[:, 0] * ti + v[:, 1] * tr
 
@@ -459,14 +477,17 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     with the edge coupling divided by √(1+τ).  All chains are solved
     together as the columns of one array, factored once per (k, |c|, M)
     (:func:`_factor`) and applied to each data set turned by the phase of c.
-    The data are gathered straight into the layout's step-major order, and
-    the solution, residual and norms stay in it; the stored values are read
-    out by their flat positions.  The coefficients hold the box plus the one
-    edge entry per chain that the box equations see, chain by chain in
-    lexicographic origin order.  The residual is reported over the box
-    equations, ``u_norm`` is the norm of the whole infinite-chain solution
-    and ``tail_estimate`` the norm of its part past the stored entries.
-    Chains share no arithmetic, so no output bit depends on the layout.
+    The data are gathered straight into the layout's step-major order for
+    the kernel.  Its solution's stored entries are then read out once by
+    their flat positions, in output order, and the magnitudes, the edge
+    damping, the residual and the written values are formed on those
+    entries alone: box equation b pairs entry ``box_at[b]`` with the next.
+    The coefficients hold the box plus the one edge entry per chain that the
+    box equations see, chain by chain in lexicographic origin order.  The
+    residual is reported over the box equations, ``u_norm`` is the norm of
+    the whole infinite-chain solution and ``tail_estimate`` the norm of its
+    part past the stored entries.  Chains share no arithmetic, so no output
+    bit depends on the layout.
     """
     index, amps = spec.validate().arrays()
     k, M = spec.k, spec.truncation
@@ -481,23 +502,26 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     rhs = dense[chains.gather]
 
     u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, len(chains.counts) + 1))
-    sizes = np.hypot(u_re, u_im).reshape(-1)
-    tails = sizes[chains.tail] * tail_share
-    u_norm = _norm(sizes[chains.stored]) * sqrt_pi
-    flat_re, flat_im = u_re.reshape(-1), u_im.reshape(-1)
-    flat_re[chains.tail] /= damp
-    flat_im[chains.tail] /= damp
+    # the stored entries in output order: all that follows works on them alone
+    re, im = u_re.reshape(-1)[chains.stored], u_im.reshape(-1)[chains.stored]
+    sizes = np.hypot(re, im)
+    tails = sizes[chains.tail_at] * tail_share
+    u_norm = _norm(sizes) * sqrt_pi
+    re[chains.tail_at] /= damp
+    im[chains.tail_at] /= damp
 
-    # Box equations; the edge entry u_L enters through the last coupling.
-    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
-    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
-    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
-    values = _complex_array(flat_re[chains.stored] * sqrt_pi, flat_im[chains.stored] * sqrt_pi)
+    # Box equation b: u_j is stored entry box_at[b] and u_{j+1} the next, so
+    # the edge entry u_L enters through the last coupling.
+    at, a, f_box = chains.box_at, chains.box_couplings, rhs.reshape(-1)[chains.box]
+    re0, im0, re1, im1 = re[at], im[at], re[1:][at], im[1:][at]
+    res_re = (c.real * re0 - c.imag * im0) - f_box.real + a * re1
+    res_im = (c.real * im0 + c.imag * re0) - f_box.imag + a * im1
+    values = _complex_array(re * sqrt_pi, im * sqrt_pi)
 
     f_norm = _norm(np.hypot(data.real, data.imag)) * sqrt_pi
     ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
     report = SolveReport(
-        residual_norm=_norm(np.hypot(res_re, res_im).reshape(-1)[chains.box]) * sqrt_pi,
+        residual_norm=_norm(np.hypot(res_re, res_im)) * sqrt_pi,
         f_norm=f_norm,
         u_norm=u_norm,
         bound_ratio=ratio,

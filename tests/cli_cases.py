@@ -139,6 +139,9 @@ CASES = [
     Case("certify", "certify --k-max 2 --trials 2 --truncation 12 --output {out}", out="certify-ci.json"),
     Case("certify at truncation 64", "certify --k-max 4 --trials 1 --truncation 64 --output {out}",
          out="certify-64.json"),
+    # the large-box assembly: 25,921 box cells and 321 chains at k = 1
+    Case("certify at truncation 160", "certify --k-max 2 --trials 1 --truncation 160 --output {out}",
+         out="certify-160.json"),
     Case("certify with no trial", "certify --trials 0 --output {out}", code=2, says="trials must be at least 1"),
     Case("certify with k_min above k_max", "certify --k-min 3 --k-max 1 --output {out}", code=2,
          says="k_min 3 is above k_max 1"),

@@ -14,7 +14,10 @@ the tests compare the library against it:
 * the certification sweep and the operator-norm probe as two loops of their
   own (:func:`reference_certify_sweep`, :func:`reference_operator_norm_probe`);
 * the chain factor over every column, with its tail weights summed one step
-  at a time (:func:`reference_factor`, :func:`reference_tail_weights`).
+  at a time (:func:`reference_factor`, :func:`reference_tail_weights`);
+* the lockstep kernel with its reverse sweep as four ufuncs a step
+  (:func:`reference_lockstep_apply`), and the certified solve with its
+  post-pass on the padded step-major arrays (:func:`padded_solve`).
 """
 
 from __future__ import annotations
@@ -30,12 +33,18 @@ import numpy as np
 from focksolve.basis import ORTHONORMAL, RAW, HermiteCoeffs
 from focksolve.numerics import GridSpec, _laplacian_residual
 from focksolve.ring import ExactScalar, PolyZZbar, weighted_deriv
+from focksolve.basis import _complex_array
 from focksolve.solver import (
+    BOUND_TOL,
     CERTIFICATION_C_GRID,
     RESIDUAL_TOL,
     ProblemSpec,
+    SolveReport,
     _check_sweep_box,
+    _factor,
     _layout,
+    _norm,
+    _turns,
     dense_data,
     solve,
 )
@@ -298,3 +307,80 @@ def reference_factor(k: int, rho: float, M: int) -> tuple:
     for sup_j, n in zip(sup, chains.counts[1:].tolist()):
         sup_j[n:] = 0.0
     return damp, np.sqrt(share), min_pivot, (r, sup, np.stack([g, -s], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# The certified solve: the kernel step by step, the post-pass on padded arrays
+
+
+def reference_lockstep_apply(kernel, rhs, turn):
+    """solver._lockstep_apply with a stacked copy of the turned data and four ufuncs a reverse step.
+
+    Forward substitution reads the stacked data and forms each step in new
+    arrays.  The reverse sweep reads the factor's (g, −s) and takes s back
+    by an exact negation, then sets v_{j+1} = s·y_j + g·p and
+    p = g·y_j − s·p, as the kernel did before its two-ufunc step.
+    """
+    r, sup, rot = kernel
+    g, s = rot[:, 0], -rot[:, 1]
+    f, tr, ti = rhs, turn.real[:, None], turn.imag[:, None]
+    rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
+    width, rows = r.shape
+    y = np.empty((width, 2, rows))
+    prev = np.divide(rhs[0], r[0], out=y[0])
+    for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
+        prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
+    sy, gy = s[:, None] * y, g[:, None] * y
+    v = np.empty((width + 1, 2, rows))
+    p = np.zeros((2, rows))
+    for v_next, sy_j, g_j, gy_j, s_j in zip(v[:0:-1], sy[::-1], g[::-1], gy[::-1], s[::-1]):
+        np.add(sy_j, g_j * p, out=v_next)
+        p = gy_j - s_j * p
+    v[0] = p
+    return v[:, 0] * tr - v[:, 1] * ti, v[:, 0] * ti + v[:, 1] * tr
+
+
+def padded_solve(spec: ProblemSpec):
+    """solve with its post-pass on every cell of the padded step-major arrays.
+
+    The chains are solved by :func:`reference_lockstep_apply`.  The
+    magnitudes, the edge damping and the residual are then formed on the
+    whole (W + 1, P) solution and (W, P) equations, and the stored entries
+    and box equations are selected from them by flat position afterwards.
+    Returns the solution and the report, as ``solve`` does.
+    """
+    index, amps = spec.validate().arrays()
+    k, M = spec.k, spec.truncation
+    c = complex(spec.c)
+    chains, damp, tail_share, min_pivot, kernel = _factor(k, abs(c), M)
+    sqrt_pi = math.sqrt(math.pi)
+    data = (amps.view(float) / sqrt_pi).view(complex)
+    dense = np.zeros((M + 2) * (M + 2), dtype=complex)
+    dense[index[:, 0] * (M + 2) + index[:, 1]] = data
+    rhs = dense[chains.gather]
+    u_re, u_im = reference_lockstep_apply(kernel, rhs, _turns(c, len(chains.counts) + 1))
+    sizes = np.hypot(u_re, u_im).reshape(-1)
+    tails = sizes[chains.tail] * tail_share
+    u_norm = _norm(sizes[chains.stored]) * sqrt_pi
+    flat_re, flat_im = u_re.reshape(-1), u_im.reshape(-1)
+    flat_re[chains.tail] /= damp
+    flat_im[chains.tail] /= damp
+    # the box equations; the edge entry u_L enters through the last coupling
+    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
+    res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
+    res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
+    values = _complex_array(flat_re[chains.stored] * sqrt_pi, flat_im[chains.stored] * sqrt_pi)
+    f_norm = _norm(np.hypot(data.real, data.imag)) * sqrt_pi
+    ratio = 0.0 if f_norm == 0 else u_norm * math.factorial(k) / f_norm
+    report = SolveReport(
+        residual_norm=_norm(np.hypot(res_re, res_im).reshape(-1)[chains.box]) * sqrt_pi,
+        f_norm=f_norm,
+        u_norm=u_norm,
+        bound_ratio=ratio,
+        bound_holds=ratio <= 1.0 + BOUND_TOL,
+        truncation=M,
+        chain_count=len(chains.tail),
+        tail_estimate=_norm(tails) * sqrt_pi,
+        min_pivot=min_pivot,
+    )
+    return HermiteCoeffs._from_array(chains.index, values, ORTHONORMAL), report

@@ -187,6 +187,35 @@ def test_solve_commutes_with_rotation(k, c, seed, phi):
     assert abs(got_report.bound_ratio - report.bound_ratio) <= 1e-15 * report.bound_ratio
 
 
+def _on_box(u, M):
+    """u's entries in [0, M]² on a dense grid, zero where u stores none."""
+    grid = np.zeros((M + 1, M + 1), dtype=complex)
+    index, values = u.arrays()
+    inside = (index <= M).all(axis=1)
+    grid[index[inside, 0], index[inside, 1]] = values[inside]
+    return grid
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    k=st.integers(1, 4),
+    c=st.sampled_from(CERTIFICATION_C_GRID + (0.01 + 0j, 0.3 - 2j)),
+    seed=st.integers(0, 2**32),
+)
+def test_solve_keeps_its_box_entries_as_the_box_grows(k, c, seed):
+    # each chain's tail closure is exact, so the box solve is the minimum-norm
+    # solution of the infinite chains and its entries do not depend on M:
+    # the same f at M and M + 16 agrees on [0, M]² up to rounding, at most
+    # 1.3e−16 of the largest coefficient where it was measured (M = 32 and
+    # 48, the same k and shifts), so each entry is held to 1e−15 of the largest
+    M = 32
+    f = dense_data(random.Random(seed), M - k)
+    u, _ = solve(ProblemSpec(k=k, c=c, truncation=M, f=f))
+    grown, _ = solve(ProblemSpec(k=k, c=c, truncation=M + 16, f=f))
+    box, grown_box = _on_box(u, M), _on_box(grown, M)
+    assert np.abs(grown_box - box).max() <= 1e-15 * np.abs(box).max()
+
+
 @st.composite
 def solve_cases(draw):
     """k ≤ 4, a box M ≤ 24, a shift and dense data of random support size."""

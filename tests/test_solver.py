@@ -35,9 +35,11 @@ from focksolve.solver import (
 )
 from oracles import (
     apply_operator,
+    padded_solve,
     plus,
     reference_certify_sweep,
     reference_factor,
+    reference_lockstep_apply,
     reference_operator_norm_probe,
     reference_tail_weights,
     scaled,
@@ -357,6 +359,25 @@ def test_solution_index_runs_by_origin_then_j(k, M):
     u, _ = solve(ProblemSpec(k=k, c=1 + 1j, truncation=M, f=f))
     reached = [key for keys in chains if max(keys[0]) <= M - k for key in keys]
     assert list(map(tuple, u.index.tolist())) == reached
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_each_box_equation_pairs_a_stored_entry_with_the_next(k):
+    # the output order holds each chain's entries by j, its edge entry last:
+    # u_{j+1} of a box equation is the next stored entry, one step (P flat
+    # positions) on, and the edges are the entries that no equation starts at
+    for M in (1, 2, 5, 16, 32, 48):
+        chains = _layout(k, M)
+        stored, at, P = chains.stored, chains.box_at, len(chains.tail)
+        assert (stored[at + 1] - stored[at] == P).all()
+        assert stored[at].tolist() == chains.box.tolist()
+        assert stored[chains.tail_at].tolist() == chains.tail.tolist()
+        assert sorted([*at.tolist(), *chains.tail_at.tolist()]) == list(range(len(stored)))
+        assert chains.box_couplings.tobytes() == chains.couplings.reshape(-1)[chains.box].tobytes()
+        m, n = chains.index[at].T.tolist()
+        assert chains.box_couplings.tolist() == [
+            math.sqrt(math.perm(a + k, k) * math.perm(b + k, k)) for a, b in zip(m, n)
+        ]
 
 
 def test_cached_arrays_fit_in_the_bytes_of_the_row_major_layout():
@@ -1007,7 +1028,7 @@ def test_cached_arrays_are_read_only():
     # the couplings past the edges are the layout's one growing part, in read-only blocks
     *layout, past = chains
     arrays = [*layout, *past.arrays, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(layout) == 12 and past.blocks
+    assert chains is _layout(2, 10) and len(layout) == 14 and past.blocks
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -1121,32 +1142,6 @@ def test_operator_norm_probe_matches_its_own_loop_bit_for_bit(k, trials):
 # array storage, kernel and norms against the dict-backed solve they replaced
 
 
-def reference_lockstep_apply(kernel, rhs, turn):
-    """solver._lockstep_apply with its reverse sweep as four ufuncs a step.
-
-    It reads the factor's (g, −s) and takes s back by an exact negation, then
-    sets v_{j+1} = s·y_j + g·p and p = g·y_j − s·p, as the kernel did before
-    its two-ufunc step.
-    """
-    r, sup, rot = kernel
-    g, s = rot[:, 0], -rot[:, 1]
-    f, tr, ti = rhs, turn.real[:, None], turn.imag[:, None]
-    rhs = np.stack([f.real * tr[1:] + f.imag * ti[1:], f.imag * tr[1:] - f.real * ti[1:]], 1)
-    width, rows = r.shape
-    y = np.empty((width, 2, rows))
-    prev = np.divide(rhs[0], r[0], out=y[0])
-    for y_j, rhs_j, sup_j, r_j in zip(y[1:], rhs[1:], sup, r[1:]):
-        prev = np.divide(rhs_j - sup_j * prev, r_j, out=y_j)
-    sy, gy = s[:, None] * y, g[:, None] * y
-    v = np.empty((width + 1, 2, rows))
-    p = np.zeros((2, rows))
-    for v_next, sy_j, g_j, gy_j, s_j in zip(v[:0:-1], sy[::-1], g[::-1], gy[::-1], s[::-1]):
-        np.add(sy_j, g_j * p, out=v_next)
-        p = gy_j - s_j * p
-    v[0] = p
-    return v[:, 0] * tr - v[:, 1] * ti, v[:, 0] * ti + v[:, 1] * tr
-
-
 def reference_norm(values):
     """math.hypot over ``abs`` of each value, complex or float: the reference of solver._norm."""
     return math.hypot(*map(abs, values))
@@ -1248,3 +1243,28 @@ def test_array_solve_matches_the_dict_backed_solve_at_256():
 def test_norm_of_a_float_array_matches_the_abs_path(values):
     # math.hypot takes |x| of each float itself, so the array path drops the abs map
     assert _norm(np.array(values)).hex() == reference_norm(values).hex()
+
+
+def spread_data(rng, margin):
+    """dense_data with each part scaled by 2^j, j drawn from [−1070, 1000]: subnormal to near overflow."""
+    index, values = dense_data(rng, margin).arrays()
+    scales = [rng.randint(-1070, 1000) for _ in range(2 * len(values))]
+    return HermiteCoeffs._from_array(index, np.ldexp(values.view(float), scales).view(complex), "orthonormal")
+
+
+ASSEMBLY_SHIFTS = CERTIFICATION_C_GRID + (0.01 + 0j, 0.3 - 2j, 1e-300 + 0j, 5e-324j, 1e300 + 0j)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 16, 32, 48])
+def test_solve_keeps_the_bits_of_the_padded_post_pass(M):
+    # solve forms magnitudes, damping and residual on its stored entries
+    # alone; the reference forms them on every padded cell and selects after
+    for k in range(1, min(M, 6) + 1):
+        rng = random.Random(f"assembly:{k}:{M}")
+        for c in ASSEMBLY_SHIFTS:
+            for f in (dense_data(rng, M - k), spread_data(rng, M - k)):
+                spec = ProblemSpec(k=k, c=c, truncation=M, f=f)
+                (u, report), (want, want_report) = solve(spec), padded_solve(spec)
+                assert u.index.tobytes() == want.index.tobytes(), (k, c)
+                assert u.arrays()[1].tobytes() == want.arrays()[1].tobytes(), (k, c)
+                assert repr(report) == repr(want_report), (k, c)
