@@ -20,9 +20,10 @@ All chains are solved at once, as the columns of one step-major array,
 longest chain first.  What depends on (k, M) alone is built once
 (:func:`_layout`): the gather of the data in that order, the flat positions
 of the output entries and the box equations' couplings in output order,
-each chain's mirror and the couplings past the edges, formed as the tail
-weights need them.  What depends on |c| is built once per (k, |c|, M)
-(:func:`_factor`).  A solve gathers f into the layout for the kernel, then
+each chain's mirror, and the edges of one chain per mirror pair with the
+couplings past them (:class:`_Past`), formed as their tail weights τ need
+them.  What depends on |c| is built once per (k, |c|, M) (:func:`_factor`),
+τ among it.  A solve gathers f into the layout for the kernel, then
 reads the stored entries out by position once, and forms the norms, the
 edge damping and the residual on them alone.  A_j is symmetric in m and n
 (the z ↔ z̄ symmetry), so the chains from (m₀, n₀) and (n₀, m₀) share their
@@ -165,28 +166,26 @@ class _Chains(NamedTuple):
     c·u_j + √A_j·u_{j+1} = f_j, plus the edge entry u_L past the box.  Row j
     of a (W, P) array is step j of every chain, W = M//k + 1 equation steps;
     the columns hold the chains longest first, stably in lexicographic origin
-    order, so that the ``counts[j]`` chains with an equation at step j are
-    the first ``counts[j]`` columns.  A flat position is j·P + q, in the
-    (W + 1, P) solution and in every (W, P) array.
+    order, so that the chains with an equation at step j are the first
+    columns of row j.  A flat position is j·P + q, in the (W + 1, P)
+    solution and in every (W, P) array.
 
     The output order runs chain by chain in lexicographic origin order and
     each by j, its edge entry last: ``stored`` and ``index`` hold its S
     entries, ``box`` and ``box_couplings`` its box equations, each of which
     pairs the entry at ``box_at[b]`` (u_j) with the next one (u_{j+1}).
-    ``tail``, ``tail_at``, ``m_edge`` and ``n_edge`` run in origin order.
+    ``tail`` and ``tail_at`` run in origin order.
 
     A chain and its mirror (n₀, m₀) have the same length and couplings, since
     A_j is symmetric in m and n.  The representative of a pair is the chain
     with m₀ ≤ n₀ (a diagonal chain is its own); ``reps`` are their columns,
     longest first as every column is, and ``mirror`` gives each column the
-    place of its representative in ``reps``.
+    place of its representative in ``reps``.  ``past`` holds the
+    representatives' edges and the couplings past them, and computes their τ.
     """
 
-    counts: np.ndarray  # (W,) chains with an equation at step j
     gather: np.ndarray  # (W, P) m·(M+2) + n on the equations, (M+2)² − 1 past them
     tail: np.ndarray  # (P,) flat position of each chain's edge entry
-    m_edge: np.ndarray  # (P,) first index of each chain's edge entry
-    n_edge: np.ndarray  # (P,)
     stored: np.ndarray  # (S,) flat positions of the box and edge entries
     box: np.ndarray  # (B,) flat positions of the box equations
     box_at: np.ndarray  # (B,) place in ``stored`` of each box equation's u_j
@@ -196,19 +195,7 @@ class _Chains(NamedTuple):
     reps: np.ndarray  # (R,) columns of the representatives
     rep_counts: np.ndarray  # (W,) representatives with an equation at step j, the first of ``reps``
     mirror: np.ndarray  # (P,) place in ``reps`` of each column's representative
-    past: _Past  # the couplings past the representatives' edges, grown on demand
-
-    @property
-    def couplings(self) -> np.ndarray:
-        """A new (W, P) array of √A_j on the equations, 0 past them."""
-        couplings = np.zeros(self.gather.shape)
-        couplings.reshape(-1)[self.box] = self.box_couplings
-        return couplings
-
-    @property
-    def perms(self) -> np.ndarray:
-        """(x)_k from x = 0, as far as the couplings built so far needed it."""
-        return self.past.perms
+    past: _Past  # the representatives' edges and the couplings past them, grown on demand
 
 
 def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
@@ -218,33 +205,19 @@ def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
 
 
 class _Past:
-    """A_i = (m_L + ik)_k·(n_L + ik)_k for i ≥ 1, past the edges (m_L, n_L) of some chains.
+    """The tail weights τ of the chains with edges (m_L, n_L), from the couplings past them.
 
-    Row i − 1 holds A_i of every chain.  The rows are formed as a sum asks
-    for them, in read-only blocks of 8, 16, 32, … rows, from a table of (x)_k
+    The couplings are A_i = (m_L + ik)_k·(n_L + ik)_k for i ≥ 1, row i − 1
+    holding A_i of every chain.  The rows are formed as :meth:`tau` asks for
+    them, in read-only blocks of 8, 16, 32, … rows, from a table of (x)_k
     that grows with them, and both are kept: they depend on k and the edges
     alone, so a layout forms each block once, whatever |c|.
     """
 
-    def __init__(self, k: int, m_edge: np.ndarray, n_edge: np.ndarray, perms: np.ndarray):
-        self.k, self.m_edge, self.n_edge, self.perms = k, m_edge, n_edge, perms
+    def __init__(self, k: int, m_edge: np.ndarray, n_edge: np.ndarray):
+        self.k, self.m_edge, self.n_edge = k, m_edge, n_edge
+        self.perms = np.empty(0)  # (x)_k from x = 0, as far as the blocks so far need it
         self.blocks: dict = {}
-
-    @property
-    def arrays(self) -> Tuple[np.ndarray, ...]:
-        return (self.m_edge, self.n_edge, self.perms, *self.blocks.values())
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays)
-
-    def rows(self):
-        """Every block in order, each formed the first time it is asked for."""
-        for b in itertools.count():
-            if b not in self.blocks:
-                # where two threads form a block at once, both get the first one kept
-                self.blocks.setdefault(b, self._block(b))
-            yield self.blocks[b]
 
     def _block(self, b: int) -> np.ndarray:
         """Rows i = 8·(2^b − 1) + 1 to 8·(2^(b+1) − 1)."""
@@ -257,6 +230,44 @@ class _Past:
             perms = self.perms = _read_only(np.concatenate([perms, extra]))[0]
         with np.errstate(over="ignore"):  # inf past float range
             return _read_only(perms[m] * perms[n])[0]
+
+    def tau(self, c2: float) -> np.ndarray:
+        """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain: its mass past u_L over |u_L|².
+
+        Past the box the right-hand side is zero, so the infinite chain
+        continues from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only
+        on the chain and |c|² and converges super-factorially.  Each chain
+        adds terms until they pass |c|² and fall below 1e−17·τ; τ is inf once
+        it passes 1e300, and an A_j past float range adds nothing.
+
+        Per block: one quotient |c|²/A, then ``np.multiply.accumulate`` and
+        ``np.add.accumulate`` down the rows, which run in order and so round
+        every product and sum as adding one step at a time would, and a
+        search for the first row where a chain stops.
+        """
+        tau, todo = np.zeros(len(self.m_edge)), np.ones(len(self.m_edge), dtype=bool)
+        term, acc = np.ones(len(tau)), np.zeros(len(tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in itertools.count():
+                if b not in self.blocks:
+                    # where two threads form a block at once, both get the first one kept
+                    self.blocks.setdefault(b, self._block(b))
+                a = self.blocks[b]
+                # each block carries on from the last row's term and sum
+                terms = np.where(a < math.inf, c2 / a, 0.0)
+                terms[0] *= term
+                np.multiply.accumulate(terms, axis=0, out=terms)
+                sums = terms.copy()
+                sums[0] += acc
+                np.add.accumulate(sums, axis=0, out=sums)
+                # a zero term ends a chain too: past it every term is zero
+                stop = (sums > 1e300) | ((a > c2) & (terms <= 1e-17 * sums)) | (terms == 0.0)
+                ends = todo & stop.any(axis=0)
+                tau[ends] = sums[stop.argmax(axis=0)[ends], ends]
+                todo &= ~ends
+                if not todo.any():
+                    return np.where(tau > 1e300, math.inf, tau)
+                term, acc = terms[-1], sums[-1]
 
 
 @lru_cache(maxsize=4)
@@ -294,7 +305,6 @@ def _layout(k: int, M: int) -> _Chains:
     # past float range the product overflows before its root
     wide = couplings == math.inf
     couplings[wide] = np.sqrt(pm[wide]) * np.sqrt(pn[wide])
-    m_edge, n_edge = m0 + k * lengths, n0 + k * lengths
     # the column of each chain's mirror (n₀, m₀).  The two chains of a pair have one
     # length, so the representative, m₀ ≤ n₀ and first in origin order, has the lower column
     columns = np.empty((M + 1, M + 1), dtype=int)
@@ -302,55 +312,13 @@ def _layout(k: int, M: int) -> _Chains:
     is_rep = m[0] <= n[0]
     reps = np.flatnonzero(is_rep)
     mirror = (np.cumsum(is_rep) - 1)[np.minimum(np.arange(P), columns[n[0], m[0]])]
-    past = _Past(k, *_read_only(m_edge[order[reps]], n_edge[order[reps]], perms))
-    counts = eqs.sum(axis=1)
-    arrays = (counts, gather, stored[tail_at], m_edge, n_edge, stored, stored[box_at], box_at, tail_at)
-    # the columns with an equation at step j are the first counts[j]
-    rep_arrays = (reps, np.searchsorted(reps, counts), mirror)
-    return _Chains(*_read_only(*arrays, couplings, index, *rep_arrays), past)
-
-
-def _tail_weights(
-    m_edge: np.ndarray, n_edge: np.ndarray, k: int, c2: float, perms: np.ndarray, past=None
-) -> np.ndarray:
-    """τ = Σ_{i≥1} Π_{l<i} |c|²/A_{L+l} per chain: its mass past u_L over |u_L|².
-
-    Past the box the right-hand side is zero, so the infinite chain continues
-    from u_L by u_{j+1} = −c·u_j/√A_j.  The series depends only on the chain
-    and |c|² and converges super-factorially.  Each chain adds terms until
-    they pass |c|² and fall below 1e−17·τ; τ is inf once it passes 1e300,
-    and an A_j past float range adds nothing.
-
-    The couplings past the edges come a block of rows at a time from
-    ``past``, a :class:`_Past` of these edges that keeps the blocks it forms
-    (each layout keeps one for its representatives); without one they are
-    formed from ``perms``, a table of (x)_k from x = 0, for this call alone.
-    Per block: one quotient |c|²/A, then ``np.multiply.accumulate`` and
-    ``np.add.accumulate`` down the rows, which run in order and so round
-    every product and sum as adding one step at a time would, and a search
-    for the first row where a chain stops.
-    """
-    if past is None:
-        past = _Past(k, m_edge, n_edge, perms)
-    tau, todo = np.zeros(len(m_edge)), np.ones(len(m_edge), dtype=bool)
-    term, acc = np.ones(len(tau)), np.zeros(len(tau))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in past.rows():
-            # each block carries on from the last row's term and sum
-            terms = np.where(a < math.inf, c2 / a, 0.0)
-            terms[0] *= term
-            np.multiply.accumulate(terms, axis=0, out=terms)
-            sums = terms.copy()
-            sums[0] += acc
-            np.add.accumulate(sums, axis=0, out=sums)
-            # a zero term ends a chain too: past it every term is zero
-            stop = (sums > 1e300) | ((a > c2) & (terms <= 1e-17 * sums)) | (terms == 0.0)
-            ends = todo & stop.any(axis=0)
-            tau[ends] = sums[stop.argmax(axis=0)[ends], ends]
-            todo &= ~ends
-            if not todo.any():
-                return np.where(tau > 1e300, math.inf, tau)
-            term, acc = terms[-1], sums[-1]
+    # the representatives' edges, each L steps on from its origin
+    rep = order[reps]
+    edges = m0[rep] + k * lengths[rep], n0[rep] + k * lengths[rep]
+    arrays = (gather, stored[tail_at], stored, stored[box_at], box_at, tail_at, couplings, index)
+    # the columns with an equation at step j are the first eqs[j].sum()
+    rep_arrays = (reps, np.searchsorted(reps, eqs.sum(axis=1)), mirror)
+    return _Chains(*_read_only(*arrays, *rep_arrays), _Past(k, *_read_only(*edges)))
 
 
 @lru_cache(maxsize=1)
@@ -366,20 +334,21 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     chain's last equation.  The kernel is (r, R's super-diagonal, the
     (W, 2, P) rotations (g, −s)).  The pivots come from math.hypot, so every
     chain rounds as the scalar per-chain Givens solve kept in the tests does.
-    A chain and its mirror have the same τ and the same rotations, bit for
-    bit, since IEEE products commute: τ and the pivot loop run on the
-    representatives alone (τ from the layout's table of the couplings past
-    their edges) and one gather each copies τ, r and g to every column.
-    Only the last (k, |c|, M) is kept; shifts of one modulus share it.
+    The couplings are the layout's ``box_couplings`` scattered to their
+    flat positions, 0 past each chain's equations.  A chain and its mirror
+    have the same τ and the same rotations, bit for bit, since IEEE products
+    commute: τ (``chains.past.tau``) and the pivot loop run on the
+    representatives alone, and one gather each copies τ, r and g to every
+    column.  Only the last (k, |c|, M) is kept; shifts of one modulus share
+    it.
     """
     chains = _layout(k, M)
     P = len(chains.tail)
-    past = chains.past
-    rep_tau = _tail_weights(past.m_edge, past.n_edge, k, rho * rho, past.perms, past)
-    tau = rep_tau[chains.mirror[chains.tail % P]]
+    tau = chains.past.tau(rho * rho)[chains.mirror[chains.tail % P]]
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
-    sa = chains.couplings
+    sa = np.zeros(chains.gather.shape)
+    sa.reshape(-1)[chains.box] = chains.box_couplings
     # a chain's last equation is one step before its edge entry
     last = chains.tail - P
     sa.reshape(-1)[last] /= damp
@@ -501,7 +470,7 @@ def solve(spec: ProblemSpec) -> Tuple[HermiteCoeffs, SolveReport]:
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     rhs = dense[chains.gather]
 
-    u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, len(chains.counts) + 1))
+    u_re, u_im = _lockstep_apply(kernel, rhs, _turns(c, chains.gather.shape[0] + 1))
     # the stored entries in output order: all that follows works on them alone
     re, im = u_re.reshape(-1)[chains.stored], u_im.reshape(-1)[chains.stored]
     sizes = np.hypot(re, im)

@@ -123,21 +123,37 @@ def apply_operator(k: int, c, u: HermiteCoeffs) -> HermiteCoeffs:
 
 
 def evaluate_exact(poly: PolyZZbar, z: ExactScalar) -> ExactScalar:
-    """Exact rational evaluation at a Gaussian-rational point."""
+    """Exact rational evaluation at a Gaussian-rational point, on integers.
+
+    With z = (X + iY)/D over the common denominator D of its parts (a power
+    of two at a float point) and the coefficients N_{a,b}/Q over theirs,
+    the value is Σ N_{a,b}·w^a·w̄^b·D^(d−a−b) over Q·D^d, with w = X + iY
+    and d the degree.  The powers of w are pairs of ints, each term is one
+    integer product times one power of D, and the result is one
+    ``Fraction`` per part.
+    """
     z = ExactScalar.coerce(z)
-    zbar = z.conjugate()
-    max_a = max((a for a, _ in poly.terms), default=0)
-    max_b = max((b for _, b in poly.terms), default=0)
-    zpow = [_ONE]
-    for _ in range(max_a):
-        zpow.append(zpow[-1] * z)
-    zbpow = [_ONE]
-    for _ in range(max_b):
-        zbpow.append(zbpow[-1] * zbar)
-    total = ExactScalar(0)
-    for (a, b), coeff in poly.terms.items():
-        total = total + coeff * zpow[a] * zbpow[b]
-    return total
+    terms = [(a, b, c.re, c.im) for (a, b), c in poly.terms.items()]
+    D = math.lcm(z.re.denominator, z.im.denominator)
+    X, Y = z.re.numerator * (D // z.re.denominator), z.im.numerator * (D // z.im.denominator)
+    Q = math.lcm(1, *(x.denominator for *_, re, im in terms for x in (re, im)))
+    degree = max((a + b for a, b, *_ in terms), default=0)
+    powers = [(1, 0)]
+    for _ in range(max((max(a, b) for a, b, *_ in terms), default=0)):
+        re, im = powers[-1]
+        powers.append((re * X - im * Y, re * Y + im * X))
+    scales = [D**e for e in range(degree + 1)]
+    total_re = total_im = 0
+    for a, b, re, im in terms:
+        # w^a·w̄^b, with w̄^b the conjugate of w^b
+        (pr, pi), (qr, qi) = powers[a], powers[b]
+        wr, wi = pr * qr + pi * qi, pi * qr - pr * qi
+        nr, ni = re.numerator * (Q // re.denominator), im.numerator * (Q // im.denominator)
+        scale = scales[degree - a - b]
+        total_re += (nr * wr - ni * wi) * scale
+        total_im += (nr * wi + ni * wr) * scale
+    denominator = Q * scales[degree]
+    return ExactScalar(Fraction(total_re, denominator), Fraction(total_im, denominator))
 
 
 def reference_gaussian_pairing(p: PolyZZbar, q: PolyZZbar) -> ExactScalar:
@@ -281,6 +297,13 @@ def reference_tail_weights(
     return np.where(acc > 1e300, math.inf, acc)
 
 
+def padded_couplings(chains) -> np.ndarray:
+    """A new (W, P) array of √A_j on a layout's equations, 0 past them."""
+    couplings = np.zeros(chains.gather.shape)
+    couplings.reshape(-1)[chains.box] = chains.box_couplings
+    return couplings
+
+
 def reference_factor(k: int, rho: float, M: int) -> tuple:
     """The factor of (k, |c| = rho, M) with the Givens loop over every column of the layout.
 
@@ -290,21 +313,24 @@ def reference_factor(k: int, rho: float, M: int) -> tuple:
     """
     chains = _layout(k, M)
     perms = _perm_floats(k, 0, M + k + 1)
-    tau = reference_tail_weights(chains.m_edge, chains.n_edge, k, rho * rho, perms)
+    m_edge, n_edge = chains.index[chains.tail_at].T
+    tau = reference_tail_weights(m_edge, n_edge, k, rho * rho, perms)
     damp = np.sqrt(1.0 + tau)
     share = np.divide(tau, 1.0 + tau, out=np.ones_like(tau), where=tau < math.inf)
-    sa = chains.couplings.copy()
+    sa = padded_couplings(chains)
     # a chain's last equation is one step before its edge entry
     sa.reshape(-1)[chains.tail - len(chains.tail)] /= damp
+    # the chains with an equation at step j: the gather reads the zero cell past them
+    counts = (chains.gather != (M + 2) ** 2 - 1).sum(axis=1)
     r, g = np.ones((2, *sa.shape))
     alpha, min_pivot = np.full(sa.shape[1], rho), math.inf
-    for n, r_j, g_j, sa_j in zip(chains.counts.tolist(), r, g, sa):
+    for n, r_j, g_j, sa_j in zip(counts.tolist(), r, g, sa):
         pivots = list(map(math.hypot, alpha[:n].tolist(), sa_j[:n].tolist()))
         r_j[:n], min_pivot = pivots, min(min_pivot, *pivots)
         alpha = np.divide(alpha[:n], r_j[:n], out=g_j[:n]) * rho
     s = sa / r
     sup = s[:-1] * rho  # R's super-diagonal, zero after a chain's last equation
-    for sup_j, n in zip(sup, chains.counts[1:].tolist()):
+    for sup_j, n in zip(sup, counts[1:].tolist()):
         sup_j[n:] = 0.0
     return damp, np.sqrt(share), min_pivot, (r, sup, np.stack([g, -s], axis=1))
 
@@ -358,7 +384,7 @@ def padded_solve(spec: ProblemSpec):
     dense = np.zeros((M + 2) * (M + 2), dtype=complex)
     dense[index[:, 0] * (M + 2) + index[:, 1]] = data
     rhs = dense[chains.gather]
-    u_re, u_im = reference_lockstep_apply(kernel, rhs, _turns(c, len(chains.counts) + 1))
+    u_re, u_im = reference_lockstep_apply(kernel, rhs, _turns(c, chains.gather.shape[0] + 1))
     sizes = np.hypot(u_re, u_im).reshape(-1)
     tails = sizes[chains.tail] * tail_share
     u_norm = _norm(sizes[chains.stored]) * sqrt_pi
@@ -366,7 +392,7 @@ def padded_solve(spec: ProblemSpec):
     flat_re[chains.tail] /= damp
     flat_im[chains.tail] /= damp
     # the box equations; the edge entry u_L enters through the last coupling
-    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
+    u_re0, u_im0, a = u_re[:-1], u_im[:-1], padded_couplings(chains)
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
     values = _complex_array(flat_re[chains.stored] * sqrt_pi, flat_im[chains.stored] * sqrt_pi)

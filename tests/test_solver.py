@@ -30,11 +30,12 @@ from focksolve.solver import (
     _factor,
     _layout,
     _norm,
-    _tail_weights,
+    _Past,
     dense_data,
 )
 from oracles import (
     apply_operator,
+    padded_couplings,
     padded_solve,
     plus,
     reference_certify_sweep,
@@ -290,9 +291,15 @@ def assert_matches_reference(spec):
 
 
 def layout_grid(chains, M):
-    """(m, n) of every (W, P) position of a layout, (M + 1, M + 1) past the equations, and its mask."""
+    """(m, n) of every (W, P) position of a layout, (M + 1, M + 1) past the equations, and its mask.
+
+    The mask holds the first columns of each row, as many as the row's gather
+    has equations, so a layout whose equations are not a prefix fails the
+    callers' checks of the cells past the mask.
+    """
     m, n = np.divmod(chains.gather, M + 2)
-    return m, n, np.arange(m.shape[1]) < chains.counts[:, None]
+    counts = (chains.gather != (M + 2) ** 2 - 1).sum(axis=1)
+    return m, n, np.arange(m.shape[1]) < counts[:, None]
 
 
 def test_decompose_partitions_box():
@@ -311,7 +318,7 @@ def test_decompose_partitions_box():
         edges = set(map(tuple, chains.index.tolist())) - set(box)
         assert len(edges) == len(origins)
         assert all(m > M or n > M for m, n in edges)
-        assert chains.couplings[eqs].tolist() == [
+        assert padded_couplings(chains)[eqs].tolist() == [
             math.sqrt(math.perm(m + k, k) * math.perm(n + k, k)) for m, n in box
         ]
 
@@ -333,8 +340,8 @@ def test_decompose_examples():
     assert idx == [(0, 0), (2, 2), (4, 4)]
 
     chains = _layout(3, 2)
-    assert chains.counts.tolist() == [9]
-    assert chains.couplings.shape == (1, 9) and chains.index.shape == (18, 2)
+    assert layout_grid(chains, 2)[2].sum(axis=1).tolist() == [9]
+    assert chains.gather.shape == (1, 9) and chains.index.shape == (18, 2)
 
 
 def test_decompose_couplings_and_weights():
@@ -342,7 +349,7 @@ def test_decompose_couplings_and_weights():
     assert couplings == [1, 4, 9, 16]
     assert weights == [1, 1, 4, 36, 576]
     assert all(b > a for a, b in zip(couplings, couplings[1:]))
-    assert _layout(1, 4).couplings[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert padded_couplings(_layout(1, 4))[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 @pytest.mark.parametrize("M", [5, 13, 32])
@@ -373,11 +380,19 @@ def test_each_box_equation_pairs_a_stored_entry_with_the_next(k):
         assert stored[at].tolist() == chains.box.tolist()
         assert stored[chains.tail_at].tolist() == chains.tail.tolist()
         assert sorted([*at.tolist(), *chains.tail_at.tolist()]) == list(range(len(stored)))
-        assert chains.box_couplings.tobytes() == chains.couplings.reshape(-1)[chains.box].tobytes()
+        # each box equation's flat position gathers the data at its u_j's index
         m, n = chains.index[at].T.tolist()
+        assert chains.gather.reshape(-1)[chains.box].tolist() == [a * (M + 2) + b for a, b in zip(m, n)]
         assert chains.box_couplings.tolist() == [
             math.sqrt(math.perm(a + k, k) * math.perm(b + k, k)) for a, b in zip(m, n)
         ]
+
+
+def cached_arrays(k, rho, M):
+    """Every array that the layout and the factor of (k, rho, M) keep, the past edges' own among them."""
+    chains, damp, tail_share, _, kernel = _factor(k, rho, M)
+    *layout, past = chains
+    return [*layout, past.m_edge, past.n_edge, past.perms, *past.blocks.values(), damp, tail_share, *kernel]
 
 
 def test_cached_arrays_fit_in_the_bytes_of_the_row_major_layout():
@@ -386,8 +401,7 @@ def test_cached_arrays_fit_in_the_bytes_of_the_row_major_layout():
     for k, limit in ((1, 8_726_643), (4, 8_851_560)):
         _factor.cache_clear()
         _layout.cache_clear()
-        chains, damp, tail_share, _, kernel = _factor(k, math.sqrt(2), 256)
-        assert sum(a.nbytes for a in (*chains, damp, tail_share, *kernel)) <= limit
+        assert sum(a.nbytes for a in cached_arrays(k, math.sqrt(2), 256)) <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +774,16 @@ def test_tail_closure_matches_padded_chain(k, c):
 @pytest.mark.parametrize("M", [32, 256])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_tail_weights_match_scalar_series(k, M):
-    # every chain's τ against the scalar series on exact integer couplings
+    # every chain's τ against the scalar series on exact integer couplings,
+    # through a table past all P edges, not only the representatives' ones
     chains = _layout(k, M)
     origins = chain_origins(k, M)
     lengths = [chain_length(origin, k, M) for origin in origins]
     edges = [(m0 + k * L, n0 + k * L) for (m0, n0), L in zip(origins, lengths)]
-    assert list(zip(chains.m_edge.tolist(), chains.n_edge.tolist())) == edges
+    assert list(map(tuple, chains.index[chains.tail_at].tolist())) == edges
+    past = _Past(k, *chains.index[chains.tail_at].T)
     for c in CERTIFICATION_C_GRID + (0.01 + 0j, 1e200 + 0j):
-        tau = _tail_weights(chains.m_edge, chains.n_edge, k, abs(c) * abs(c), chains.perms)
+        tau = past.tau(abs(c) * abs(c))
         for origin, got in zip(origins, tau.tolist()):
             want = scalar_tail_weight(origin, k, chain_length(origin, k, M), c)
             assert got == want or abs(got - want) <= 1e-14 * want, (origin, c)
@@ -991,7 +1007,7 @@ def test_threads_that_grow_one_table_at_once_read_every_row_in_its_place():
 
     def run(i):
         start.wait(timeout=60)
-        got[i] = _tail_weights(past.m_edge, past.n_edge, 1, moduli[i] ** 2, past.perms, past)
+        got[i] = past.tau(moduli[i] ** 2)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1024,11 +1040,10 @@ def test_turns_are_kept_for_one_shift_with_the_sign_of_its_zeros():
 
 def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
-    chains, damp, tail_share, _, kernel = _factor(2, abs(1 + 1j), 10)
+    chains = _factor(2, abs(1 + 1j), 10)[0]
     # the couplings past the edges are the layout's one growing part, in read-only blocks
-    *layout, past = chains
-    arrays = [*layout, *past.arrays, damp, tail_share, *kernel]
-    assert chains is _layout(2, 10) and len(layout) == 14 and past.blocks
+    arrays = cached_arrays(2, abs(1 + 1j), 10)
+    assert chains is _layout(2, 10) and len(chains) == 12 and chains.past.blocks
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
@@ -1182,7 +1197,7 @@ def dict_backed_solve(spec):
     u_norm = reference_norm([sizes[j, q] for j, q in stored]) * sqrt_pi
     u_re[edge] /= damp
     u_im[edge] /= damp
-    u_re0, u_im0, a = u_re[:-1], u_im[:-1], chains.couplings
+    u_re0, u_im0, a = u_re[:-1], u_im[:-1], padded_couplings(chains)
     res_re = (c.real * u_re0 - c.imag * u_im0) - rhs.real + a * u_re[1:]
     res_im = (c.real * u_im0 + c.imag * u_re0) - rhs.imag + a * u_im[1:]
     residuals = np.hypot(res_re, res_im)
