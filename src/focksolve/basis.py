@@ -198,15 +198,19 @@ class HermiteCoeffs:
         The one numeric rule: prune zero magnitudes, refuse NaN and infinite ones.
         """
         if not self.exact:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sizes = np.hypot(values.real, values.imag)
-            kept = sizes > 0
-            bad = ~(sizes < math.inf)  # NaN or infinite
-            if bad.any():
-                i = int(bad.argmax())
-                key = tuple(index[i].tolist())
-                raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
-            if not kept.all():
+            # with every part below max/2, no part is NaN or infinite and no
+            # magnitude overflows: the magnitudes need not be formed
+            if not np.abs(values.view(float)).max(initial=0.0) < sys.float_info.max / 2:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sizes = np.hypot(values.real, values.imag)
+                bad = ~(sizes < math.inf)  # NaN or infinite
+                if bad.any():
+                    i = int(bad.argmax())
+                    key = tuple(index[i].tolist())
+                    raise ValueError(f"non-finite amplitude {values[i].item()} at index {key}")
+            # a finite value has zero magnitude where it is zero
+            if np.count_nonzero(values) < len(values):
+                kept = values != 0
                 index, values = index[kept], values[kept]
         self.index, self._values = _read_only(index, values)
         self._entries = None

@@ -23,12 +23,13 @@ of the output entries and the box equations' couplings in output order,
 each chain's mirror, and the edges of one chain per mirror pair with the
 couplings past them (:class:`_Past`), formed as their tail weights τ need
 them.  What depends on |c| is built once per (k, |c|, M) (:func:`_factor`),
-τ among it.  A solve gathers f into the layout for the kernel, then
-reads the stored entries out by position once, and forms the norms, the
-edge damping and the residual on them alone.  A_j is symmetric in m and n
-(the z ↔ z̄ symmetry), so the chains from (m₀, n₀) and (n₀, m₀) share their
-factor bit for bit; it is computed for one of each pair and copied to the
-other.
+τ among it, and kept in its layout by |c| within a byte budget, so that a
+solve which comes back to a modulus does not factor again.  A solve gathers
+f into the layout for the kernel, then reads the stored entries out by
+position once, and forms the norms, the edge damping and the residual on
+them alone.  A_j is symmetric in m and n (the z ↔ z̄ symmetry), so the
+chains from (m₀, n₀) and (n₀, m₀) share their factor bit for bit; it is
+computed for one of each pair and copied to the other.
 
 The certified solve reports the residual, the norms, and the bound ratio
 u_norm·k!/f_norm, which the construction keeps ≤ 1 (squared norms contract
@@ -182,6 +183,7 @@ class _Chains(NamedTuple):
     longest first as every column is, and ``mirror`` gives each column the
     place of its representative in ``reps``.  ``past`` holds the
     representatives' edges and the couplings past them, and computes their τ.
+    ``factors`` holds the factors built on the layout, by |c| (:func:`_factor`).
     """
 
     gather: np.ndarray  # (W, P) m·(M+2) + n on the equations, (M+2)² − 1 past them
@@ -196,6 +198,7 @@ class _Chains(NamedTuple):
     rep_counts: np.ndarray  # (W,) representatives with an equation at step j, the first of ``reps``
     mirror: np.ndarray  # (P,) place in ``reps`` of each column's representative
     past: _Past  # the representatives' edges and the couplings past them, grown on demand
+    factors: dict  # |c| → the kept factor of that modulus, filled by _factor
 
 
 def _perm_table(k: int, start: int, stop: int) -> np.ndarray:
@@ -275,7 +278,8 @@ def _layout(k: int, M: int) -> _Chains:
     """The chains of (k, M) and everything a solve needs of them but |c| and f, read-only.
 
     Kept for the last few (k, M), with the couplings past the edges that
-    the factors of these (k, M) have formed so far.
+    the factors of these (k, M) have formed so far, and with the factors
+    themselves (:func:`_factor`).
     """
     # the origins in lexicographic order: the rows m₀ < k whole, then n₀ < k on the rows past them
     rows = np.divmod(np.arange(min(k, M + 1) * (M + 1)), M + 1)
@@ -318,14 +322,60 @@ def _layout(k: int, M: int) -> _Chains:
     arrays = (gather, stored[tail_at], stored, stored[box_at], box_at, tail_at, couplings, index)
     # the columns with an equation at step j are the first eqs[j].sum()
     rep_arrays = (reps, np.searchsorted(reps, eqs.sum(axis=1)), mirror)
-    return _Chains(*_read_only(*arrays, *rep_arrays), _Past(k, *_read_only(*edges)))
+    return _Chains(*_read_only(*arrays, *rep_arrays), _Past(k, *_read_only(*edges)), {})
 
 
-@lru_cache(maxsize=1)
+#: The bytes of factors a layout keeps before it drops its oldest.  It holds
+#: the shift grid's five moduli at M = 32 (about 70 KB each at k = 1), so a
+#: sweep or a loop over the grid factors each modulus once, and the four
+#: kept layouts hold at most 4 MiB of factors.  A factor past it is kept
+#: alone, and only the newest such in the process (:data:`_large`).
+FACTOR_BYTES = 2**20
+
+#: The layout's ``factors`` and the |c| of the newest factor past
+#: FACTOR_BYTES, an empty dict before the first.  A factor takes about the
+#: bytes of its layout, so a loop over k at large M keeps one factor besides
+#: the layouts, not one per layout.
+_large: list = [{}, None]
+
+
 def _factor(k: int, rho: float, M: int) -> tuple:
     """What a solve of (k, c, M) with |c| = rho needs before it sees data, every array read-only.
 
-    Returns the chains, √(1 + τ) (each edge coupling's divisor) and
+    Returns the chains and the factor of |c| = rho on them.  The layout
+    keeps its factors in ``chains.factors`` by |c|, so shifts of one modulus
+    share one, and a solve that comes back to a modulus finds it there.  A
+    layout keeps its factors, oldest first dropped, while their bytes stay
+    within :data:`FACTOR_BYTES`; they go with the layout when it leaves
+    :func:`_layout`'s cache, since a kept factor holds no reference back to
+    it.  A factor past the budget is kept alone in its layout, and only until
+    the next factor past the budget is built, in any layout; it can outlive
+    its layout until then.  So the trials of one (k, c, M) share a factor at
+    any M, and a loop over k at large M keeps one.  Two threads that factor
+    one modulus at once both get the first one kept.
+    """
+    chains = _layout(k, M)
+    factors = chains.factors
+    kept = factors.get(rho)
+    if kept is None:
+        kept = factors.setdefault(rho, _build_factor(chains, rho))
+        # every factor of one layout has the same size
+        damp, tail_share, _, kernel = kept
+        size = damp.nbytes + tail_share.nbytes + sum(a.nbytes for a in kernel)
+        for old in list(factors)[: -max(1, FACTOR_BYTES // size)]:
+            factors.pop(old, None)
+        if size > FACTOR_BYTES:
+            other, key = _large
+            if other is not factors:
+                other.pop(key, None)
+            _large[:] = factors, rho
+    return (chains, *kept)
+
+
+def _build_factor(chains: _Chains, rho: float) -> tuple:
+    """The factor of |c| = rho on ``chains``, every array read-only.
+
+    Returns √(1 + τ) (each edge coupling's divisor) and
     √(τ/(1 + τ)) (the tail's part of the edge size), both per chain in
     origin order, the smallest pivot and the Givens factor that
     :func:`_lockstep_apply` reads: the QR factor of each real chain's
@@ -339,10 +389,8 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     have the same τ and the same rotations, bit for bit, since IEEE products
     commute: τ (``chains.past.tau``) and the pivot loop run on the
     representatives alone, and one gather each copies τ, r and g to every
-    column.  Only the last (k, |c|, M) is kept; shifts of one modulus share
-    it.
+    column.  Nothing returned refers to ``chains``.
     """
-    chains = _layout(k, M)
     P = len(chains.tail)
     tau = chains.past.tau(rho * rho)[chains.mirror[chains.tail % P]]
     damp = np.sqrt(1.0 + tau)
@@ -366,7 +414,7 @@ def _factor(k: int, rho: float, M: int) -> tuple:
     sup = s[:-1] * rho
     sup.reshape(-1)[last[last < sup.size]] = 0.0
     kernel = _read_only(r, sup, np.stack([g, -s], axis=1))
-    return chains, *_read_only(damp, np.sqrt(share)), min_pivot, kernel
+    return (*_read_only(damp, np.sqrt(share)), min_pivot, kernel)
 
 
 def _turns(c: complex, count: int) -> np.ndarray:

@@ -50,6 +50,27 @@ MUTANTS = (
         "couplings = np.sqrt(pm * pm)",
         ("tests/test_solver.py::test_each_box_equation_pairs_a_stored_entry_with_the_next[1]",),
     ),
+    Mutant(
+        "data at step j turned by turn[j] in place of turn[j+1]",
+        "focksolve/solver.py",
+        "rhs.real * tr[1:], rhs.imag * ti[1:], y[:, 0]",
+        "rhs.real * tr[:-1], rhs.imag * ti[:-1], y[:, 0]",
+        ("tests/test_solver.py::test_solve_residual_is_true_operator_residual",),
+    ),
+    Mutant(
+        "a kernel vector added to every chain: the reverse sweep starts from p = 1e-9",
+        "focksolve/solver.py",
+        "p, turned = np.zeros((2, rows)), np.empty((2, 2, rows))",
+        "p, turned = np.full((2, rows), 1e-9), np.empty((2, 2, rows))",
+        ("tests/test_solver.py::test_solve_zero_data",),
+    ),
+    Mutant(
+        "kept factors looked up by round(|c|)",
+        "focksolve/solver.py",
+        "kept = factors.get(rho)",
+        "kept = factors.get(round(rho))",
+        ("tests/test_solver.py::test_a_data_major_loop_keeps_the_bits_and_factors_each_modulus_once",),
+    ),
 )
 
 

@@ -1,5 +1,6 @@
 """Complex Hermite basis: closed forms, basis changes, ladder actions."""
 
+import itertools
 import math
 import random
 import sys
@@ -263,6 +264,55 @@ def test_non_finite_float_amplitude_rejected(amp, normalization):
     # a raw amplitude that overflows once rescaled is rejected the same way
     with pytest.raises(ValueError, match=r"\(50, 50\)"):
         HermiteCoeffs({(50, 50): 1e300 + 0j}).to_orthonormal()
+
+
+#: ±0, ±the smallest subnormal, the smallest normal, 1, max/2 and its
+#: neighbour below, max/√2, max, ±inf and NaN
+EDGE_PARTS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    sys.float_info.min,
+    1.0,
+    sys.float_info.max / 2,
+    math.nextafter(sys.float_info.max / 2, 0.0),
+    sys.float_info.max / math.sqrt(2),
+    sys.float_info.max,
+    math.inf,
+    -math.inf,
+    math.nan,
+)
+
+
+def test_the_store_decides_every_pair_of_edge_parts_as_the_magnitude_rule():
+    # the rule: refuse a NaN or infinite |value|, prune a zero one.  Where both
+    # parts are below max/2 the store forms no magnitude and keeps the nonzero
+    # values; both decisions agree on every pair
+    pairs = list(itertools.product(EDGE_PARTS, repeat=2))
+    values = np.array([complex(re, im) for re, im in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.hypot(values.real, values.imag)
+    refused, kept = ~(sizes < math.inf), sizes > 0
+    half = sys.float_info.max / 2
+    small = np.array([abs(re) < half and abs(im) < half for re, im in pairs])
+    assert small.sum() == 7 * 7 and not refused[small].any()
+    assert (kept[small] == (values[small] != 0)).all()
+    index = np.array([[3, 1]])
+    for value, refuse, keep in zip(values, refused, kept):
+        if refuse:
+            with pytest.raises(ValueError, match=r"non-finite amplitude .* at index \(3, 1\)"):
+                HermiteCoeffs._from_array(index, np.array([value]), "orthonormal")
+        else:
+            u = HermiteCoeffs._from_array(index, np.array([value]), "orthonormal")
+            assert u.arrays()[1].tobytes() == np.array([value] if keep else [], complex).tobytes()
+    # whole arrays, with a part past max/2 and without
+    for rows in (~refused, small):
+        index = np.stack([np.arange(rows.sum()), np.zeros(rows.sum(), int)], axis=1)
+        u = HermiteCoeffs._from_array(index, values[rows], "orthonormal")
+        want = kept[rows]
+        assert u.index.tobytes() == index[want].tobytes()
+        assert u.arrays()[1].tobytes() == values[rows][want].tobytes()
 
 
 def test_sqrt_norm_past_the_float_product():

@@ -410,7 +410,6 @@ def test_disk_reports_do_not_depend_on_cached_rules_or_factors():
     p = DiskProblem(0.5 - 0.25j, 1.0, PolyZZbar.var_z(), 2, 1j, truncation=16, radial_nodes=32)
     u, rep = solve_disk(p)
     _legendre.cache_clear()
-    solver._factor.cache_clear()
     solver._layout.cache_clear()
     cold_u, cold = solve_disk(p)
     assert repr(dataclasses.asdict(rep)) == repr(dataclasses.asdict(cold))

@@ -1,11 +1,13 @@
 """Chain layout, minimum-norm chain solves, and the certified solve."""
 
+import gc
 import itertools
 import math
 import random
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import astuple
 from fractions import Fraction
 from types import SimpleNamespace
@@ -389,17 +391,16 @@ def test_each_box_equation_pairs_a_stored_entry_with_the_next(k):
 
 
 def cached_arrays(k, rho, M):
-    """Every array that the layout and the factor of (k, rho, M) keep, the past edges' own among them."""
-    chains, damp, tail_share, _, kernel = _factor(k, rho, M)
-    *layout, past = chains
-    return [*layout, past.m_edge, past.n_edge, past.perms, *past.blocks.values(), damp, tail_share, *kernel]
+    """Every array the layout of (k, M) keeps with the factor of rho, its past's and factors' too."""
+    *layout, past, factors = _factor(k, rho, M)[0]
+    kept = [a for damp, tail_share, _, kernel in factors.values() for a in (damp, tail_share, *kernel)]
+    return [*layout, past.m_edge, past.n_edge, past.perms, *past.blocks.values(), *kept]
 
 
 def test_cached_arrays_fit_in_the_bytes_of_the_row_major_layout():
     # the cached layout and factor hold at most the bytes that the row-major
     # layout, with its kernel-order factor beside it, held at M = 256
     for k, limit in ((1, 8_726_643), (4, 8_851_560)):
-        _factor.cache_clear()
         _layout.cache_clear()
         assert sum(a.nbytes for a in cached_arrays(k, math.sqrt(2), 256)) <= limit
 
@@ -933,9 +934,21 @@ def bits(solution):
 
 
 def cold_solve(spec):
-    _factor.cache_clear()
     _layout.cache_clear()
     return solve(spec)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(layout, |c|) of every factor built while the test runs, in order."""
+    made, build = [], solver._build_factor
+
+    def counted(chains, rho):
+        made.append((chains, rho))
+        return build(chains, rho)
+
+    monkeypatch.setattr(solver, "_build_factor", counted)
+    return made
 
 
 def test_solve_is_independent_of_the_solves_before_it():
@@ -949,22 +962,101 @@ def test_solve_is_independent_of_the_solves_before_it():
         assert_matches_reference(spec)
 
 
-def test_shifts_of_one_modulus_share_a_factor():
+def test_shifts_of_one_modulus_share_a_factor(builds):
     # the factor is keyed by |c|: 0 and −0j share one, and so do ±1 and ±i
     f = dense_f(2, 12, 5)
     shifts = (0j, complex(0, -0.0), 1 + 0j, -1 + 0j, 1j, -1j)
     specs = [ProblemSpec(k=2, c=c, truncation=12, f=f) for c in shifts]
     cold = [bits(cold_solve(spec)) for spec in specs]
-    _factor.cache_clear()
+    _layout.cache_clear()
+    builds.clear()
     assert [bits(solve(spec)) for spec in specs] == cold
-    assert _factor.cache_info().misses == 2
+    assert len(builds) == 2
 
 
-def test_certify_sweep_factors_once_per_run_of_one_modulus():
-    # per k, the grid's runs of equal |c|: 0; 1, −1, i, −i; 1+i; 10, −10i; 1e6
-    _factor.cache_clear()
+def test_certify_sweep_factors_once_per_run_of_one_modulus(builds):
+    # per k, the grid's runs of equal |c|: 0; 1, −1, i, −i; 1+i; 10, −10i; 1e6.
+    # Each layout keeps its factors, so a second sweep builds none
+    _layout.cache_clear()
     certify_sweep(1, 2, 2, 12, 0)
-    assert _factor.cache_info().misses == 10
+    assert len(builds) == 10
+    certify_sweep(1, 2, 2, 12, 1)
+    assert len(builds) == 10
+
+
+def test_a_data_major_loop_keeps_the_bits_and_factors_each_modulus_once(builds):
+    # every data set at each shift of the grid: each set comes back to the
+    # moduli of the set before, and finds their factors kept
+    k, M = 2, 16
+    specs = [
+        ProblemSpec(k=k, c=c, truncation=M, f=dense_f(k, M, seed))
+        for seed in range(3)
+        for c in CERTIFICATION_C_GRID
+    ]
+    cold = [bits(cold_solve(spec)) for spec in specs]
+    _layout.cache_clear()
+    builds.clear()
+    assert [bits(solve(spec)) for spec in specs] == cold
+    chains = _layout(k, M)
+    assert [(layout is chains, rho) for layout, rho in builds] == [
+        (True, rho) for rho in dict.fromkeys(abs(c) for c in CERTIFICATION_C_GRID)
+    ]
+
+
+def test_an_evicted_layout_frees_its_factors_at_once():
+    # a kept factor refers to nothing of its layout, so the two form no
+    # cycle: they go when the layout leaves the cache, with no collector run
+    _layout.cache_clear()
+    gc.disable()
+    try:
+        kept = weakref.ref(_factor(1, 1.0, 12)[4][0])
+        assert kept() is not None
+        for M in (13, 14, 15, 16):
+            _layout(1, M)
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def test_one_factor_past_the_budget_is_kept_the_newest():
+    # at M = 256 a factor of k = 1 or 2 passes FACTOR_BYTES: the newest stays,
+    # so the trials of one cell factor once, and the one before it goes,
+    # from its own layout or another
+    _layout.cache_clear()
+    one = _factor(1, 1.0, 256)[0]
+    assert list(one.factors) == [1.0]
+    newest = _factor(1, 2.0, 256)[1:]
+    assert list(one.factors) == [2.0]
+    assert all(a is b for a, b in zip(_factor(1, 2.0, 256)[1:], newest))
+    two = _factor(2, 2.0, 256)[0]
+    assert not one.factors and list(two.factors) == [2.0]
+
+
+def test_threads_that_factor_one_layout_at_once_share_the_kept_factors():
+    # two threads may build one modulus at once; each gets the factor kept first
+    moduli = [1.0, math.sqrt(2), 10.0, 1e6] * 2
+    _layout.cache_clear()
+    chains = _layout(2, 24)
+    got, start = [None] * len(moduli), threading.Barrier(len(moduli))
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = _factor(2, moduli[i], 24)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(moduli))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(chains.factors) == set(moduli)
+    for rho, (layout, *factor) in zip(moduli, got):
+        assert layout is chains and all(a is b for a, b in zip(factor, chains.factors[rho]))
 
 
 FACTOR_MODULI = (0.0, 5e-324, 1e-300, 0.3, 1.0, math.sqrt(2), 10.0, 1e3, 1e6, 1e150, 1e300, 1.7e308)
@@ -1041,9 +1133,10 @@ def test_turns_are_kept_for_one_shift_with_the_sign_of_its_zeros():
 def test_cached_arrays_are_read_only():
     solve(ProblemSpec(k=2, c=1 + 1j, truncation=10, f=dense_f(2, 10, 6)))
     chains = _factor(2, abs(1 + 1j), 10)[0]
-    # the couplings past the edges are the layout's one growing part, in read-only blocks
+    # the couplings past the edges and the kept factors are the layout's
+    # growing parts, in read-only arrays
     arrays = cached_arrays(2, abs(1 + 1j), 10)
-    assert chains is _layout(2, 10) and len(chains) == 12 and chains.past.blocks
+    assert chains is _layout(2, 10) and len(chains) == 13 and chains.past.blocks and chains.factors
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
